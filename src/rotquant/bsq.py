@@ -23,10 +23,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, apply_rotation, inverse_rotation, rotate_many
+from .core import RotationSpec, inverse_rotation, map_trials, rotate_many, rotate_normalized
 from .metrics import KOLMOGOROV_2LAYER_C, normal_quantile
 from .reporting import VerifyReport
-from .rng import Xoshiro256pp, derive_seeds
+from .rng import Xoshiro256pp
 
 __all__ = [
     "threshold_for_p",
@@ -87,8 +87,7 @@ class ErrorFunctionSpec:
     """Piecewise description of the conditional rounding error ``e(z)``.
 
     ``e(z) = (z - q_i)(q_{i+1} - z)`` on the cell containing ``z`` and zero
-    outside ``support``.  Constructed from a config (support = grid ends) or
-    from raw levels for analysis.
+    outside ``support``.  Usually built from a config (support = grid ends).
     """
 
     levels: np.ndarray
@@ -110,11 +109,6 @@ class ErrorFunctionSpec:
     @classmethod
     def from_config(cls, cfg: BsqConfig) -> "ErrorFunctionSpec":
         return cls(levels=cfg.levels, support=(float(cfg.levels[0]), float(cfg.levels[-1])))
-
-    @classmethod
-    def from_levels(cls, levels) -> "ErrorFunctionSpec":
-        lv = np.asarray(levels, dtype=np.float64)
-        return cls(levels=lv, support=(float(lv[0]), float(lv[-1])))
 
     def evaluate(self, z):
         """Vectorized ``e(z)``; exact zeros at grid levels and outside support."""
@@ -214,13 +208,9 @@ def _stochastic_codes(z: np.ndarray, cfg: BsqConfig, u: np.ndarray) -> np.ndarra
 def bsq_encode(x, spec: RotationSpec, cfg: BsqConfig, noise_seed: int) -> BsqPayload:
     """Rotate, normalize to ``U = sqrt(d) R xu``, grid-quantize in-range
     coordinates with rounding noise drawn from ``noise_seed``."""
-    y = apply_rotation(x, spec)
-    d = spec.dim
-    norm = float(np.linalg.norm(y))  # rotation preserves |x|_2
-    scale = norm / math.sqrt(d)
-    u_coords = y / scale if scale > 0.0 else np.zeros(d)
+    u_coords, scale = rotate_normalized(x, spec)
     out_mask = np.abs(u_coords) > cfg.threshold
-    u_noise = Xoshiro256pp([noise_seed]).uniforms(d)[0]
+    u_noise = Xoshiro256pp([noise_seed]).uniforms(spec.dim)[0]
     in_vals = u_coords[~out_mask]
     codes = _stochastic_codes(in_vals, cfg, u_noise[~out_mask])
     return BsqPayload(
@@ -262,13 +252,12 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
     if norm == 0.0 or not np.all(np.isfinite(x)):
         raise ValueError("input must be finite and non-zero")
     efs = ErrorFunctionSpec.from_config(cfg)
-    seeds = derive_seeds(master_seed, 0, trials)
-    per_trial = np.empty(trials)
-    step = max(1, (1 << 22) // d)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
-        u_rows = rotate_many(x / norm, layers, seeds[lo:hi]) * math.sqrt(d)
-        per_trial[lo:hi] = efs.evaluate(u_rows).mean(axis=1)
+
+    def chunk(lo, hi, seeds):
+        u_rows = rotate_many(x / norm, layers, seeds) * math.sqrt(d)
+        return efs.evaluate(u_rows).mean(axis=1)
+
+    per_trial = np.concatenate(map_trials(master_seed, trials, d, chunk))
     measured = float(np.mean(per_trial))
     std_err = float(np.std(per_trial, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     expected = expected_error_gaussian(cfg)

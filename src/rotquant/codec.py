@@ -12,7 +12,9 @@ for codebooks, and the length for raw vectors.  Flag bit 0 marks a payload
 whose seed travels out of band (key written as zero); bits 1-6 carry
 log2(d) and bits 7-8 the layer count for payload kinds; the remaining bits
 are kind-specific (kind 1: bit 9 = unbiased mode; kind 2: bits 9-13 =
-quantizer bits - 1).  Undefined bits must be zero.
+quantizer bits - 1).  Undefined bits, including the padding after packed
+signs or codes, must be zero, so any bytes that parse re-serialize to
+themselves.
 """
 
 from __future__ import annotations
@@ -76,13 +78,23 @@ def _spec_flags(spec: RotationSpec, seed_external: bool) -> int:
     return flags
 
 
+def _require_zero_padding(raw: bytes, n_bits: int, field: str):
+    """The bits after the first ``n_bits`` of a packed field must be zero,
+    so every payload has exactly one encoding."""
+    used = n_bits % 8
+    _require(used == 0 or raw[-1] >> used == 0, field, "nonzero padding bits")
+
+
 def _read_spec(flags: int, key: int, kind_bits: int) -> tuple[RotationSpec, int]:
     """Decode the shared rotation fields; returns the spec and the
     kind-specific remainder of the flag word."""
     log2d = (flags >> 1) & 0x3F
     layers = (flags >> 7) & 0x3
     _require(layers <= MAX_LAYERS, "flags", f"layer count {layers} out of range")
-    seed = 0 if flags & _FLAG_SEED_EXTERNAL else key
+    seed_external = bool(flags & _FLAG_SEED_EXTERNAL)
+    _require(not seed_external or key == 0, "key",
+             "an out-of-band seed must be written as zero")
+    seed = 0 if seed_external else key
     spec = RotationSpec(dim=1 << log2d, layers=layers, seed=seed)
     return spec, flags >> (9 + kind_bits)
 
@@ -123,6 +135,7 @@ def _deserialize_drive(flags: int, key: int, body: bytes) -> DrivePayload:
     _require(len(body) == expected, "length",
              f"body is {len(body)} bytes, expected {expected}")
     (scale,) = _F64.unpack_from(body, 0)
+    _require_zero_padding(body, spec.dim, "signs")
     try:
         return DrivePayload(mode=mode, spec=spec, scale=scale,
                             sign_bits=body[_F64.size:])
@@ -165,7 +178,9 @@ def _deserialize_bsq(flags: int, key: int, body: bytes) -> BsqPayload:
         cfg = BsqConfig(bits=bits, tail_mass=tail_mass)
     except ValueError as e:
         raise FormatError("config", str(e)) from e
-    codes = _unpack_codes(body[fixed:fixed + code_bytes], n_codes, bits)
+    raw_codes = body[fixed:fixed + code_bytes]
+    _require_zero_padding(raw_codes, n_codes * bits, "codes")
+    codes = _unpack_codes(raw_codes, n_codes, bits)
     tail = body[fixed + code_bytes:]
     out_idx = np.zeros(n_out, dtype=np.uint32)
     out_val = np.zeros(n_out, dtype=np.float64)
@@ -206,8 +221,9 @@ def _deserialize_codebook(flags: int, key: int, body: bytes) -> Codebook:
     _require(math.isfinite(recomputed), "radius", "centroid norms overflow")
     _require(math.isclose(radius, recomputed, rel_tol=1e-9, abs_tol=1e-12),
              "radius", "stored radius does not match the centroids")
+    # keep the stored radius (not the recomputed one) so it re-serializes as read
     return Codebook(block_dim=int(k_blk), centroids=cents.astype(np.float64),
-                    train_seed=int(key), radius=recomputed)
+                    train_seed=int(key), radius=radius)
 
 
 def _serialize_vector(x: np.ndarray) -> bytes:

@@ -14,29 +14,36 @@ derivation is integer-exact, hence identical on every platform.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MASK64, Xoshiro256pp
+from .rng import MASK64, Xoshiro256pp, derive_seeds
 
 __all__ = [
     "MAX_LAYERS",
     "check_dim",
     "RotationSpec",
-    "SignPlane",
-    "DirVector",
     "fwht",
-    "derive_signs",
     "layer_signs",
     "sign_vector",
     "unpack_sign_bits",
     "apply_rotation",
     "inverse_rotation",
+    "rotate_normalized",
     "rotate_many",
+    "TRIAL_CHUNK_ELEMS",
+    "run_ordered",
+    "map_trials",
 ]
 
 MAX_LAYERS = 3
+
+# Elements materialized per chunk of Monte Carlo trials.  A fixed constant,
+# not an option: per-trial statistics do not depend on it, but running sums
+# over chunks (such as a mean reconstruction) do, in their last bits.
+TRIAL_CHUNK_ELEMS = 1 << 22
 
 
 def check_dim(d) -> int:
@@ -61,52 +68,6 @@ class RotationSpec:
             raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {self.layers}")
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class SignPlane:
-    """One diagonal of signs, stored packed (bit j of byte j//8 = coordinate j).
-
-    A set bit encodes -1, a clear bit +1.
-    """
-
-    dim: int
-    bits: bytes
-
-    def __post_init__(self):
-        check_dim(self.dim)
-        if len(self.bits) != (self.dim + 7) // 8:
-            raise ValueError("packed sign length does not match dimension")
-
-    def values(self) -> np.ndarray:
-        """Unpack to a float64 vector of +/-1."""
-        return unpack_sign_bits(self.bits, self.dim)
-
-
-@dataclass(frozen=True)
-class DirVector:
-    """A unit-norm direction vector (read-only)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("direction must be a 1-d vector")
-        n = np.linalg.norm(v)
-        if not math.isfinite(n) or abs(n - 1.0) > 1e-12:
-            raise ValueError("direction must have unit Euclidean norm")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def normalize(cls, x) -> "DirVector":
-        x = np.asarray(x, dtype=np.float64)
-        n = np.linalg.norm(x)
-        if n == 0.0 or not math.isfinite(n):
-            raise ValueError("cannot normalize a zero or non-finite vector")
-        return cls(x / n)
 
 
 def fwht(v, normalize: bool = False) -> np.ndarray:
@@ -147,15 +108,6 @@ def layer_signs(seeds, layer: int, dim: int) -> np.ndarray:
         raise ValueError(f"layer must be in 1..{MAX_LAYERS}, got {layer}")
     keys = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)) ^ np.uint64(layer)
     return Xoshiro256pp(keys).sign_values(dim)
-
-
-def derive_signs(spec: RotationSpec, layer: int) -> SignPlane:
-    """The deterministic sign plane for one layer of a rotation spec."""
-    if not 1 <= layer <= spec.layers:
-        raise ValueError(f"layer must be in 1..{spec.layers}, got {layer}")
-    vals = layer_signs([spec.seed], layer, spec.dim)[0]
-    packed = np.packbits(vals < 0, bitorder="little").tobytes()
-    return SignPlane(dim=spec.dim, bits=packed)
 
 
 def sign_vector(v) -> bytes:
@@ -221,6 +173,36 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     return out
 
 
+def run_ordered(jobs, fn, threads: int = 1):
+    """``[fn(job) for job in jobs]``, in job order regardless of scheduling;
+    with ``threads > 1`` the jobs run on a thread pool."""
+    if threads <= 1:
+        return [fn(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, jobs))
+
+
+def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
+               seeds_per_trial: int = 1, threads: int = 1):
+    """Run ``trials`` independently seeded trials in chunks of whole trials.
+
+    Trial ``i`` owns seeds ``mix64(master_seed + i * s + c)`` for
+    ``c < s = seeds_per_trial``.  Chunks hold about ``TRIAL_CHUNK_ELEMS``
+    elements given ``row_elems`` per trial; ``fn(lo, hi, seeds)`` handles
+    trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Returns the
+    chunk results in trial order (see :func:`run_ordered`), so reductions
+    over them do not depend on ``threads``.
+    """
+    step = max(1, TRIAL_CHUNK_ELEMS // row_elems)
+    spt = seeds_per_trial
+
+    def chunk(lo):
+        hi = min(lo + step, trials)
+        return fn(lo, hi, derive_seeds(master_seed, lo * spt, (hi - lo) * spt))
+
+    return run_ordered(range(0, trials, step), chunk, threads)
+
+
 def apply_rotation(x, spec: RotationSpec) -> np.ndarray:
     """Apply ``R_k`` for ``spec`` to a vector (identity when ``layers=0``)."""
     x = _as_vector(x, spec.dim)
@@ -231,3 +213,13 @@ def inverse_rotation(y, spec: RotationSpec) -> np.ndarray:
     """Apply ``R_k^{-1} = D_1 Hn D_2 Hn ... D_k Hn`` for ``spec``."""
     y = _as_vector(y, spec.dim)
     return rotate_many(y, spec.layers, [spec.seed], inverse=True)[0]
+
+
+def rotate_normalized(x, spec: RotationSpec):
+    """Rotate and normalize: ``(U, scale)`` with ``U = sqrt(d) R x / |x|_2``
+    and ``scale = |x|_2 / sqrt(d)``, so ``R x = scale * U`` (``U = 0`` for
+    a zero input)."""
+    y = apply_rotation(x, spec)
+    scale = float(np.linalg.norm(y)) / math.sqrt(spec.dim)  # rotation preserves |x|_2
+    u = y / scale if scale > 0.0 else np.zeros(spec.dim)
+    return u, scale

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import RotationSpec, apply_rotation, inverse_rotation, rotate_many, sign_vector, unpack_sign_bits
-from .rng import derive_seeds
+from .core import RotationSpec, apply_rotation, inverse_rotation, map_trials, rotate_many, sign_vector, unpack_sign_bits
 
 __all__ = [
     "MODES",
@@ -70,6 +69,8 @@ def scaling_constant_cd(d: int) -> float:
     return math.exp(0.5 * math.log(d / math.pi) + math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
 
 
+# Not folded into scaling_constant_cd: the two differ in the last bits at some
+# dimensions, and one sets unbiased wire scales while this one feeds run_cd_expansion.
 def cd_values(dims: np.ndarray) -> np.ndarray:
     """Vectorized ``scaling_constant_cd`` over an integer array."""
     d = np.asarray(dims, dtype=np.float64)
@@ -102,16 +103,21 @@ class DrivePayload:
             raise ValueError("sign payload length does not match dimension")
 
 
+def _drive_scale(mode: str, d: int, l1, norm):
+    """Scale per vector from its rotated l1 norm (``biased``: ``|Rx|_1 / d``)
+    or its l2 norm (``unbiased``: ``|x|_2 / (c_d sqrt(d))``)."""
+    if mode == "biased":
+        return l1 / d
+    return norm / (scaling_constant_cd(d) * math.sqrt(d))
+
+
 def drive_encode(x, spec: RotationSpec, mode: str = "biased") -> DrivePayload:
     """Rotate ``x`` and quantize to signs plus a single scale."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     y = apply_rotation(x, spec)
-    if mode == "biased":
-        scale = float(np.sum(np.abs(y))) / spec.dim
-    else:
-        norm = float(np.linalg.norm(x))
-        scale = norm / (scaling_constant_cd(spec.dim) * math.sqrt(spec.dim))
+    scale = float(_drive_scale(mode, spec.dim, np.sum(np.abs(y)),
+                               np.linalg.norm(x)))
     return DrivePayload(mode=mode, spec=spec, scale=scale, sign_bits=sign_vector(y))
 
 
@@ -141,21 +147,12 @@ class DriveErrorReport:
     eq1_vnmse: float | None = None
 
 
-def _chunk_rows(total: int, d: int) -> list[tuple[int, int]]:
-    step = max(1, (1 << 22) // max(d, 1))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
 def _encode_decode_rows(rows: np.ndarray, seeds: np.ndarray, spec: RotationSpec,
                         mode: str, norms: np.ndarray):
     """Batched encode+decode. Returns (xhat rows, scales, rotated l1 norms)."""
     y = rotate_many(rows, spec.layers, seeds)
     l1 = np.sum(np.abs(y), axis=1)
-    if mode == "biased":
-        scales = l1 / spec.dim
-    else:
-        cd = scaling_constant_cd(spec.dim)
-        scales = norms / (cd * math.sqrt(spec.dim))
+    scales = _drive_scale(mode, spec.dim, l1, norms)
     signs = np.where(y < 0, -1.0, 1.0)
     xhat = scales[:, None] * rotate_many(signs, spec.layers, seeds, inverse=True)
     return xhat, scales, l1
@@ -179,22 +176,22 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int) 
         raise ValueError("input must be finite and non-zero")
 
     d = spec_template.dim
-    vnmse_samples = np.empty(trials)
-    scale_sq = np.empty(trials)
-    l1_sq = np.empty(trials)
-    mean_acc = np.zeros(d)
-    norms = None
-    for lo, hi in _chunk_rows(trials, d):
-        seeds = derive_seeds(spec_template.seed, lo, hi - lo)
-        if norms is None or norms.size != hi - lo:
-            norms = np.full(hi - lo, math.sqrt(norm_sq))
+    norm = math.sqrt(norm_sq)
+
+    def chunk(lo, hi, seeds):
         xhat, scales, l1 = _encode_decode_rows(
-            np.broadcast_to(x, (hi - lo, d)), seeds, spec_template, mode, norms)
+            np.broadcast_to(x, (hi - lo, d)), seeds, spec_template, mode,
+            np.full(hi - lo, norm))
         diff = xhat - x
-        vnmse_samples[lo:hi] = np.einsum("ij,ij->i", diff, diff) / norm_sq
-        scale_sq[lo:hi] = scales * scales
-        l1_sq[lo:hi] = l1 * l1
-        mean_acc += xhat.sum(axis=0)
+        return (np.einsum("ij,ij->i", diff, diff) / norm_sq, scales * scales,
+                l1 * l1, xhat.sum(axis=0))
+
+    per_trial = []
+    mean_acc = np.zeros(d)
+    for *rows, xsum in map_trials(spec_template.seed, trials, d, chunk):
+        per_trial.append(rows)
+        mean_acc += xsum
+    vnmse_samples, scale_sq, l1_sq = (np.concatenate(p) for p in zip(*per_trial))
 
     vnmse = float(np.mean(vnmse_samples))
     std_err = float(np.std(vnmse_samples, ddof=1) / math.sqrt(trials))
@@ -245,19 +242,17 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
 
     x_avg = xs.mean(axis=0)
     denom = float(np.mean(norms**2))
-    per_trial = np.empty(trials)
-    rows_per_trial = n_clients
-    trial_step = max(1, (1 << 22) // (d * rows_per_trial))
-    for lo in range(0, trials, trial_step):
-        hi = min(lo + trial_step, trials)
+
+    def chunk(lo, hi, seeds):
         n_t = hi - lo
-        seeds = derive_seeds(spec_template.seed, lo * n_clients, n_t * n_clients)
-        rows = np.tile(xs, (n_t, 1))
-        xhat, _, _ = _encode_decode_rows(rows, seeds, spec_template, mode,
-                                         np.tile(norms, n_t))
-        est = xhat.reshape(n_t, n_clients, d).mean(axis=1)
-        diff = est - x_avg
-        per_trial[lo:hi] = np.einsum("ij,ij->i", diff, diff) / denom
+        xhat, _, _ = _encode_decode_rows(np.tile(xs, (n_t, 1)), seeds,
+                                         spec_template, mode, np.tile(norms, n_t))
+        diff = xhat.reshape(n_t, n_clients, d).mean(axis=1) - x_avg
+        return np.einsum("ij,ij->i", diff, diff) / denom
+
+    per_trial = np.concatenate(map_trials(
+        spec_template.seed, trials, n_clients * d, chunk,
+        seeds_per_trial=n_clients))
     nmse = float(np.mean(per_trial))
     std_err = float(np.std(per_trial, ddof=1) / math.sqrt(trials))
     return DmeReport(n_clients=n_clients, trials=trials, nmse=nmse,

@@ -8,21 +8,22 @@ amount by which the measurement misses the floor, so 0 passes); trend
 claims are reported as consecutive-pair rows (``statistic`` is the later
 value, ``bound`` the earlier).
 
-All randomness is derived from a master seed by counter; trials are chunked
-in fixed order, so results are bit-identical across reruns and thread
-counts.
+All randomness is derived from a master seed by counter, and trials run in
+chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
+Results are bit-identical across reruns and thread counts.  Per-trial
+statistics also do not depend on the chunk size, but running sums over
+chunks do in their last bits, so the chunk budget is a fixed constant.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, threshold_for_p, verify_tv_transfer
-from .core import RotationSpec, apply_rotation, fwht, layer_signs, rotate_many
+from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, rotate_many, run_ordered
 from .drive import cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
@@ -71,16 +72,6 @@ def dkw_slack(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
-def _run_ordered(jobs, fn, threads: int):
-    """Evaluate ``fn(job)`` for each job, returning results in job order
-    regardless of scheduling."""
-    if threads <= 1:
-        return [fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
-        return [f.result() for f in futures]
-
-
 def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
                         threads: int = 1) -> np.ndarray:
     """All coordinates of ``sqrt(d) R xu`` pooled over independently seeded
@@ -88,16 +79,13 @@ def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     xu = x / np.linalg.norm(x)
-    seeds = derive_seeds(master_seed, 0, trials)
     root_d = math.sqrt(d)
-    step = max(1, (1 << 22) // d)
-    jobs = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
 
-    def one(job):
-        lo, hi = job
-        return (rotate_many(xu, layers, seeds[lo:hi]) * root_d).reshape(-1)
+    def chunk(lo, hi, seeds):
+        return (rotate_many(xu, layers, seeds) * root_d).reshape(-1)
 
-    return np.concatenate(_run_ordered(jobs, one, threads))
+    return np.concatenate(map_trials(master_seed, trials, d, chunk,
+                                     threads=threads))
 
 
 def run_scalar_convergence(dims, trials: int | None = None,
@@ -533,7 +521,7 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
                                      derive_seed(master_seed, 10_000 + idx))
         return empirical_kolmogorov(EmpiricalSample.from_values(values))
 
-    dks = _run_ordered(chosen, one, threads)
+    dks = run_ordered(chosen, one, threads)
     worst = int(np.argmax(dks))
     stat = float(dks[worst])
     return [VerifyReport(

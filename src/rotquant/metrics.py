@@ -30,15 +30,12 @@ __all__ = [
     "OUTLIER_2LAYER_C",
     "FlatnessStats",
     "moment_scan",
-    "rho3",
-    "linf_sq",
     "normal_cdf",
     "normal_quantile",
     "EmpiricalSample",
     "empirical_kolmogorov",
     "empirical_w1",
     "conditional_cov_exact",
-    "empirical_block_cov",
 ]
 
 CUBE_RATIO_C = 3.0**0.75          # ~2.2795
@@ -94,25 +91,6 @@ def moment_scan(x) -> FlatnessStats:
         raise ValueError("input must be a non-empty 1-d vector")
     return FlatnessStats(sum_sq=sum_sq, sum_abs_cubed=sum_cubed, max_sq=max_sq,
                          count=n)
-
-
-def rho3(x) -> float:
-    """Normalized third-moment ratio ``sum |x|^3 / (sum x^2)^{3/2}``.
-
-    Scale-invariant; equals ``sum |u_i|^3`` for the unit vector ``u = x/|x|``.
-    """
-    s = moment_scan(x)
-    if s.sum_sq == 0.0:
-        raise ValueError("zero vector has no direction")
-    return s.sum_abs_cubed / s.sum_sq**1.5
-
-
-def linf_sq(x) -> float:
-    """Squared max-coordinate of the unit vector: ``max x^2 / sum x^2``."""
-    s = moment_scan(x)
-    if s.sum_sq == 0.0:
-        raise ValueError("zero vector has no direction")
-    return s.max_sq / s.sum_sq
 
 
 def normal_cdf(t):
@@ -188,13 +166,13 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     twice, which matches the pairwise-sum convention).  Runs in O(d).
     """
     y = np.asarray(y, dtype=np.float64)
-    d = check_len = y.size
+    d = y.size
     if y.ndim != 1 or d == 0:
         raise ValueError("input must be a non-empty 1-d vector")
     if d & (d - 1):
         raise ValueError("dimension must be a power of two")
-    s = signs.values() if hasattr(signs, "values") and callable(signs.values) else np.asarray(signs, dtype=np.float64)
-    if s.shape != (check_len,):
+    s = np.asarray(signs, dtype=np.float64)
+    if s.shape != (d,):
         raise ValueError("sign plane length does not match the vector")
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate indices out of range")
@@ -203,10 +181,3 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     w = s * y
     return float(np.dot(w, w[perm]))
 
-
-def empirical_block_cov(blocks) -> np.ndarray:
-    """Unbiased sample covariance of stacked blocks, shape ``(k, k)``."""
-    b = np.asarray(blocks, dtype=np.float64)
-    if b.ndim != 2 or b.shape[0] < 2:
-        raise ValueError("need at least two block rows")
-    return np.cov(b, rowvar=False, ddof=1)

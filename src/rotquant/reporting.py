@@ -36,7 +36,6 @@ __all__ = [
     "VerifyReport",
     "ExperimentConfig",
     "render_rows",
-    "write_rows",
     "all_ok",
     "CSV_FIELDS",
     "VERSION",
@@ -157,12 +156,3 @@ def render_rows(rows, config: ExperimentConfig | None = None, fmt: str = "json",
         return buf.getvalue()
     raise ValueError(f"unknown report format: {fmt!r}")
 
-
-def write_rows(rows, path=None, config: ExperimentConfig | None = None,
-               fmt: str = "json") -> str:
-    """Render and either write to ``path`` or return for printing."""
-    text = render_rows(rows, config=config, fmt=fmt)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text

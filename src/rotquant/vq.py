@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import apply_rotation, check_dim, fwht, inverse_rotation, layer_signs, rotate_many
+from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, rotate_many, rotate_normalized
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
@@ -162,13 +162,9 @@ def vq_encode(x, spec, codebook: Codebook):
     """Rotate, split ``U = sqrt(d) R xu`` into contiguous blocks, send
     nearest-centroid indices plus the scalar scale.  Returns
     ``(indices, scale)``."""
-    y = apply_rotation(x, spec)
-    d = spec.dim
-    if d % codebook.block_dim != 0:
+    if spec.dim % codebook.block_dim != 0:
         raise ValueError("dimension must be a multiple of the block size")
-    norm = float(np.linalg.norm(y))  # rotation preserves |x|_2
-    scale = norm / math.sqrt(d)
-    u_coords = y / scale if scale > 0.0 else np.zeros(d)
+    u_coords, scale = rotate_normalized(x, spec)
     blocks = u_coords.reshape(-1, codebook.block_dim)
     _, idx = _nearest_sq_dist(blocks, codebook.centroids)
     return idx.astype(np.uint32), scale
@@ -218,22 +214,19 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate index out of range")
     xu = x / np.linalg.norm(x)
-    seeds = derive_seeds(master_seed, 0, trials)
-    covs = np.empty(trials)
-    linf_sq = np.empty(trials)
-    step = max(1, (1 << 21) // d)
     perm = np.arange(d) ^ (i ^ j)
-    for lo in range(0, trials, step):
-        hi = min(lo + step, trials)
+
+    def chunk(lo, hi, seeds):
         if layers == 2:
             a = np.broadcast_to(xu, (hi - lo, d))
-            w = layer_signs(seeds[lo:hi], 1, d) * a
+            w = layer_signs(seeds, 1, d) * a
         else:
-            a = fwht(xu[None, :] * layer_signs(seeds[lo:hi], 1, d), normalize=True)
-            w = layer_signs(seeds[lo:hi], 2, d) * a
-        covs[lo:hi] = np.einsum("ij,ij->i", w, w[:, perm])
-        linf_sq[lo:hi] = np.max(np.abs(a), axis=1) ** 2
-    return covs, linf_sq
+            a = fwht(xu[None, :] * layer_signs(seeds, 1, d), normalize=True)
+            w = layer_signs(seeds, 2, d) * a
+        return np.einsum("ij,ij->i", w, w[:, perm]), np.max(np.abs(a), axis=1) ** 2
+
+    covs, linf_sq = zip(*map_trials(master_seed, trials, d, chunk))
+    return np.concatenate(covs), np.concatenate(linf_sq)
 
 
 def rms_conditional_cov(x, i: int, j: int, layers: int, trials: int,
@@ -280,14 +273,13 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
             raise ValueError("input pattern longer than the target dimension")
         xu = np.zeros(d)
         xu[: x.size] = x / norm
-        seeds = derive_seeds(master_seed, 0, trials)
-        errs = np.empty(trials)
-        step = max(1, (1 << 21) // d)
-        for lo in range(0, trials, step):
-            hi = min(lo + step, trials)
-            u_rows = rotate_many(xu, layers, seeds[lo:hi]) * math.sqrt(d)
-            e, _ = _nearest_sq_dist(u_rows[:, :k], codebook.centroids)
-            errs[lo:hi] = e
+
+        def chunk(lo, hi, seeds):
+            # scale only the first block: the full rows are not needed
+            first = rotate_many(xu, layers, seeds)[:, :k] * math.sqrt(d)
+            return _nearest_sq_dist(first, codebook.centroids)[0]
+
+        errs = np.concatenate(map_trials(master_seed, trials, d, chunk))
         rht_mean = float(errs.mean())
         rht_se = float(errs.std(ddof=1) / math.sqrt(trials))
         cov_layers = layers if layers in (2, 3) else 3

@@ -68,7 +68,7 @@ def test_config_validation():
 # --- error function ------------------------------------------------------------
 
 def test_error_function_one_cell_closed_form():
-    efs = ErrorFunctionSpec.from_levels([-1.0, 1.0])
+    efs = ErrorFunctionSpec(np.array([-1.0, 1.0]), (-1.0, 1.0))
     assert tv_of_error_function(efs) == 2.0  # w^2/2 with w=2
     assert efs.evaluate(np.array([0.0]))[0] == 1.0
     assert efs.evaluate(np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotquant.bsq import BsqConfig, bsq_decode, bsq_encode
+from rotquant.bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
 from rotquant.codec import (
     KIND_BSQ,
     KIND_CODEBOOK,
@@ -182,8 +182,9 @@ def test_full_layer_field_is_legal():
 
 
 def run_mutation_fuzz(n_trials: int, seed: int = 0) -> int:
-    """Randomly corrupt valid wires; every outcome must be a clean parse or
-    a FormatError.  Returns how many mutations still parsed."""
+    """Randomly corrupt valid wires; every outcome must be a FormatError or
+    a clean parse that re-serializes to the same bytes.  Returns how many
+    mutations still parsed."""
     rng = np.random.default_rng(seed)
     bases = [
         serialize(drive_payload()),
@@ -209,11 +210,47 @@ def run_mutation_fuzz(n_trials: int, seed: int = 0) -> int:
             k = int(rng.integers(len(wire) * 8))
             wire[k // 8] ^= 1 << (k % 8)
         try:
-            deserialize(bytes(wire))
-            parsed += 1
+            obj = deserialize(bytes(wire))
         except FormatError:
-            pass
+            continue
+        parsed += 1
+        # canonical: whatever parses re-serializes to the very same bytes
+        external = bool(struct.unpack_from("<H", wire, 6)[0] & 1)
+        assert serialize(obj, seed_external=external) == bytes(wire)
     return parsed
+
+
+def test_drive_sign_padding_must_be_zero():
+    wire = bytearray(serialize(drive_payload(d=4)))
+    wire[-1] |= 0xF0  # bits 4-7 of the only sign byte are padding
+    with pytest.raises(FormatError) as err:
+        deserialize(bytes(wire))
+    assert err.value.field == "signs"
+
+
+def test_bsq_code_padding_must_be_zero():
+    cfg = BsqConfig(bits=3, tail_mass=0.05)
+    pay = BsqPayload(spec=RotationSpec(dim=16, layers=2, seed=5), config=cfg,
+                     scale=1.0, codes=np.arange(15) % 8, outlier_idx=[3],
+                     outlier_val=[cfg.threshold + 1.0])
+    wire = bytearray(serialize(pay))
+    assert deserialize(bytes(wire)).codes.tolist() == pay.codes.tolist()
+    # 15 codes x 3 bits = 45 bits in 6 bytes: bits 5-7 of the last are padding
+    last_code_byte = 16 + 8 + 8 + 4 + 5
+    wire[last_code_byte] |= 0xE0
+    with pytest.raises(FormatError) as err:
+        deserialize(bytes(wire))
+    assert err.value.field == "codes"
+
+
+def test_external_seed_key_must_be_zero():
+    wire = serialize(drive_payload(), seed_external=True)
+    assert deserialize(wire).spec.seed == 0
+    bad = bytearray(wire)
+    bad[8] = 1
+    with pytest.raises(FormatError) as err:
+        deserialize(bytes(bad))
+    assert err.value.field == "key"
 
 
 def test_mutation_fuzz_never_escapes_format_error():

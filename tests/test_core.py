@@ -6,12 +6,9 @@ from scipy.linalg import hadamard
 
 from rotquant.core import (
     MAX_LAYERS,
-    DirVector,
     RotationSpec,
-    SignPlane,
     apply_rotation,
     check_dim,
-    derive_signs,
     fwht,
     inverse_rotation,
     layer_signs,
@@ -100,10 +97,10 @@ def test_layer_signs_balance():
 
 
 def test_derive_signs_roundtrip():
-    spec = RotationSpec(dim=64, layers=2, seed=11)
-    plane = derive_signs(spec, 2)
-    assert isinstance(plane, SignPlane)
-    assert np.array_equal(plane.values(), layer_signs(np.array([11], dtype=np.uint64), 2, 64)[0])
+    """A layer's sign plane survives packing to one bit per sign."""
+    plane = layer_signs([11], 2, 64)[0]
+    assert np.array_equal(unpack_sign_bits(sign_vector(plane), 64), plane)
+    assert np.array_equal(plane, layer_signs(np.array([11], dtype=np.uint64), 2, 64)[0])
 
 
 def test_sign_vector_packing():
@@ -167,7 +164,7 @@ def test_single_layer_inverse_by_hand():
     d = 16
     spec = RotationSpec(dim=d, layers=1, seed=5)
     x = RNG.standard_normal(d)
-    s1 = derive_signs(spec, 1).values()
+    s1 = layer_signs([spec.seed], 1, d)[0]
     y = fwht(s1 * x, normalize=True)
     assert np.allclose(apply_rotation(x, spec), y, rtol=0, atol=1e-14)
     assert np.max(np.abs(s1 * fwht(y, normalize=True) - x)) <= 1e-12
@@ -221,13 +218,3 @@ def test_spec_validation():
         RotationSpec(dim=64, layers=1, seed=1 << 64)
     assert check_dim(1) == 1
 
-
-def test_dir_vector():
-    v = DirVector.normalize(np.array([3.0, 4.0]))
-    assert abs(np.linalg.norm(v.values) - 1.0) <= 1e-12
-    with pytest.raises(ValueError):
-        DirVector(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        DirVector.normalize(np.zeros(4))
-    with pytest.raises(ValueError):
-        v.values[0] = 0.0

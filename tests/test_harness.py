@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rotquant import cli
-from rotquant.bsq import BsqConfig
+from rotquant import cli, core
+from rotquant.bsq import BsqConfig, verify_tv_transfer
 from rotquant.codec import deserialize, serialize
+from rotquant.core import RotationSpec
+from rotquant.drive import dme_simulate, measure_drive_error
 from rotquant.experiments import (
+    _pooled_coordinates,
     run_adaptive_soundness,
     run_bsq_outliers,
     run_scalar_convergence,
@@ -19,7 +22,11 @@ from rotquant.reporting import (
     VerifyReport,
     all_ok,
     render_rows,
-    write_rows,
+)
+from rotquant.vq import (
+    conditional_cov_trials,
+    train_gaussian_codebook,
+    verify_codebook_universality,
 )
 
 
@@ -123,12 +130,6 @@ def test_csv_report_schema_roundtrip():
         render_rows(rows, fmt="yaml")
 
 
-def test_write_rows_touches_disk(tmp_path):
-    path = tmp_path / "rows.csv"
-    text = write_rows([row(True)], path=str(path), fmt="csv")
-    assert path.read_text(encoding="utf-8") == text
-
-
 # --- determinism and parallelism ----------------------------------------------
 
 def _fields(rows):
@@ -153,6 +154,43 @@ def test_soundness_check_thread_invariant():
     a = run_adaptive_soundness(n_inputs=4, d=64, draws=30_000, threads=1)
     b = run_adaptive_soundness(n_inputs=4, d=64, draws=30_000, threads=4)
     assert _fields(a) == _fields(b)
+
+
+def _chunked_results(threads: int = 1):
+    x = gen_adversarial("two_spike", 256)
+    spec = RotationSpec(256, 2, 21)
+    codebook = train_gaussian_codebook(2, 4, train_seed=1, n_samples=1000)
+    return {
+        "drive": measure_drive_error(x, spec, "biased", 300),
+        "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60).per_trial,
+        "tv": verify_tv_transfer(x, BsqConfig(2, 0.01), 200,
+                                 master_seed=3).to_row(),
+        "cov2": conditional_cov_trials(x, 0, 2, 2, 150, master_seed=4),
+        "cov3": conditional_cov_trials(x, 0, 2, 3, 150, master_seed=4),
+        "vq": verify_codebook_universality(
+            x[:8], codebook, (64, 256), 300, master_seed=5,
+            gauss_trials=2000, cov_trials=100),
+        "pooled": _pooled_coordinates(x, 2, 300, 6, threads=threads),
+    }
+
+
+def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
+    """Many small trial chunks give the default budget's per-trial values;
+    only the running mean reconstruction of DRIVE moves, in its last bits."""
+    ref = _chunked_results()
+    monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", 1 << 14)
+    got = _chunked_results(threads=2)
+    for field in ("vnmse", "std_err", "eq1_vnmse"):
+        assert getattr(got["drive"], field) == getattr(ref["drive"], field)
+    for field in ("bias_sq_norm", "variance_norm"):
+        assert math.isclose(getattr(got["drive"], field),
+                            getattr(ref["drive"], field), rel_tol=1e-12)
+    assert np.array_equal(got["dme"], ref["dme"])
+    assert got["tv"] == ref["tv"]
+    for key in ("cov2", "cov3"):
+        assert all(np.array_equal(g, r) for g, r in zip(got[key], ref[key]))
+    assert got["vq"] == ref["vq"]
+    assert np.array_equal(got["pooled"], ref["pooled"])
 
 
 def test_runs_are_reproducible():

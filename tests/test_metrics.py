@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotquant.adaptive import decide_layers
 from rotquant.metrics import (
     BERRY_ESSEEN_C,
     CUBE_RATIO_C,
@@ -11,14 +12,11 @@ from rotquant.metrics import (
     W1_TRANSPORT_C,
     EmpiricalSample,
     conditional_cov_exact,
-    empirical_block_cov,
     empirical_kolmogorov,
     empirical_w1,
-    linf_sq,
     moment_scan,
     normal_cdf,
     normal_quantile,
-    rho3,
 )
 from _oracles import NORMAL_CDF_ORACLE, QUANTILE_995
 
@@ -51,7 +49,7 @@ def test_moment_scan_flat_pm_half():
     x = np.array([0.5, -0.5, 0.5, -0.5])
     s = moment_scan(x)
     assert (s.sum_sq, s.sum_abs_cubed, s.max_sq) == (1.0, 0.5, 0.25)
-    assert rho3(x) == 0.5
+    assert decide_layers(x).rho3 == 0.5
 
 
 def test_moment_scan_stream_single_pass():
@@ -77,24 +75,25 @@ def test_moment_scan_rejects_bad_input():
 def test_rho3_linf_examples():
     e0 = np.zeros(16)
     e0[0] = 1.0
-    assert rho3(e0) == 1.0
-    assert linf_sq(e0) == 1.0
+    assert decide_layers(e0).rho3 == 1.0
+    assert decide_layers(e0).linf_sq == 1.0
     d = 64
-    flat = np.full(d, 1.0 / math.sqrt(d))
-    assert abs(rho3(flat) - 1.0 / math.sqrt(d)) <= 1e-15
-    assert abs(linf_sq(flat) - 1.0 / d) <= 1e-18
+    flat = decide_layers(np.full(d, 1.0 / math.sqrt(d)))
+    assert abs(flat.rho3 - 1.0 / math.sqrt(d)) <= 1e-15
+    assert abs(flat.linf_sq - 1.0 / d) <= 1e-18
     two = np.zeros(4)
     two[0] = two[1] = 1.0 / math.sqrt(2.0)
-    assert abs(rho3(two) - 1.0 / math.sqrt(2.0)) <= 1e-15
-    assert abs(linf_sq(two) - 0.5) <= 1e-15
+    two = decide_layers(two)
+    assert abs(two.rho3 - 1.0 / math.sqrt(2.0)) <= 1e-15
+    assert abs(two.linf_sq - 0.5) <= 1e-15
 
 
 def test_rho3_scale_invariant():
     x = RNG.standard_normal(33)
-    assert abs(rho3(x) - rho3(137.0 * x)) <= 1e-13
-    assert abs(linf_sq(x) - linf_sq(0.01 * x)) <= 1e-15
+    assert abs(decide_layers(x).rho3 - decide_layers(137.0 * x).rho3) <= 1e-13
+    assert abs(decide_layers(x).linf_sq - decide_layers(0.01 * x).linf_sq) <= 1e-15
     with pytest.raises(ValueError):
-        rho3(np.zeros(4))
+        decide_layers(np.zeros(4))
 
 
 # --- normal distribution helpers -------------------------------------------
@@ -212,21 +211,3 @@ def test_conditional_cov_diagonal_and_validation():
         conditional_cov_exact(y, s, 0, 4)
     with pytest.raises(ValueError):
         conditional_cov_exact(np.ones(3), np.ones(3), 0, 1)
-
-
-# --- block covariance ---------------------------------------------------------
-
-def test_block_cov_constant_blocks():
-    blocks = np.tile(np.array([1.0, -2.0]), (50, 1))
-    assert np.max(np.abs(empirical_block_cov(blocks))) == 0.0
-
-
-def test_block_cov_identity_rows():
-    k = 4
-    n = 100
-    blocks = np.vstack([np.eye(k) * 2.0] * (n // k))  # each 2*e_i, equal frequency
-    got = empirical_block_cov(blocks)
-    # population: mean 0.5, var 2^2/k - 0.25 = 0.75, cross -0.25; ddof=1 rescales
-    want = (np.eye(k) - 0.25) * (n / (n - 1.0))
-    assert np.allclose(got, want, atol=1e-12)
-    assert np.allclose(got, np.cov(blocks, rowvar=False, ddof=1), atol=1e-12)
