@@ -19,7 +19,7 @@ from . import codec
 from .adaptive import decide_layers
 from .bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
 from .core import RotationSpec, apply_rotation, inverse_rotation
-from .drive import DrivePayload, drive_decode, drive_encode
+from .drive import LIMIT_VNMSE, DrivePayload, drive_decode, drive_encode
 from .experiments import (
     DEFAULT_MASTER_SEED,
     run_adaptive_decisions,
@@ -156,6 +156,8 @@ def cmd_decode(args) -> int:
         if denom <= 0.0:
             raise SystemExit("--ref vector must be non-zero")
         info["vnmse"] = float(np.sum((xhat - ref) ** 2) / denom)
+        if isinstance(obj, DrivePayload):
+            info["expected_vnmse"] = LIMIT_VNMSE[obj.mode]
     if args.out:
         Path(args.out).write_bytes(codec.serialize(xhat))
         info["wrote"] = args.out

@@ -14,6 +14,7 @@ derivation is integer-exact, hence identical on every platform.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,9 +47,17 @@ MAX_LAYERS = 3
 TRIAL_CHUNK_ELEMS = 1 << 22
 
 
+def _as_int(value, name: str) -> int:
+    """``value`` as a plain ``int``; non-integers (such as ``1.5``) are rejected."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_dim(d) -> int:
     """Validate a transform dimension: a positive power of two."""
-    d = int(d)
+    d = _as_int(d, "dimension")
     if d < 1 or (d & (d - 1)) != 0:
         raise ValueError(f"dimension must be a positive power of two, got {d}")
     return d
@@ -64,6 +73,8 @@ class RotationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_dim(self.dim))
+        object.__setattr__(self, "layers", _as_int(self.layers, "layers"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if not 0 <= self.layers <= MAX_LAYERS:
             raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {self.layers}")
         if not 0 <= self.seed <= MASK64:
@@ -136,8 +147,6 @@ def _as_vector(x, dim: int) -> np.ndarray:
         raise ValueError("input must be a 1-d vector")
     if x.size != dim:
         raise ValueError(f"vector length {x.size} does not match dimension {dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
     return x
 
 
@@ -145,23 +154,24 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     """Apply independently seeded rotations in one numpy batch.
 
     ``x`` is either a single vector (broadcast to every seed) or a matrix of
-    shape ``(n_seeds, d)`` with one row per seed.  Returns ``(n_seeds, d)``.
-    Forward maps ``y = R_k x``; ``inverse=True`` maps ``y = R_k^{-1} x``.
+    shape ``(n_seeds, d)`` with one row per seed; it must be finite.  Returns
+    ``(n_seeds, d)``.  Forward maps ``y = R_k x``; ``inverse=True`` maps ``y = R_k^{-1} x``.
     """
     seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         d = check_dim(x.shape[0])
-        out = np.broadcast_to(x, (seeds.size, d)).copy()
     elif x.ndim == 2:
         d = check_dim(x.shape[1])
         if x.shape[0] != seeds.size:
             raise ValueError("row count must match the number of seeds")
-        out = x.copy()
     else:
         raise ValueError("input must be 1-d or 2-d")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input must be finite")
     if not 0 <= layers <= MAX_LAYERS:
         raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
+    out = np.broadcast_to(x, (seeds.size, d)).copy()
     if not inverse:
         for layer in range(1, layers + 1):
             out *= layer_signs(seeds, layer, d)

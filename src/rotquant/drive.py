@@ -26,6 +26,7 @@ from .core import RotationSpec, apply_rotation, inverse_rotation, map_trials, ro
 
 __all__ = [
     "MODES",
+    "LIMIT_VNMSE",
     "scaling_constant_cd",
     "cd_values",
     "DrivePayload",
@@ -38,6 +39,10 @@ __all__ = [
 ]
 
 MODES = ("biased", "unbiased")
+
+# Large-d vNMSE of one encode/decode round per mode: 1 - 2/pi for the biased
+# scale, pi/2 - 1 for the unbiased one (the variance term above).
+LIMIT_VNMSE = {"biased": 1.0 - 2.0 / math.pi, "unbiased": math.pi / 2.0 - 1.0}
 
 
 # Above this dimension the log-Gamma difference loses precision (two huge

@@ -24,7 +24,7 @@ import numpy as np
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, threshold_for_p, verify_tv_transfer
 from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, rotate_many, run_ordered
-from .drive import cd_values, dme_simulate, measure_drive_error
+from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
     BERRY_ESSEEN_C,
@@ -47,7 +47,6 @@ from .vq import (
 
 __all__ = [
     "DEFAULT_MASTER_SEED",
-    "HALF_PI_MINUS_1",
     "dkw_slack",
     "run_scalar_convergence",
     "run_drive_biased",
@@ -64,7 +63,6 @@ __all__ = [
 ]
 
 DEFAULT_MASTER_SEED = 12345
-HALF_PI_MINUS_1 = math.pi / 2.0 - 1.0
 
 
 def dkw_slack(n: int, alpha: float = 0.05) -> float:
@@ -138,7 +136,7 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
     """Biased sign-quantizer error: mean vNMSE stays under
     ``1 - 2/pi + 10/sqrt(d)``, above the 0.30 sanity floor, and agrees with
     the l1-only error identity."""
-    upper = 1.0 - 2.0 / math.pi + 10.0 / math.sqrt(d)
+    upper = LIMIT_VNMSE["biased"] + 10.0 / math.sqrt(d)
     floor = 0.30
     rows = []
     for kind in kinds:
@@ -241,7 +239,7 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
         rep = dme_simulate(np.tile(x, (n, 1)), RotationSpec(d, 2, master_seed),
                            "unbiased", trials)
         nmse_by_n[n] = rep.nmse
-        bound = HALF_PI_MINUS_1 / n + 0.05
+        bound = LIMIT_VNMSE["unbiased"] / n + 0.05
         rows.append(VerifyReport(
             experiment="dme", d=d, statistic=rep.nmse, bound=bound, slack=0.0,
             passed=bool(rep.nmse <= bound), trials=trials,

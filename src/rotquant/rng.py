@@ -16,11 +16,18 @@ Stream layout conventions (fixed; changing them changes every measurement):
 * Uniform doubles use the top 53 bits of a word: ``(w >> 11) * 2**-53``.
 * Gaussians are Box-Muller pairs; consecutive words feed one pair.
 
-``Xoshiro256pp`` holds one state row per stream so that thousands of
-independent trial streams advance in lockstep as numpy vector operations.
+``Xoshiro256pp`` has two kernels that produce the same words.  A single
+stream (every encode and decode) steps the recurrence on Python ints and
+writes into an ``array('Q')``.  A batch of streams (the trial harness) keeps
+its state as four contiguous ``uint64`` lanes and updates them in place with
+numpy ufuncs, one word of every stream per step.  A stream's words therefore
+do not depend on how many streams share its batch, nor on how they are split
+across calls.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -37,6 +44,9 @@ MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# Batch-kernel shift amounts as uint64 scalars; a Python int would be
+# converted again on every ufunc call.
+_17, _19, _23, _41, _45 = (np.uint64(k) for k in (17, 19, 23, 41, 45))
 
 
 def splitmix64(state: int) -> tuple[int, int]:
@@ -92,52 +102,70 @@ class Xoshiro256pp:
         keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
         if keys.ndim != 1 or keys.size == 0:
             raise ValueError("keys must be a non-empty 1-d sequence")
-        state = np.empty((keys.size, 4), dtype=np.uint64)
+        # Four contiguous lanes: self._state[i] holds state word s_i of every stream.
+        state = np.empty((4, keys.size), dtype=np.uint64)
         sm = keys.copy()
         with np.errstate(over="ignore"):
-            for col in range(4):
-                sm, out = _splitmix_step_vec(sm)
-                state[:, col] = out
+            for lane in state:
+                sm, lane[:] = _splitmix_step_vec(sm)
         self._state = state
 
     @property
     def n_streams(self) -> int:
-        return self._state.shape[0]
-
-    def next_words(self) -> np.ndarray:
-        """One 64-bit output per stream, shape ``(n_streams,)``."""
-        s = self._state
-        with np.errstate(over="ignore"):
-            s0, s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-            tot = s0 + s3
-            result = ((tot << np.uint64(23)) | (tot >> np.uint64(41))) + s0
-            t = s1 << np.uint64(17)
-            s2 = s2 ^ s0
-            s3 = s3 ^ s1
-            s1 = s1 ^ s2
-            s0 = s0 ^ s3
-            s2 = s2 ^ t
-            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        self._state = np.stack([s0, s1, s2, s3], axis=1)
-        return result
+        return self._state.shape[1]
 
     def words(self, count: int) -> np.ndarray:
         """``count`` successive words per stream, shape ``(n_streams, count)``."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        out = np.empty((self.n_streams, count), dtype=np.uint64)
+        if self.n_streams == 1:
+            return np.frombuffer(self._one_stream(count), dtype=np.uint64).reshape(1, count)
+        s0, s1, s2, s3 = self._state
+        t = np.empty_like(s0)
+        out = np.empty((count, self.n_streams), dtype=np.uint64)
+        for w in out:
+            np.add(s0, s3, out=t)
+            np.left_shift(t, _23, out=w)
+            np.right_shift(t, _41, out=t)
+            np.bitwise_or(w, t, out=w)
+            np.add(w, s0, out=w)
+            np.left_shift(s1, _17, out=t)
+            np.bitwise_xor(s2, s0, out=s2)
+            np.bitwise_xor(s3, s1, out=s3)
+            np.bitwise_xor(s1, s2, out=s1)
+            np.bitwise_xor(s0, s3, out=s0)
+            np.bitwise_xor(s2, t, out=s2)
+            np.left_shift(s3, _45, out=t)
+            np.right_shift(s3, _19, out=s3)
+            np.bitwise_or(s3, t, out=s3)
+        return np.ascontiguousarray(out.T)
+
+    def _one_stream(self, count: int) -> array:
+        """The single-stream kernel: xoshiro256++ stepped on Python ints."""
+        mask = MASK64
+        s0, s1, s2, s3 = self._state[:, 0].tolist()
+        out = array("Q", [0]) * count
         for j in range(count):
-            out[:, j] = self.next_words()
+            t = (s0 + s3) & mask
+            out[j] = (((t << 23) | (t >> 41)) + s0) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        self._state[:, 0] = (s0, s1, s2, s3)
         return out
 
     def sign_values(self, count: int) -> np.ndarray:
         """``count`` signs per stream as float64 +/-1, MSB-first per word."""
-        n_words = (count + 63) // 64
-        w = self.words(n_words)
-        shifts = np.arange(63, -1, -1, dtype=np.uint64)
-        bits = (w[:, :, None] >> shifts) & np.uint64(1)
-        bits = bits.reshape(self.n_streams, n_words * 64)[:, :count]
-        return 1.0 - 2.0 * bits.astype(np.float64)
+        w = self.words((count + 63) // 64)
+        bits = np.unpackbits(w.astype(">u8").view(np.uint8), axis=1, count=count)
+        signs = bits.astype(np.float64)
+        signs *= -2.0
+        signs += 1.0
+        return signs
 
     def uniforms(self, count: int) -> np.ndarray:
         """``count`` uniforms in [0, 1) per stream."""

@@ -16,7 +16,7 @@ from rotquant.core import (
     sign_vector,
     unpack_sign_bits,
 )
-from rotquant.rng import derive_seeds
+from rotquant.rng import MASK64, derive_seeds
 
 RNG = np.random.default_rng(20240817)
 
@@ -189,6 +189,21 @@ def test_rotate_many_matches_single():
     assert np.max(np.abs(inv - x)) <= 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rotate_many_rejects_non_finite_input(bad):
+    rows = RNG.standard_normal((3, 16))
+    rows[1, 5] = bad
+    seeds = derive_seeds(3, 0, 3)
+    for x in (rows, rows[1]):
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="input must be finite"):
+                rotate_many(x, 2, seeds, inverse=inverse)
+    spec = RotationSpec(dim=16, layers=2, seed=1)
+    for fn in (apply_rotation, inverse_rotation):
+        with pytest.raises(ValueError, match="input must be finite"):
+            fn(rows[1], spec)
+
+
 def test_two_spike_one_layer_support_set():
     """One rotation layer of the two-spike pattern lands every coordinate in
     {0, +-(spike+spike)} -- at power-of-4 dimensions the floats are exact.
@@ -218,3 +233,13 @@ def test_spec_validation():
         RotationSpec(dim=64, layers=1, seed=1 << 64)
     assert check_dim(1) == 1
 
+
+def test_spec_rejects_non_integer_fields():
+    # A float seed used to be truncated by the uint64 cast (seed 1.5 drew the
+    # planes of seed 1) and to fail in serialize with a struct.error.
+    for bad in ({"seed": 1.5}, {"layers": 1.0}, {"dim": 8.0}, {"seed": "1"}):
+        with pytest.raises(ValueError):
+            RotationSpec(**{"dim": 8, "layers": 1, "seed": 1, **bad})
+    spec = RotationSpec(dim=np.int64(8), layers=np.uint8(1), seed=np.uint64(MASK64))
+    assert (spec.dim, spec.layers, spec.seed) == (8, 1, MASK64)
+    assert all(type(v) is int for v in (spec.dim, spec.layers, spec.seed))

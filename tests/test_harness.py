@@ -216,6 +216,17 @@ def test_cli_encode_decode_reports_error(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out)
     assert info["kind"] == "drive" and info["d"] == 64
     assert 0.0 <= info["vnmse"] <= 1.0
+    assert info["expected_vnmse"] == 1.0 - 2.0 / math.pi
+    assert cli.main(["encode", "--gen", "two_spike", "--d", "64",
+                     "--mode", "drive-unbiased", "--seed", "3",
+                     "--out", str(pay)]) == 0
+    capsys.readouterr()
+    assert cli.main(["decode", "--in", str(pay), "--ref", str(ref)]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["mode"] == "unbiased"
+    assert info["expected_vnmse"] == math.pi / 2.0 - 1.0
+    assert cli.main(["decode", "--in", str(pay)]) == 0
+    assert "expected_vnmse" not in json.loads(capsys.readouterr().out)
 
 
 def test_cli_check_recommends_layers(capsys):

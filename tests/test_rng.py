@@ -76,12 +76,54 @@ def test_xoshiro_matches_reference(key):
     assert [int(v) for v in lib] == ref
 
 
+def _msb_first_signs(words, count):
+    """+/-1 per output bit, most-significant bit of each word first."""
+    return [1.0 if (w >> (63 - b)) & 1 == 0 else -1.0 for w in words for b in range(64)][:count]
+
+
+KEYS = [0, 1, 12345, 0xDEADBEEFCAFEBABE]
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 1000])
+def test_words_single_and_batch_match_reference(count):
+    for key in KEYS:
+        single = Xoshiro256pp([key]).words(count)
+        assert single.shape == (1, count) and single.dtype == np.uint64
+        assert [int(v) for v in single[0]] == _reference_xoshiro_stream(key, count)
+    batch = Xoshiro256pp(KEYS).words(count)
+    assert batch.shape == (len(KEYS), count) and batch.dtype == np.uint64
+    for row, key in zip(batch, KEYS):
+        assert [int(v) for v in row] == _reference_xoshiro_stream(key, count)
+
+
+@pytest.mark.parametrize("keys", [[7], [7, 8, 9]])
+def test_split_calls_continue_one_stream(keys):
+    whole = Xoshiro256pp(keys).words(11)
+    gen = Xoshiro256pp(keys)
+    assert np.array_equal(np.hstack([gen.words(3), gen.words(5)]), whole[:, :8])
+    gen = Xoshiro256pp(keys)
+    assert np.array_equal(gen.words(8), whole[:, :8])
+    signs = gen.sign_values(130)
+    for row, ref_words in zip(signs, whole[:, 8:]):
+        assert row.tolist() == _msb_first_signs([int(w) for w in ref_words], 130)
+
+
 def test_xoshiro_batch_streams_are_independent_of_batching():
-    keys = [5, 6, 7]
-    batch = Xoshiro256pp(keys).words(8)
+    keys = [int(k) for k in derive_seeds(3, 0, 17)]
+    batch = Xoshiro256pp(keys).words(200)
     for row, key in enumerate(keys):
-        single = Xoshiro256pp([key]).words(8)[0]
+        single = Xoshiro256pp([key]).words(200)[0]
         assert np.array_equal(batch[row], single)
+
+
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 4097])
+@pytest.mark.parametrize("keys", [[99], [99, 100, 101]])
+def test_sign_values_match_shift_reference(count, keys):
+    signs = Xoshiro256pp(keys).sign_values(count)
+    assert signs.dtype == np.float64 and signs.shape == (len(keys), count)
+    for row, key in zip(signs, keys):
+        words = _reference_xoshiro_stream(key, (count + 63) // 64)
+        assert row.tolist() == _msb_first_signs(words, count)
 
 
 def test_sign_values_msb_first():
