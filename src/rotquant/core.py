@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import MASK64, Xoshiro256pp, derive_seeds
+from .rng import MASK64, Xoshiro256pp, as_keys, derive_seeds
 
 __all__ = [
     "MAX_LAYERS",
@@ -35,6 +35,7 @@ __all__ = [
     "rotate_normalized",
     "rotate_many",
     "TRIAL_CHUNK_ELEMS",
+    "FWHT_BLOCK_ELEMS",
     "run_ordered",
     "map_trials",
 ]
@@ -45,6 +46,11 @@ MAX_LAYERS = 3
 # not an option: per-trial statistics do not depend on it, but running sums
 # over chunks (such as a mean reconstruction) do, in their last bits.
 TRIAL_CHUNK_ELEMS = 1 << 22
+
+# Elements (2^15 float64 = 256 KiB) that the FWHT carries through its stages
+# as one block while they stay in cache.  A fixed constant, not an option;
+# the output does not depend on it.
+FWHT_BLOCK_ELEMS = 1 << 15
 
 
 def _as_int(value, name: str) -> int:
@@ -81,31 +87,110 @@ class RotationSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def fwht(v, normalize: bool = False) -> np.ndarray:
+def _butterfly(src, dst, h: int) -> None:
+    """One FWHT stage from ``src`` into the distinct buffer ``dst``: in every
+    group of ``2h`` coordinates, ``dst[j] = src[j] + src[j+h]`` and
+    ``dst[j+h] = src[j] - src[j+h]`` for ``j < h``."""
+    if 2 <= h <= 8:
+        # Complex add and subtract are the float64 add and subtract of each
+        # component, so stage h on a complex128 view (h/2 complex apart) does
+        # the same arithmetic in half as many strided calls.
+        src, dst, h = src.view(np.complex128), dst.view(np.complex128), h // 2
+    if h <= 4:
+        # Numpy's inner loop would have length h; loop over columns instead.
+        s, t = src.reshape(-1, 2 * h), dst.reshape(-1, 2 * h)
+        for j in range(h):
+            np.add(s[:, j], s[:, j + h], out=t[:, j])
+            np.subtract(s[:, j], s[:, j + h], out=t[:, j + h])
+    else:
+        s, t = src.reshape(-1, 2, h), dst.reshape(-1, 2, h)
+        np.add(s[:, 0], s[:, 1], out=t[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=t[:, 1])
+
+
+def _fwht_rows(src, dst, normalize: bool) -> None:
+    """FWHT of the rows of ``src`` into ``dst``, both C-contiguous
+    ``(m, d)``; ``dst`` is either ``src`` itself or does not overlap it.
+
+    Stages with ``h < FWHT_BLOCK_ELEMS`` run on one block of about
+    ``FWHT_BLOCK_ELEMS`` elements at a time (whole rows, or contiguous
+    slices of one long row), alternating between two scratch buffers that
+    stay in cache.  Any larger stages then run over ``dst`` in place, on
+    ``FWHT_BLOCK_ELEMS // 2`` elements of each half at a time.
+    """
+    d = src.shape[1]
+    width = min(d, FWHT_BLOCK_ELEMS)
+    if width == 2 and src is dst:
+        src = src.copy()  # the only stage would overwrite what it still reads
+    blocks_in, blocks_out = src.reshape(-1, width), dst.reshape(-1, width)
+    step = FWHT_BLOCK_ELEMS // width
+    scratch = np.empty((2, min(step, blocks_in.shape[0]), width))
+    root_d = math.sqrt(d)
+    stages = [1 << k for k in range(width.bit_length() - 1)]
+    for lo in range(0, blocks_in.shape[0], step):
+        cur, out = blocks_in[lo:lo + step], blocks_out[lo:lo + step]
+        bufs = scratch[:, :cur.shape[0]]
+        for i, h in enumerate(stages):
+            nxt = out if i == len(stages) - 1 else bufs[i % 2]
+            _butterfly(cur, nxt, h)
+            cur = nxt
+        if cur is not out:  # d == 1
+            out[...] = cur
+        if normalize and d == width:
+            np.divide(out, root_d, out=out)
+    half = FWHT_BLOCK_ELEMS // 2
+    tmp = np.empty(half) if d > width else None
+    h = width
+    while h < d:
+        last = normalize and 2 * h == d
+        for group in dst.reshape(-1, 2, h):
+            for c in range(0, h, half):
+                top, bot = group[0, c:c + half], group[1, c:c + half]
+                np.add(top, bot, out=tmp)
+                np.subtract(top, bot, out=bot)
+                if last:
+                    np.divide(tmp, root_d, out=top)
+                    np.divide(bot, root_d, out=bot)
+                else:
+                    top[...] = tmp
+        h *= 2
+
+
+def fwht(v, normalize: bool = False, *, out=None) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (Sylvester ordering).
 
     Accepts a single vector or a batch ``(..., d)``; ``d`` must be a power of
     two.  With ``normalize=True`` the result is divided by ``sqrt(d)``, which
-    makes the transform orthogonal and involutive.  Runs in ``O(d log d)``
-    per row via the iterative butterfly.
+    makes the transform orthogonal and involutive.  The result goes into a
+    new array, or into ``out``: a writable C-contiguous float64 array of the
+    input's shape that is either the input itself (in place) or does not
+    overlap it.  ``v`` is left unchanged unless it is ``out``.
+
+    The kernel runs the ``log2 d`` butterfly stages ``h = 1, 2, 4, ...`` on
+    cache-sized row blocks (``FWHT_BLOCK_ELEMS``), each stage writing
+    ``top + bottom`` and ``top - bottom`` into a second buffer.  Whatever the
+    blocking, every output element sees the same additions and subtractions
+    of the same pairs in the same stage order, then the same division by
+    ``sqrt(d)``, so the output is bit-identical to the textbook iterative
+    butterfly and does not depend on the batch size or the block size.
     """
-    a = np.array(v, dtype=np.float64, copy=True)
+    a = np.asarray(v, dtype=np.float64)
     if a.ndim == 0:
         raise ValueError("input must have at least one axis")
     d = check_dim(a.shape[-1])
-    shape = a.shape
-    a = a.reshape(-1, d)
-    h = 1
-    while h < d:
-        a3 = a.reshape(a.shape[0], d // (2 * h), 2, h)
-        top = a3[:, :, 0, :].copy()
-        a3[:, :, 0, :] += a3[:, :, 1, :]
-        np.subtract(top, a3[:, :, 1, :], out=a3[:, :, 1, :])
-        h *= 2
-    a = a.reshape(shape)
-    if normalize:
-        a /= math.sqrt(d)
-    return a
+    if out is None:
+        out = np.empty(a.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == a.shape and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise ValueError("out must be a writable C-contiguous float64 array "
+                         "of the input's shape")
+    elif out is not a and np.may_share_memory(a, out):
+        raise ValueError("out must be the input itself or not overlap it")
+    rows = out.reshape(-1, d)
+    src = rows if out is a else np.ascontiguousarray(a).reshape(-1, d)
+    _fwht_rows(src, rows, normalize)
+    return out
 
 
 def layer_signs(seeds, layer: int, dim: int) -> np.ndarray:
@@ -115,9 +200,10 @@ def layer_signs(seeds, layer: int, dim: int) -> np.ndarray:
     seeded by ``seeds[i]``.
     """
     dim = check_dim(dim)
+    layer = _as_int(layer, "layer")
     if not 1 <= layer <= MAX_LAYERS:
         raise ValueError(f"layer must be in 1..{MAX_LAYERS}, got {layer}")
-    keys = np.atleast_1d(np.asarray(seeds, dtype=np.uint64)) ^ np.uint64(layer)
+    keys = as_keys(seeds, "seeds") ^ np.uint64(layer)
     return Xoshiro256pp(keys).sign_values(dim)
 
 
@@ -157,7 +243,8 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     shape ``(n_seeds, d)`` with one row per seed; it must be finite.  Returns
     ``(n_seeds, d)``.  Forward maps ``y = R_k x``; ``inverse=True`` maps ``y = R_k^{-1} x``.
     """
-    seeds = np.atleast_1d(np.asarray(seeds, dtype=np.uint64))
+    seeds = as_keys(seeds, "seeds")
+    layers = _as_int(layers, "layers")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         d = check_dim(x.shape[0])
@@ -175,10 +262,10 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     if not inverse:
         for layer in range(1, layers + 1):
             out *= layer_signs(seeds, layer, d)
-            out = fwht(out, normalize=True)
+            fwht(out, normalize=True, out=out)
     else:
         for layer in range(layers, 0, -1):
-            out = fwht(out, normalize=True)
+            fwht(out, normalize=True, out=out)
             out *= layer_signs(seeds, layer, d)
     return out
 

@@ -346,8 +346,11 @@ def run_lemma_bottleneck(dims=(4, 8, 16, 32, 64, 128, 256), planes: int = 100,
     for pattern in range(1 << d):
         s = 1.0 - 2.0 * ((pattern >> np.arange(d)) & 1).astype(np.float64)
         closed = conditional_cov_exact(xu, s, 0, 1)
-        a = fwht(s * xu, normalize=True)
-        u_rows = fwht(eps * a, normalize=True) * math.sqrt(d)
+        a = s * xu
+        fwht(a, normalize=True, out=a)
+        u_rows = eps * a
+        fwht(u_rows, normalize=True, out=u_rows)
+        u_rows *= math.sqrt(d)
         brute = float(np.mean(u_rows[:, 0] * u_rows[:, 1]))
         worst = max(worst, abs(closed - brute))
     rows.append(VerifyReport(

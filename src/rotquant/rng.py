@@ -27,6 +27,7 @@ across calls.
 
 from __future__ import annotations
 
+import operator
 from array import array
 
 import numpy as np
@@ -88,6 +89,25 @@ def _splitmix_step_vec(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return state, z ^ (z >> np.uint64(31))
 
 
+def as_keys(keys, name: str = "keys") -> np.ndarray:
+    """``keys`` (an integer, a sequence of integers or an integer array) as a
+    ``uint64`` array of at least one axis.  Non-integers (such as ``1.5``,
+    which a ``uint64`` cast would truncate) and integers outside
+    ``0 .. 2**64 - 1`` raise ``ValueError``."""
+    error = ValueError(f"{name} must be unsigned 64-bit integers")
+    if isinstance(keys, (np.ndarray, np.generic)):
+        k = np.atleast_1d(keys)
+        if k.size and (k.dtype.kind not in "iu" or (k.dtype.kind == "i" and k.min() < 0)):
+            raise error
+        return k.astype(np.uint64, copy=False)
+    # Element by element: numpy would infer float64 for [1, 2**63].
+    k = np.atleast_1d(np.array(keys, dtype=object))
+    try:
+        return np.array([operator.index(v) for v in k.ravel()], dtype=np.uint64).reshape(k.shape)
+    except (TypeError, OverflowError):
+        raise error from None
+
+
 class Xoshiro256pp:
     """A batch of independent xoshiro256++ streams, one per key.
 
@@ -99,7 +119,7 @@ class Xoshiro256pp:
     """
 
     def __init__(self, keys):
-        keys = np.atleast_1d(np.asarray(keys, dtype=np.uint64))
+        keys = as_keys(keys)
         if keys.ndim != 1 or keys.size == 0:
             raise ValueError("keys must be a non-empty 1-d sequence")
         # Four contiguous lanes: self._state[i] holds state word s_i of every stream.

@@ -221,7 +221,8 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
             a = np.broadcast_to(xu, (hi - lo, d))
             w = layer_signs(seeds, 1, d) * a
         else:
-            a = fwht(xu[None, :] * layer_signs(seeds, 1, d), normalize=True)
+            a = xu * layer_signs(seeds, 1, d)
+            fwht(a, normalize=True, out=a)
             w = layer_signs(seeds, 2, d) * a
         return np.einsum("ij,ij->i", w, w[:, perm]), np.max(np.abs(a), axis=1) ** 2
 

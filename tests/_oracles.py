@@ -1,11 +1,40 @@
-"""Frozen reference values shared across test modules.
+"""Frozen reference values and reference kernels shared across test modules.
 
-Everything here was computed with mpmath at 50-60 decimal digits (Gamma
+The constants were computed with mpmath at 50-60 decimal digits (Gamma
 ratios, normal CDF, per-cell quadrature of the quantizer error against the
 Gaussian weight) and then rounded once to binary64.  Tests compare library
 output against these constants instead of re-deriving them, so a regression
 in the library cannot silently re-generate its own expectations.
+
+``reference_fwht`` is the plain iterative butterfly that the library's
+blocked FWHT kernel must match bit for bit.
 """
+
+import math
+
+import numpy as np
+
+
+def reference_fwht(v, normalize=False):
+    """Walsh-Hadamard transform along the last axis, one whole-array stage at
+    a time: for ``h = 1, 2, 4, ...`` each pair ``(top, bottom)`` becomes
+    ``(top + bottom, top - bottom)``; then, if asked, divide by ``sqrt(d)``."""
+    a = np.array(v, dtype=np.float64, copy=True)
+    d = a.shape[-1]
+    shape = a.shape
+    a = a.reshape(-1, d)
+    h = 1
+    while h < d:
+        a3 = a.reshape(a.shape[0], d // (2 * h), 2, h)
+        top = a3[:, :, 0, :].copy()
+        a3[:, :, 0, :] += a3[:, :, 1, :]
+        np.subtract(top, a3[:, :, 1, :], out=a3[:, :, 1, :])
+        h *= 2
+    a = a.reshape(shape)
+    if normalize:
+        a /= math.sqrt(d)
+    return a
+
 
 # c_d = sqrt(d/pi) * Gamma(d/2) / Gamma((d+1)/2)
 CD_ORACLE = {

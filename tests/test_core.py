@@ -1,10 +1,13 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
 from rotquant.core import (
+    FWHT_BLOCK_ELEMS,
     MAX_LAYERS,
     RotationSpec,
     apply_rotation,
@@ -17,6 +20,7 @@ from rotquant.core import (
     unpack_sign_bits,
 )
 from rotquant.rng import MASK64, derive_seeds
+from _oracles import reference_fwht
 
 RNG = np.random.default_rng(20240817)
 
@@ -62,6 +66,101 @@ def test_fwht_batched_rows():
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         fwht(np.ones(6))
+
+
+# --- fwht kernel against the reference butterfly ----------------------------
+
+def _wide_range_rows(n, d):
+    """Rows whose magnitudes span twelve decades, so that most additions
+    round and any change in the order of operations shows in the bits."""
+    return RNG.standard_normal((n, d)) * 10.0 ** RNG.uniform(-6, 6, (n, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8, 1 << 10, 1 << 16, 1 << 17])
+def test_fwht_matches_reference_bit_for_bit(d):
+    # One more row than a row block holds, so the last block is ragged; at
+    # d > FWHT_BLOCK_ELEMS each row spans several blocks.
+    rows = FWHT_BLOCK_ELEMS // min(d, FWHT_BLOCK_ELEMS) + 1
+    x = _wide_range_rows(rows, d)
+    x[0, 0] = -0.0
+    before = x.copy()
+    for normalize in (False, True):
+        expected = reference_fwht(x, normalize)
+        assert np.array_equal(fwht(x, normalize), expected)
+        assert np.array_equal(fwht(x[1], normalize), expected[1])
+        assert np.array_equal(x, before)
+        other = np.empty_like(x)
+        assert fwht(x, normalize, out=other) is other
+        assert np.array_equal(other, expected)
+        in_place = x.copy()
+        assert fwht(in_place, normalize, out=in_place) is in_place
+        assert np.array_equal(in_place, expected)
+
+
+def test_fwht_any_layout_matches_reference():
+    x = _wide_range_rows(6, 128)
+    cases = {
+        "3-d": x.reshape(2, 3, 128),
+        "strided columns": x[:, ::2],
+        "strided rows": x[::2],
+        "fortran order": np.asfortranarray(x),
+        "transposed": x.reshape(6, 2, 64).transpose(1, 0, 2),
+        "float32": x.astype(np.float32),
+        "list": x[0].tolist(),
+    }
+    for name, v in cases.items():
+        before = np.array(v, copy=True)
+        for normalize in (False, True):
+            got = fwht(v, normalize)
+            assert np.array_equal(got, reference_fwht(v, normalize)), name
+            assert got.flags.c_contiguous, name
+        assert np.array_equal(np.asarray(v), before), name
+
+
+def test_fwht_rejects_bad_out():
+    buf = np.zeros(17)
+    x = np.ones((2, 8))
+    bad_outs = [
+        np.empty(8),                      # wrong shape
+        np.empty((2, 8), np.float32),     # wrong dtype
+        np.empty((2, 16))[:, ::2],        # not contiguous
+        np.asfortranarray(np.empty((2, 8))),
+        [[0.0] * 8] * 2,                  # not an array
+    ]
+    for out in bad_outs:
+        with pytest.raises(ValueError, match="out must be"):
+            fwht(x, out=out)
+    read_only = np.empty((2, 8))
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be"):
+        fwht(x, out=read_only)
+    with pytest.raises(ValueError, match="overlap"):
+        fwht(buf[:16], out=buf[1:])
+
+
+def test_fwht_and_rotate_many_agree_across_threads():
+    """Concurrent calls each use their own scratch buffers, so results match
+    serial calls bit for bit (the ``--threads`` determinism contract)."""
+    jobs = [(d, n, seed) for seed, (d, n) in enumerate(
+        [(1 << 10, 40), (1 << 16, 8), (256, 300), (1 << 17, 4)] * 3)]
+    inputs = {job: _wide_range_rows(job[1], job[0]) for job in jobs}
+
+    def work(job):
+        x, seeds = inputs[job], derive_seeds(job[2], 0, job[1])
+        return (fwht(x, normalize=True), rotate_many(x, 3, seeds),
+                rotate_many(x, 2, seeds, inverse=True))
+
+    serial = [work(job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(work, job) for job in jobs]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(serial, threaded):
+        assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 # --- sign planes ----------------------------------------------------------
@@ -176,6 +275,42 @@ def test_rotation_linearity():
     lhs = apply_rotation(2.5 * x - 0.5 * y, spec)
     rhs = 2.5 * apply_rotation(x, spec) - 0.5 * apply_rotation(y, spec)
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_rotate_many_matches_reference_composition(layers):
+    d, n = 512, 70
+    seeds = derive_seeds(11, 0, n)
+    signs = [layer_signs(seeds, layer, d) for layer in range(1, layers + 1)]
+    for x in (_wide_range_rows(n, d), _wide_range_rows(1, d)[0]):
+        y = np.broadcast_to(x, (n, d))
+        for s in signs:
+            y = reference_fwht(y * s, normalize=True)
+        assert np.array_equal(rotate_many(x, layers, seeds), y)
+        back = np.broadcast_to(x, (n, d))
+        for s in reversed(signs):
+            back = reference_fwht(back, normalize=True) * s
+        assert np.array_equal(rotate_many(x, layers, seeds, inverse=True), back)
+
+
+def test_rotate_many_rejects_non_integer_seeds_and_layers():
+    # A uint64 cast used to truncate: seed 1.5 drew the planes of seed 1, and
+    # layers=1.5 failed inside range() with a TypeError.
+    x = RNG.standard_normal(16)
+    with pytest.raises(ValueError, match="seeds"):
+        rotate_many(x, 2, [1.5])
+    with pytest.raises(ValueError, match="seeds"):
+        rotate_many(x, 2, np.array([1.0]))
+    with pytest.raises(ValueError, match="seeds"):
+        rotate_many(x, 2, [-1])
+    with pytest.raises(ValueError, match="layers"):
+        rotate_many(x, 1.5, [1])
+    with pytest.raises(ValueError, match="seeds"):
+        layer_signs([2.5], 1, 16)
+    with pytest.raises(ValueError, match="layer"):
+        layer_signs([2], 1.0, 16)
+    big = [0, 1, MASK64]  # numpy alone would infer float64 for this list
+    assert np.array_equal(rotate_many(x, 2, big), rotate_many(x, 2, np.array(big, np.uint64)))
 
 
 def test_rotate_many_matches_single():

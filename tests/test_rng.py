@@ -186,5 +186,9 @@ def test_streams_deterministic_and_distinct():
 def test_bad_constructor_args():
     with pytest.raises(ValueError):
         Xoshiro256pp([])
+    # A bare uint64 cast truncates non-integers: [2.9] would draw key 2's stream.
+    for bad in ([2.9], np.array([2.0]), [-1], [1 << 64], np.array([True])):
+        with pytest.raises(ValueError, match="keys must be unsigned 64-bit integers"):
+            Xoshiro256pp(bad)
     with pytest.raises(ValueError):
         Xoshiro256pp([1]).words(-1)
