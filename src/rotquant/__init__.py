@@ -43,7 +43,7 @@ from .metrics import (
     empirical_w1,
     moment_scan,
 )
-from .reporting import VERSION, ExperimentConfig, VerifyReport, all_ok, render_rows
+from .reporting import VERSION, VerifyReport, all_ok, render_rows
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 from .vq import (
     Codebook,
@@ -64,7 +64,6 @@ __all__ = [
     "Codebook",
     "DrivePayload",
     "ErrorFunctionSpec",
-    "ExperimentConfig",
     "FormatError",
     "MAX_LAYERS",
     "RotationSpec",

@@ -8,9 +8,9 @@ a neighboring grid level (unbiased: ``P(up) = (z - q_i)/(q_{i+1} - q_i)``);
 the rare escapes are transmitted exactly as (index, value) pairs.
 
 The conditional expected squared rounding error at ``z`` is the closed form
-``e(z) = (z - q_i)(q_{i+1} - z)`` inside a cell and 0 outside the support.
-``e`` has total variation ``sum_cells w^2/2`` (plus boundary jumps when the
-support ends inside a cell), which converts Kolmogorov closeness of ``U`` to
+``e(z) = (z - q_i)(q_{i+1} - z)`` inside a cell and 0 outside the grid.
+``e`` vanishes at every level, so it is continuous and has total variation
+``sum_cells w^2/2``, which converts Kolmogorov closeness of ``U`` to
 Gaussian into a bound on the achieved error gap: the measured mean of
 ``e(U)`` differs from ``int e dPhi`` by at most ``1.28 TV(e) / sqrt(d)``.
 """
@@ -87,11 +87,10 @@ class ErrorFunctionSpec:
     """Piecewise description of the conditional rounding error ``e(z)``.
 
     ``e(z) = (z - q_i)(q_{i+1} - z)`` on the cell containing ``z`` and zero
-    outside ``support``.  Usually built from a config (support = grid ends).
+    outside ``[levels[0], levels[-1]]``.  Usually built from a config.
     """
 
     levels: np.ndarray
-    support: tuple[float, float]
 
     def __post_init__(self):
         lv = np.asarray(self.levels, dtype=np.float64)
@@ -102,34 +101,26 @@ class ErrorFunctionSpec:
         lv = lv.copy()
         lv.flags.writeable = False
         object.__setattr__(self, "levels", lv)
-        lo, hi = self.support
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError("support must be a finite non-empty interval")
 
     @classmethod
     def from_config(cls, cfg: BsqConfig) -> "ErrorFunctionSpec":
-        return cls(levels=cfg.levels, support=(float(cfg.levels[0]), float(cfg.levels[-1])))
+        return cls(levels=cfg.levels)
 
     def evaluate(self, z):
-        """Vectorized ``e(z)``; exact zeros at grid levels and outside support."""
+        """Vectorized ``e(z)``; exact zeros at grid levels and outside the grid."""
         z = np.asarray(z, dtype=np.float64)
         lv = self.levels
         idx = np.clip(np.searchsorted(lv, z, side="right") - 1, 0, lv.size - 2)
         e = (z - lv[idx]) * (lv[idx + 1] - z)
-        lo, hi = self.support
-        inside = (z >= lo) & (z <= hi) & (z >= lv[0]) & (z <= lv[-1])
+        inside = (z >= lv[0]) & (z <= lv[-1])
         return np.where(inside, e, 0.0)
 
 
 def tv_of_error_function(spec: ErrorFunctionSpec) -> float:
     """Total variation of ``e``: each cell of width ``w`` contributes ``w^2/2``
-    (rise to ``w^2/4`` and back), plus any jump where the support ends strictly
-    inside a cell."""
+    (rise to ``w^2/4`` and back)."""
     w = np.diff(spec.levels)
-    tv = float(np.sum(w * w) / 2.0)
-    lo, hi = spec.support
-    tv += float(spec.evaluate(lo)) + float(spec.evaluate(hi))
-    return tv
+    return float(np.sum(w * w) / 2.0)
 
 
 def expected_error_gaussian(cfg: BsqConfig, nodes: int = 32) -> float:
@@ -271,7 +262,6 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
         statistic=statistic,
         bound=bound,
         slack=slack,
-        passed=bool(statistic <= bound + slack),
         trials=trials,
         std_err=std_err,
         claim="quantization-error-transfer",

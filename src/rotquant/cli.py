@@ -36,7 +36,7 @@ from .experiments import (
     run_vq_universality,
 )
 from .generators import KINDS, gen_adversarial
-from .reporting import ExperimentConfig, all_ok, render_rows
+from .reporting import all_ok, render_rows
 
 __all__ = ["main"]
 
@@ -81,8 +81,11 @@ def _load_input(args) -> np.ndarray:
     raise SystemExit("an input is required: --in FILE or --gen KIND")
 
 
-def _emit(rows, config: ExperimentConfig, args) -> int:
-    text = render_rows(rows, config=config, fmt=args.format)
+def _emit(rows, args) -> int:
+    """Print or write the rows, echoing the parsed arguments as the config."""
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("fn", "format", "out")}
+    text = render_rows(rows, config, fmt=args.format)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         summary = "all checks healthy" if all_ok(rows) else "CHECK FAILED"
@@ -177,13 +180,7 @@ def cmd_verify_scalar(args) -> int:
         args.dims, trials=args.trials, draws=args.draws,
         kind=args.gen or "two_spike", layers=args.layers,
         master_seed=args.master_seed, threads=args.threads)
-    config = ExperimentConfig(
-        name="scalar-convergence", dims=args.dims,
-        trials=args.trials or 0, master_seed=args.master_seed,
-        threads=args.threads,
-        params={"kind": args.gen or "two_spike", "layers": args.layers,
-                "draws": args.draws})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def cmd_verify_drive(args) -> int:
@@ -191,10 +188,7 @@ def cmd_verify_drive(args) -> int:
                             master_seed=args.master_seed)
     rows += run_drive_unbiased(d=args.d, trials=args.trials,
                                master_seed=args.master_seed)
-    config = ExperimentConfig(
-        name="drive", dims=(args.d,), trials=args.trials,
-        master_seed=args.master_seed, threads=1, params={})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def cmd_verify_bsq(args) -> int:
@@ -204,12 +198,7 @@ def cmd_verify_bsq(args) -> int:
     rows += run_bsq_transfer(d=args.transfer_d, bits=args.bits,
                              tail=args.tail_mass, trials=args.trials,
                              master_seed=args.master_seed)
-    config = ExperimentConfig(
-        name="bsq", dims=args.dims, trials=args.trials,
-        master_seed=args.master_seed, threads=args.threads,
-        params={"bits": args.bits, "tail_mass": args.tail_mass,
-                "draws": args.draws, "transfer_d": args.transfer_d})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def cmd_verify_vq(args) -> int:
@@ -220,22 +209,13 @@ def cmd_verify_vq(args) -> int:
                                 train_seed=args.train_seed,
                                 master_seed=args.master_seed,
                                 include_negative=not args.skip_negative)
-    config = ExperimentConfig(
-        name="vq", dims=args.dims, trials=args.trials,
-        master_seed=args.master_seed, threads=1,
-        params={"cov_trials": args.cov_trials,
-                "train_seed": args.train_seed})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def cmd_dme(args) -> int:
     rows = run_dme(d=args.d, n_clients=args.clients, trials=args.trials,
                    master_seed=args.master_seed)
-    config = ExperimentConfig(
-        name="dme", dims=(args.d,), trials=args.trials,
-        master_seed=args.master_seed, threads=1,
-        params={"clients": list(args.clients)})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def cmd_report(args) -> int:
@@ -255,10 +235,7 @@ def cmd_report(args) -> int:
     rows += run_adaptive_soundness(master_seed=args.master_seed,
                                    threads=args.threads)
     rows += run_cd_expansion()
-    config = ExperimentConfig(
-        name="full-report", dims=(256, 1024, 4096), trials=0,
-        master_seed=args.master_seed, threads=args.threads, params={})
-    return _emit(rows, config, args)
+    return _emit(rows, args)
 
 
 def main(argv=None) -> int:

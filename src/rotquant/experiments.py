@@ -112,7 +112,7 @@ def run_scalar_convergence(dims, trials: int | None = None,
         rows.append(VerifyReport(
             experiment="scalar-convergence", d=d, statistic=dk,
             bound=dk_bound, slack=dk_slack,
-            passed=bool(dk <= dk_bound + dk_slack), trials=n_trials,
+            trials=n_trials,
             std_err=0.0, claim="kolmogorov-convergence",
             slack_kind="dkw", extra={"kind": kind, "layers": layers, "n": n},
         ))
@@ -122,7 +122,7 @@ def run_scalar_convergence(dims, trials: int | None = None,
         rows.append(VerifyReport(
             experiment="scalar-convergence", d=d, statistic=w1,
             bound=w1_bound, slack=w1_slack,
-            passed=bool(w1 <= w1_bound + w1_slack), trials=n_trials,
+            trials=n_trials,
             std_err=0.0, claim="wasserstein-convergence",
             slack_kind="quantile-coupling",
             extra={"kind": kind, "layers": layers, "n": n},
@@ -146,21 +146,21 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
         base = {"kind": kind, "vnmse": rep.vnmse}
         rows.append(VerifyReport(
             experiment="drive-biased", d=d, statistic=rep.vnmse, bound=upper,
-            slack=0.0, passed=bool(rep.vnmse <= upper), trials=trials,
+            slack=0.0, trials=trials,
             std_err=rep.std_err, claim="sign-quantizer-vnmse-upper",
             slack_kind="exact", extra=base,
         ))
         shortfall = max(0.0, floor - rep.vnmse)
         rows.append(VerifyReport(
             experiment="drive-biased", d=d, statistic=shortfall, bound=0.0,
-            slack=0.0, passed=bool(shortfall <= 0.0), trials=trials,
+            slack=0.0, trials=trials,
             std_err=rep.std_err, claim="sign-quantizer-vnmse-floor",
             slack_kind="exact", extra={**base, "floor": floor},
         ))
         gap = abs(rep.vnmse - rep.eq1_vnmse)
         rows.append(VerifyReport(
             experiment="drive-biased", d=d, statistic=gap, bound=0.0,
-            slack=4.0 * rep.std_err, passed=bool(gap <= 4.0 * rep.std_err),
+            slack=4.0 * rep.std_err,
             trials=trials, std_err=rep.std_err,
             claim="sign-quantizer-l1-identity", slack_kind="4sigma",
             extra={**base, "identity_vnmse": rep.eq1_vnmse},
@@ -186,14 +186,14 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
     var_lo, var_hi = 0.52, 0.62
     rows.append(VerifyReport(
         experiment="drive-unbiased", d=d, statistic=rep.variance_norm,
-        bound=var_hi, slack=0.0, passed=bool(rep.variance_norm <= var_hi),
+        bound=var_hi, slack=0.0,
         trials=trials, std_err=rep.std_err, claim="unbiased-variance-upper",
         slack_kind="exact", extra={"vnmse": rep.vnmse},
     ))
     shortfall = max(0.0, var_lo - rep.variance_norm)
     rows.append(VerifyReport(
         experiment="drive-unbiased", d=d, statistic=shortfall, bound=0.0,
-        slack=0.0, passed=bool(shortfall <= 0.0), trials=trials,
+        slack=0.0, trials=trials,
         std_err=rep.std_err, claim="unbiased-variance-floor",
         slack_kind="exact",
         extra={"variance_norm": rep.variance_norm, "floor": var_lo},
@@ -209,7 +209,6 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
         rows.append(VerifyReport(
             experiment="drive-unbiased", d=bias_dims[t],
             statistic=biases[t], bound=biases[t - 1], slack=0.0,
-            passed=bool(biases[t] <= biases[t - 1]),
             trials=bias_trials[t], std_err=0.0,
             claim="unbiased-bias-nonincreasing", slack_kind="exact",
             extra={"previous_d": bias_dims[t - 1]},
@@ -218,7 +217,7 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
                              np.log(np.maximum(biases, 1e-300)), 1)[0])
     rows.append(VerifyReport(
         experiment="drive-unbiased", d=bias_dims[-1], statistic=slope,
-        bound=-0.3, slack=0.0, passed=bool(slope <= -0.3),
+        bound=-0.3, slack=0.0,
         trials=sum(bias_trials), std_err=0.0, claim="unbiased-bias-slope",
         slack_kind="exact",
         extra={"bias_sq_norm": list(map(float, biases)),
@@ -242,7 +241,7 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
         bound = LIMIT_VNMSE["unbiased"] / n + 0.05
         rows.append(VerifyReport(
             experiment="dme", d=d, statistic=rep.nmse, bound=bound, slack=0.0,
-            passed=bool(rep.nmse <= bound), trials=trials,
+            trials=trials,
             std_err=rep.std_err, claim="dme-nmse", slack_kind="exact",
             extra={"n_clients": n},
         ))
@@ -250,14 +249,14 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
         ratio = nmse_by_n[1] / nmse_by_n[16]
         rows.append(VerifyReport(
             experiment="dme", d=d, statistic=ratio, bound=20.0, slack=0.0,
-            passed=bool(ratio <= 20.0), trials=trials, std_err=0.0,
+            trials=trials, std_err=0.0,
             claim="dme-ratio-upper", slack_kind="exact",
             extra={"nmse_1": nmse_by_n[1], "nmse_16": nmse_by_n[16]},
         ))
         shortfall = max(0.0, 12.0 - ratio)
         rows.append(VerifyReport(
             experiment="dme", d=d, statistic=shortfall, bound=0.0, slack=0.0,
-            passed=bool(shortfall <= 0.0), trials=trials, std_err=0.0,
+            trials=trials, std_err=0.0,
             claim="dme-ratio-floor", slack_kind="exact",
             extra={"ratio": ratio, "floor": 12.0},
         ))
@@ -283,7 +282,7 @@ def run_bsq_outliers(dims=(1024, 4096), tails=(0.1, 0.01),
             slack = 3.0 * math.sqrt(p / n)
             rows.append(VerifyReport(
                 experiment="bsq-outliers", d=d, statistic=frac, bound=bound,
-                slack=slack, passed=bool(frac <= bound + slack),
+                slack=slack,
                 trials=n_trials, std_err=math.sqrt(p * (1 - p) / n),
                 claim="outlier-fraction", slack_kind="3sigma-binomial",
                 extra={"tail_mass": p, "kind": kind, "n": n},
@@ -331,7 +330,7 @@ def run_lemma_bottleneck(dims=(4, 8, 16, 32, 64, 128, 256), planes: int = 100,
         slack = 1e-15
         rows.append(VerifyReport(
             experiment="bottleneck", d=d, statistic=stat, bound=0.0,
-            slack=slack, passed=bool(stat <= slack), trials=planes,
+            slack=slack, trials=planes,
             std_err=0.0, claim="pair-covariance-two-valued",
             slack_kind="float-ulp",
             extra={"two_valued": two_valued, "sign_matches_plane": sign_ok,
@@ -355,7 +354,7 @@ def run_lemma_bottleneck(dims=(4, 8, 16, 32, 64, 128, 256), planes: int = 100,
         worst = max(worst, abs(closed - brute))
     rows.append(VerifyReport(
         experiment="bottleneck", d=d, statistic=worst, bound=0.0, slack=1e-12,
-        passed=bool(worst <= 1e-12), trials=1 << d, std_err=0.0,
+        trials=1 << d, std_err=0.0,
         claim="pair-covariance-brute-force", slack_kind="float-ulp",
         extra={"planes": 1 << d, "final_layer_draws": 1 << d},
     ))
@@ -390,7 +389,7 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
         rms_values.append((d, rms, se_rms))
         rows.append(VerifyReport(
             experiment="vq-decorrelation", d=d, statistic=rms, bound=bound,
-            slack=slack, passed=bool(rms <= bound + slack), trials=trials,
+            slack=slack, trials=trials,
             std_err=se_rms, claim="final-layer-decorrelation",
             slack_kind="4sigma",
             extra={"pair": [i, j], "mean_linf_sq": b2 / 2.0},
@@ -400,7 +399,7 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
         d_cur, rms_cur, se_cur = rms_values[t]
         rows.append(VerifyReport(
             experiment="vq-decorrelation", d=d_cur, statistic=rms_cur,
-            bound=rms_prev, slack=0.0, passed=bool(rms_cur < rms_prev),
+            bound=rms_prev, slack=0.0,
             trials=trials, std_err=se_cur, claim="rms-decreasing",
             slack_kind="exact", extra={"previous_d": d_prev},
         ))
@@ -420,7 +419,7 @@ def _universality_rows(reports, label: str, final_gap_bound: float | None,
         slack = 4.0 * math.hypot(se_prev, se_cur)
         rows.append(VerifyReport(
             experiment="vq-universality", d=d_cur, statistic=g_cur,
-            bound=g_prev, slack=slack, passed=bool(g_cur <= g_prev + slack),
+            bound=g_prev, slack=slack,
             trials=reports[t].trials, std_err=se_cur,
             claim=f"{label}-scaled-gap-trend", slack_kind="4sigma",
             negative_control=negative,
@@ -431,7 +430,7 @@ def _universality_rows(reports, label: str, final_gap_bound: float | None,
         rows.append(VerifyReport(
             experiment="vq-universality", d=last.d, statistic=last.gap,
             bound=final_gap_bound, slack=0.0,
-            passed=bool(last.gap <= final_gap_bound), trials=last.trials,
+            trials=last.trials,
             std_err=last.gap_se, claim=f"{label}-final-gap",
             slack_kind="pilot-calibrated", negative_control=negative,
             extra={"err_rht": last.err_rht, "err_gauss": last.err_gauss,
@@ -483,7 +482,7 @@ def run_adaptive_decisions(d: int = 1024,
         mismatches = float(got != expected)
         rows.append(VerifyReport(
             experiment="adaptive", d=d, statistic=mismatches, bound=0.0,
-            slack=0.0, passed=bool(mismatches == 0.0), trials=1, std_err=0.0,
+            slack=0.0, trials=1, std_err=0.0,
             claim="layer-decision", slack_kind="exact",
             extra={"input": name, "expected": list(expected),
                    "got": list(got), "rho3": decision.rho3,
@@ -527,7 +526,7 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
     stat = float(dks[worst])
     return [VerifyReport(
         experiment="adaptive", d=d, statistic=stat, bound=bound, slack=slack,
-        passed=bool(stat <= bound + slack), trials=n_inputs, std_err=0.0,
+        trials=n_inputs, std_err=0.0,
         claim="one-layer-soundness", slack_kind="dkw",
         extra={"n_inputs": n_inputs, "attempts": attempts,
                "draws_per_input": n, "worst_input_index": chosen[worst][0],
@@ -547,7 +546,7 @@ def run_cd_expansion(d_min: int = 16, d_max: int = 1 << 20) -> list[VerifyReport
     stat = float(scaled[worst])
     return [VerifyReport(
         experiment="cd-expansion", d=int(d[worst]), statistic=stat,
-        bound=10.0, slack=0.0, passed=bool(stat <= 10.0),
+        bound=10.0, slack=0.0,
         trials=int(d_max - d_min + 1), std_err=0.0,
         claim="l1-scale-constant-expansion", slack_kind="exact",
         extra={"d_min": d_min, "d_max": d_max, "worst_d": int(d[worst])},

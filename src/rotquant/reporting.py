@@ -3,8 +3,10 @@
 Every experiment reduces to rows of the same shape: a measured statistic, the
 closed-form bound it must stay under, and an explicit slack term (sampling
 allowance) with its provenance.  A row passes when
-``statistic <= bound + slack``; negative-control rows are *expected* to fail,
-and the run as a whole is healthy when every row behaves as expected.
+``statistic <= bound + slack``; ``VerifyReport.passed`` is derived from those
+three fields, never stored, so no runner writes the rule out.
+Negative-control rows are *expected* to fail, and the run as a whole is
+healthy when every row behaves as expected.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ CSV_FIELDS = [
 
 __all__ = [
     "VerifyReport",
-    "ExperimentConfig",
     "render_rows",
     "all_ok",
     "CSV_FIELDS",
@@ -51,13 +52,16 @@ class VerifyReport:
     statistic: float
     bound: float
     slack: float
-    passed: bool
     trials: int
     std_err: float
     claim: str = ""
     slack_kind: str = ""
     negative_control: bool = False
     extra: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.statistic <= self.bound + self.slack)
 
     def ok(self) -> bool:
         """Healthy outcome: pass normally, fail if a negative control."""
@@ -82,28 +86,6 @@ class VerifyReport:
         return row
 
 
-@dataclass
-class ExperimentConfig:
-    """Knobs shared by the experiment runners, echoed into every report."""
-
-    name: str = ""
-    dims: tuple = ()
-    trials: int = 0
-    master_seed: int = 0
-    threads: int = 1
-    params: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "dims": list(self.dims),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "threads": self.threads,
-            "params": _jsonable(self.params),
-        }
-
-
 def _jsonable(value):
     """Recursively coerce numpy scalars/arrays into plain JSON types."""
     if isinstance(value, dict):
@@ -123,23 +105,24 @@ def all_ok(rows) -> bool:
     return all(r.ok() for r in rows)
 
 
-def render_rows(rows, config: ExperimentConfig | None = None, fmt: str = "json",
-                timestamp: bool = True) -> str:
+def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
     """Serialize report rows; ``fmt`` is ``json`` or ``csv``.
 
-    The CSV form is the fixed-schema flat table (no config echo, no
-    timestamp) so two runs of the same experiment compare bytewise.
+    The JSON form echoes ``config`` (the arguments that produced the rows)
+    and names the experiment by its ``command`` entry.  The CSV form is the
+    fixed-schema flat table (no config echo, no timestamp) so two runs of the
+    same experiment compare bytewise.
     """
     if fmt == "json":
+        config = config or {}
         doc = {
             "version": VERSION,
-            "experiment": config.name if config else (rows[0].experiment if rows else ""),
-            "config": config.to_dict() if config else {},
+            "experiment": config.get("command", rows[0].experiment if rows else ""),
+            "config": _jsonable(config),
             "rows": [r.to_row() for r in rows],
             "all_ok": all_ok(rows),
+            "generated_at": datetime.now(timezone.utc).isoformat(),
         }
-        if timestamp:
-            doc["generated_at"] = datetime.now(timezone.utc).isoformat()
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()

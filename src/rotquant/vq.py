@@ -202,7 +202,8 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     (two random planes per trial).  Also returns the per-trial
     ``|a|_inf^2`` of the pre-final vector ``a`` (``xu`` itself for 2 layers,
     ``R1 xu`` for 3), whose mean controls the decay bound.
-    Returns ``(covs, linf_sq)`` arrays of length ``trials``.
+    Returns ``(covs, linf_sq)`` arrays of length ``trials``; raises
+    ``ValueError`` for a zero or non-finite ``x``.
     """
     if layers not in (2, 3):
         raise ValueError("covariance diagnostics apply to 2 or 3 layers")
@@ -213,7 +214,10 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     check_dim(d)
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate index out of range")
-    xu = x / np.linalg.norm(x)
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0 or not np.all(np.isfinite(x)):
+        raise ValueError("input must be finite and non-zero")
+    xu = x / norm
     perm = np.arange(d) ^ (i ^ j)
 
     def chunk(lo, hi, seeds):

@@ -68,7 +68,7 @@ def test_config_validation():
 # --- error function ------------------------------------------------------------
 
 def test_error_function_one_cell_closed_form():
-    efs = ErrorFunctionSpec(np.array([-1.0, 1.0]), (-1.0, 1.0))
+    efs = ErrorFunctionSpec(np.array([-1.0, 1.0]))
     assert tv_of_error_function(efs) == 2.0  # w^2/2 with w=2
     assert efs.evaluate(np.array([0.0]))[0] == 1.0
     assert efs.evaluate(np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
@@ -109,7 +109,7 @@ def test_tv_from_config_matches_oracle():
 def test_tv_refinement_scan():
     # numeric variation over a fine grid converges to the closed form from below
     efs = ErrorFunctionSpec.from_config(BsqConfig(bits=3, tail_mass=0.05))
-    grid = np.linspace(efs.support[0] - 0.5, efs.support[1] + 0.5, 400_001)
+    grid = np.linspace(efs.levels[0] - 0.5, efs.levels[-1] + 0.5, 400_001)
     scanned = float(np.sum(np.abs(np.diff(efs.evaluate(grid)))))
     closed = tv_of_error_function(efs)
     assert scanned <= closed + 1e-9

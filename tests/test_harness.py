@@ -10,6 +10,7 @@ from rotquant.codec import deserialize, serialize
 from rotquant.core import RotationSpec
 from rotquant.drive import dme_simulate, measure_drive_error
 from rotquant.experiments import (
+    DEFAULT_MASTER_SEED,
     _pooled_coordinates,
     run_adaptive_soundness,
     run_bsq_outliers,
@@ -18,7 +19,6 @@ from rotquant.experiments import (
 from rotquant.generators import KINDS, gen_adversarial
 from rotquant.reporting import (
     CSV_FIELDS,
-    ExperimentConfig,
     VerifyReport,
     all_ok,
     render_rows,
@@ -78,8 +78,9 @@ def test_grid_midpoints_structure():
 # --- report rows --------------------------------------------------------------
 
 def row(passed, negative=False, **kw):
-    base = dict(experiment="demo", d=64, statistic=0.1, bound=0.2, slack=0.01,
-                passed=passed, trials=100, std_err=0.001,
+    """A row that passes (statistic under bound + slack) or fails (over it)."""
+    base = dict(experiment="demo", d=64, statistic=0.1 if passed else 0.5,
+                bound=0.2, slack=0.01, trials=100, std_err=0.001,
                 negative_control=negative)
     base.update(kw)
     return VerifyReport(**base)
@@ -94,28 +95,45 @@ def test_row_health_semantics():
     assert not all_ok([row(True), row(False)])
 
 
+def test_row_pass_is_derived_from_its_numbers():
+    assert row(True, statistic=0.25, bound=0.25, slack=0.0).passed  # a tie passes
+    assert not row(True, statistic=math.nan).passed
+    assert row(True, statistic=-math.inf).to_row()["pass"] is True
+    rep = row(True)
+    rep.statistic = 1.0
+    assert not rep.passed and not rep.ok()
+    with pytest.raises(TypeError):
+        VerifyReport(experiment="demo", d=64, statistic=0.1, bound=0.2,
+                     slack=0.0, passed=False, trials=1, std_err=0.0)
+
+
+def _undated(text):
+    doc = json.loads(text)
+    assert "generated_at" in doc
+    del doc["generated_at"]
+    return doc
+
+
 def test_json_report_shape_and_determinism():
-    cfg = ExperimentConfig(name="demo", dims=(64,), trials=100, master_seed=1,
-                           params={"kind": "two_spike"})
+    cfg = {"command": "demo", "dims": (64,), "trials": None, "master_seed": 1}
     rows = [row(True, claim="alpha", extra={"note": np.float64(1.5)}),
             row(False, negative=True)]
-    text = render_rows(rows, config=cfg, fmt="json", timestamp=False)
-    assert text == render_rows(rows, config=cfg, fmt="json", timestamp=False)
-    doc = json.loads(text)
+    doc = _undated(render_rows(rows, cfg, fmt="json"))
+    assert doc == _undated(render_rows(rows, cfg, fmt="json"))
     assert doc["all_ok"] is True
     assert doc["version"]
-    assert "generated_at" not in doc
-    assert doc["config"]["params"] == {"kind": "two_spike"}
+    assert doc["experiment"] == "demo"
+    assert doc["config"] == {"command": "demo", "dims": [64], "trials": None,
+                             "master_seed": 1}
     assert doc["rows"][0]["extra"] == {"note": 1.5}
     assert "extra" not in doc["rows"][1]
-    timed = json.loads(render_rows(rows, config=cfg, fmt="json"))
-    assert "generated_at" in timed
+    bare = _undated(render_rows(rows, fmt="json"))
+    assert (bare["experiment"], bare["config"]) == ("demo", {})
 
 
 def test_non_finite_extras_serialize():
-    text = render_rows([row(True, extra={"v": math.inf})], fmt="json",
-                       timestamp=False)
-    assert json.loads(text)["rows"][0]["extra"]["v"] == "inf"
+    doc = _undated(render_rows([row(True, extra={"v": math.inf})], fmt="json"))
+    assert doc["rows"][0]["extra"]["v"] == "inf"
 
 
 def test_csv_report_schema_roundtrip():
@@ -261,6 +279,27 @@ def test_cli_verify_scalar_csv(tmp_path, capsys):
     lines = out.read_text(encoding="utf-8").strip().split("\n")
     assert lines[0] == ",".join(CSV_FIELDS)
     assert len(lines) == 3
+
+
+def test_cli_json_config_echoes_the_parsed_flags(capsys):
+    assert cli.main(["dme", "--d", "64", "--clients", "1,4",
+                     "--trials", "20", "--master-seed", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["experiment"] == "dme"
+    assert doc["config"] == {"command": "dme", "d": 64, "clients": [1, 4],
+                             "trials": 20, "master_seed": 3}
+    assert [r["extra"]["n_clients"] for r in doc["rows"]] == [1, 4]
+
+    code = cli.main(["verify-vq", "--dims", "16,32", "--trials", "200",
+                     "--cov-trials", "100", "--skip-negative"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if doc["all_ok"] else 1)
+    assert doc["experiment"] == "verify-vq"
+    assert doc["config"] == {"command": "verify-vq", "dims": [16, 32],
+                             "trials": 200, "cov_trials": 100,
+                             "train_seed": 2024, "skip_negative": True,
+                             "master_seed": DEFAULT_MASTER_SEED}
+    assert not any(r["negative_control"] for r in doc["rows"])
 
 
 def test_cli_input_validation(tmp_path):

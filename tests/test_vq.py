@@ -235,6 +235,13 @@ def test_rms_covariance_validation():
         conditional_cov_trials(x, 0, 1, layers=1, trials=100)
     with pytest.raises(ValueError):
         conditional_cov_trials(x, 0, 16, layers=2, trials=100)
+    for bad in (np.zeros(16), np.where(x > 0, np.nan, 0.0),
+                np.where(x > 0, np.inf, 0.0)):
+        for layers in (2, 3):
+            with pytest.raises(ValueError, match="finite and non-zero"):
+                conditional_cov_trials(bad, 0, 2, layers=layers, trials=100)
+        with pytest.raises(ValueError, match="finite and non-zero"):
+            rms_conditional_cov(bad, 0, 2, layers=3, trials=100)
 
 
 # --- universality check -------------------------------------------------------
