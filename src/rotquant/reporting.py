@@ -6,7 +6,8 @@ allowance) with its provenance.  A row passes when
 ``statistic <= bound + slack``; ``VerifyReport.passed`` is derived from those
 three fields, never stored, so no runner writes the rule out.
 Negative-control rows are *expected* to fail, and the run as a whole is
-healthy when every row behaves as expected.
+healthy when every row behaves as expected.  The JSON form also records the
+environment that produced the rows (see ``_environment``).
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+
+import numpy as np
+import scipy
 
 VERSION = "0.1.0"
 
@@ -105,13 +110,29 @@ def all_ok(rows) -> bool:
     return all(r.ok() for r in rows)
 
 
+def _environment(threads: int | None = None) -> dict:
+    """The software and machine behind a report: rotquant, numpy and scipy
+    versions, the BLAS numpy was built against, the CPU count, and the
+    ``--threads`` value (``None`` for a command without one)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return {
+        "rotquant": VERSION,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpu_count": os.cpu_count(),
+        "threads": threads,
+    }
+
+
 def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
     """Serialize report rows; ``fmt`` is ``json`` or ``csv``.
 
-    The JSON form echoes ``config`` (the arguments that produced the rows)
-    and names the experiment by its ``command`` entry.  The CSV form is the
-    fixed-schema flat table (no config echo, no timestamp) so two runs of the
-    same experiment compare bytewise.
+    The JSON form echoes ``config`` (the arguments that produced the rows),
+    names the experiment by its ``command`` entry and adds an ``env`` block
+    whose ``threads`` is ``config["threads"]``.  The CSV form is the
+    fixed-schema flat table (no config echo, no environment, no timestamp)
+    so two runs of the same experiment compare bytewise.
     """
     if fmt == "json":
         config = config or {}
@@ -119,6 +140,7 @@ def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
             "version": VERSION,
             "experiment": config.get("command", rows[0].experiment if rows else ""),
             "config": _jsonable(config),
+            "env": _jsonable(_environment(config.get("threads"))),
             "rows": [r.to_row() for r in rows],
             "all_ok": all_ok(rows),
             "generated_at": datetime.now(timezone.utc).isoformat(),

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MASK64 = (1 << 64) - 1
+_MASTER_ERROR = "master seed must be an integer in 0 .. 2**64 - 1"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -64,18 +65,32 @@ def mix64(x: int) -> int:
     return splitmix64(x & MASK64)[1]
 
 
+def _non_negative_int(value, error: str, limit: int | None = None) -> int:
+    """``value`` as an int in ``0 .. limit``; anything else raises
+    ``ValueError(error)``.  A negative master would wrap onto another seed
+    and a float would be truncated, so neither is converted."""
+    try:
+        v = operator.index(value)
+    except TypeError:
+        v = -1
+    if v < 0 or (limit is not None and v > limit):
+        raise ValueError(error)
+    return v
+
+
 def derive_seed(master: int, index: int) -> int:
     """Per-trial seed: ``mix64(master + index)`` with wrapping 64-bit add."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
+    master = _non_negative_int(master, _MASTER_ERROR, MASK64)
+    index = _non_negative_int(index, "index must be a non-negative integer")
     return mix64((master + index) & MASK64)
 
 
 def derive_seeds(master: int, start: int, count: int) -> np.ndarray:
     """Vector of per-trial seeds for indices ``start .. start+count-1``."""
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be non-negative")
-    base = np.uint64(master & MASK64)
+    master = _non_negative_int(master, _MASTER_ERROR, MASK64)
+    start = _non_negative_int(start, "start must be a non-negative integer")
+    count = _non_negative_int(count, "count must be a non-negative integer")
+    base = np.uint64(master)
     with np.errstate(over="ignore"):
         states = base + np.arange(start, start + count, dtype=np.uint64)
         return _splitmix_step_vec(states)[1]

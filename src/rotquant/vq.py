@@ -91,15 +91,41 @@ class VqReport:
             raise ValueError("gap must equal |err_rht - err_gauss|")
 
 
-def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray):
+# Rows per block of the nearest-centroid search: a (block, k) distance tile
+# stays small enough to be reused from cache instead of streamed from memory.
+NEAREST_BLOCK_ROWS = 4096
+
+
+def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None):
     """Squared distance to, and index of, the nearest centroid (ties break
-    to the lowest index).  Uses the expanded form with one matmul."""
-    p_sq = np.einsum("ij,ij->i", points, points)
+    to the lowest index).
+
+    Uses the expanded form ``|p|^2 - 2 p.c + |c|^2``, clamped at zero, one
+    block of ``NEAREST_BLOCK_ROWS`` rows at a time.  The cross term of a
+    block is one matmul, scaled by -2 and added in place; negation and
+    ``a + (-b)`` are exact, so every output is bit-identical to the
+    one-matmul form ``p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq``.
+    ``p_sq`` (the row norms squared) may be passed in when the same points
+    are searched repeatedly.
+    """
+    n = points.shape[0]
+    if p_sq is None:
+        p_sq = np.einsum("ij,ij->i", points, points)
     c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    idx = np.argmin(d2, axis=1)
-    return d2[np.arange(points.shape[0]), idx], idx
+    c_t = centroids.T
+    dist = np.empty(n)
+    idx = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, NEAREST_BLOCK_ROWS):
+        hi = min(lo + NEAREST_BLOCK_ROWS, n)
+        d2 = points[lo:hi] @ c_t
+        d2 *= -2.0
+        d2 += p_sq[lo:hi, None]
+        d2 += c_sq
+        np.maximum(d2, 0.0, out=d2)
+        j = np.argmin(d2, axis=1)
+        idx[lo:hi] = j
+        dist[lo:hi] = np.take_along_axis(d2, j[:, None], axis=1)[:, 0]
+    return dist, idx
 
 
 def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
@@ -137,9 +163,11 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
         diff = samples - centroids[m]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
 
+    p_sq = np.einsum("ij,ij->i", samples, samples)
+    columns = np.ascontiguousarray(samples.T)
     prev_inertia = math.inf
     for _ in range(max_iters):
-        min_d2, assign = _nearest_sq_dist(samples, centroids)
+        min_d2, assign = _nearest_sq_dist(samples, centroids, p_sq)
         counts = np.bincount(assign, minlength=n_centroids)
         for m in np.nonzero(counts == 0)[0]:
             far = int(np.argmax(min_d2))
@@ -148,7 +176,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
         counts = np.bincount(assign, minlength=n_centroids)
         sums = np.zeros((n_centroids, block_dim))
         for j in range(block_dim):
-            sums[:, j] = np.bincount(assign, weights=samples[:, j],
+            sums[:, j] = np.bincount(assign, weights=columns[j],
                                      minlength=n_centroids)
         centroids = sums / counts[:, None]
         inertia = float(min_d2.sum())
@@ -257,6 +285,8 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     codebook on fresh Gaussian blocks.  Returns one ``VqReport`` per dim;
     callers judge the trend of ``gap * sqrt(d / log d)``.
     """
+    if trials < 2 or gauss_trials < 2:
+        raise ValueError("need at least two trials")
     x = np.asarray(x, dtype=np.float64)
     norm = float(np.linalg.norm(x))
     if norm == 0.0 or not np.all(np.isfinite(x)):

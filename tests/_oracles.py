@@ -7,12 +7,18 @@ output against these constants instead of re-deriving them, so a regression
 in the library cannot silently re-generate its own expectations.
 
 ``reference_fwht`` is the plain iterative butterfly that the library's
-blocked FWHT kernel must match bit for bit.
+blocked FWHT kernel must match bit for bit.  ``reference_nearest_sq_dist`` is
+the one-matmul nearest-centroid search that the library's row-blocked kernel
+must match bit for bit, and ``reference_train_gaussian_codebook`` is the
+Lloyd trainer built on it, whose centroid bytes the library's trainer must
+reproduce.
 """
 
 import math
 
 import numpy as np
+
+from rotquant.rng import Xoshiro256pp, derive_seed, derive_seeds
 
 
 def reference_fwht(v, normalize=False):
@@ -34,6 +40,64 @@ def reference_fwht(v, normalize=False):
     if normalize:
         a /= math.sqrt(d)
     return a
+
+
+def reference_nearest_sq_dist(points, centroids):
+    """Squared distance to, and index of, the nearest centroid (ties break
+    to the lowest index), from the expanded form over all rows at once."""
+    p_sq = np.einsum("ij,ij->i", points, points)
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)
+    d2 = p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq[None, :]
+    np.maximum(d2, 0.0, out=d2)
+    idx = np.argmin(d2, axis=1)
+    return d2[np.arange(points.shape[0]), idx], idx
+
+
+def reference_train_gaussian_codebook(block_dim, n_centroids, train_seed,
+                                      n_samples=1 << 17, max_iters=50,
+                                      rel_tol=1e-6):
+    """Centroids of the deterministic k-means++ then Lloyd training that
+    ``vq.train_gaussian_codebook`` documents, searching with
+    ``reference_nearest_sq_dist``."""
+    keys = derive_seeds(train_seed, 0, n_samples)
+    samples = Xoshiro256pp(keys).gaussians(block_dim)
+    picks = Xoshiro256pp([derive_seed(train_seed, n_samples)]).uniforms(n_centroids)[0]
+
+    centroids = np.empty((n_centroids, block_dim))
+    centroids[0] = samples[min(int(picks[0] * n_samples), n_samples - 1)]
+    diff = samples - centroids[0]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    for m in range(1, n_centroids):
+        total = float(d2.sum())
+        if total <= 0.0:
+            j = m % n_samples
+        else:
+            cum = np.cumsum(d2)
+            j = min(int(np.searchsorted(cum, picks[m] * total, side="right")),
+                    n_samples - 1)
+        centroids[m] = samples[j]
+        diff = samples - centroids[m]
+        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+
+    prev_inertia = math.inf
+    for _ in range(max_iters):
+        min_d2, assign = reference_nearest_sq_dist(samples, centroids)
+        counts = np.bincount(assign, minlength=n_centroids)
+        for m in np.nonzero(counts == 0)[0]:
+            far = int(np.argmax(min_d2))
+            assign[far] = m
+            min_d2[far] = 0.0
+        counts = np.bincount(assign, minlength=n_centroids)
+        sums = np.zeros((n_centroids, block_dim))
+        for j in range(block_dim):
+            sums[:, j] = np.bincount(assign, weights=samples[:, j],
+                                     minlength=n_centroids)
+        centroids = sums / counts[:, None]
+        inertia = float(min_d2.sum())
+        if prev_inertia - inertia < rel_tol * max(prev_inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    return centroids
 
 
 # c_d = sqrt(d/pi) * Gamma(d/2) / Gamma((d+1)/2)

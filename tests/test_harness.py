@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -127,8 +128,17 @@ def test_json_report_shape_and_determinism():
                              "master_seed": 1}
     assert doc["rows"][0]["extra"] == {"note": 1.5}
     assert "extra" not in doc["rows"][1]
+    assert set(doc["env"]) == {"rotquant", "numpy", "scipy", "blas",
+                               "cpu_count", "threads"}
+    assert set(doc["env"]["blas"]) == {"name", "version"}
+    assert (doc["env"]["numpy"], doc["env"]["cpu_count"]) == (np.__version__, os.cpu_count())
+    assert doc["env"]["rotquant"] == doc["version"]
+    assert doc["env"]["threads"] is None
+    threaded = _undated(render_rows(rows, dict(cfg, threads=2), fmt="json"))
+    assert threaded["env"]["threads"] == 2
     bare = _undated(render_rows(rows, fmt="json"))
     assert (bare["experiment"], bare["config"]) == ("demo", {})
+    assert bare["env"]["threads"] is None
 
 
 def test_non_finite_extras_serialize():
@@ -217,6 +227,9 @@ def test_runs_are_reproducible():
     assert _fields(a) == _fields(b)
     c = run_scalar_convergence((64,), draws=10_000, master_seed=100)
     assert [r.statistic for r in a] != [r.statistic for r in c]
+    # -1 would otherwise wrap to 2**64 - 1 and repeat that seed's rows
+    with pytest.raises(ValueError, match="master seed"):
+        run_scalar_convergence((64,), draws=10_000, master_seed=-1)
 
 
 # --- command line -------------------------------------------------------------
@@ -289,6 +302,12 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     assert doc["config"] == {"command": "dme", "d": 64, "clients": [1, 4],
                              "trials": 20, "master_seed": 3}
     assert [r["extra"]["n_clients"] for r in doc["rows"]] == [1, 4]
+    assert doc["env"]["threads"] is None  # dme has no --threads
+
+    cli.main(["verify-scalar", "--dims", "64", "--draws", "10000",
+              "--threads", "2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["threads"] == doc["env"]["threads"] == 2
 
     code = cli.main(["verify-vq", "--dims", "16,32", "--trials", "200",
                      "--cov-trials", "100", "--skip-negative"])

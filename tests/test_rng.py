@@ -62,6 +62,29 @@ def test_derive_seed_definition_and_wraparound():
         derive_seed(1, -1)
 
 
+@pytest.mark.parametrize("master", [-1, 1 << 64, 1.5, np.array([2.0])])
+def test_derive_rejects_masters_outside_64_bits(master):
+    # a wrapped or truncated master would silently alias another seed
+    with pytest.raises(ValueError, match="master seed"):
+        derive_seed(master, 0)
+    with pytest.raises(ValueError, match="master seed"):
+        derive_seeds(master, 0, 4)
+
+
+def test_derive_rejects_non_integer_indices():
+    for index in (1.5, np.float64(2.0)):
+        with pytest.raises(ValueError, match="index"):
+            derive_seed(1, index)
+    for start, count in ((0.5, 2), (0, 2.5), (-1, 2), (0, -1)):
+        with pytest.raises(ValueError, match="start|count"):
+            derive_seeds(1, start, count)
+
+
+def test_derive_accepts_numpy_integer_masters():
+    assert derive_seed(np.uint64(MASK64), 1) == derive_seed(MASK64, 1)
+    assert np.array_equal(derive_seeds(np.int64(7), 0, 3), derive_seeds(7, 0, 3))
+
+
 def test_derive_seeds_matches_scalar():
     got = derive_seeds(12345, 3, 50)
     want = [derive_seed(12345, i) for i in range(3, 53)]

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rotquant.core import RotationSpec, apply_rotation, fwht, layer_signs
+from rotquant.core import RotationSpec, apply_rotation, fwht, layer_signs, rotate_normalized
 from rotquant.metrics import conditional_cov_exact
 from rotquant.rng import Xoshiro256pp, derive_seeds
 from rotquant.vq import (
+    NEAREST_BLOCK_ROWS,
     Codebook,
     VqReport,
     conditional_cov_trials,
@@ -17,7 +18,8 @@ from rotquant.vq import (
     vq_decode,
     vq_encode,
 )
-from _oracles import STEIN_A4
+from rotquant.vq import _nearest_sq_dist
+from _oracles import STEIN_A4, reference_nearest_sq_dist, reference_train_gaussian_codebook
 
 RNG = np.random.default_rng(11)
 
@@ -88,6 +90,9 @@ def test_training_validation():
         train_gaussian_codebook(4, 0, train_seed=0)
     with pytest.raises(ValueError):
         train_gaussian_codebook(4, 100, train_seed=0, n_samples=500)
+    for seed in (-1, 1 << 64, 1.5):
+        with pytest.raises(ValueError, match="master seed"):
+            train_gaussian_codebook(4, 4, train_seed=seed, n_samples=100)
 
 
 def test_single_centroid_is_near_zero_mean():
@@ -118,14 +123,74 @@ def test_block_sampler_second_moment():
 # --- encode / decode ----------------------------------------------------------
 
 def test_nearest_ties_break_to_lowest_index():
-    from rotquant.vq import _nearest_sq_dist
-
     row = np.array([0.5, 0.3])
     cents = np.array([[0.0, 0.0], [1.0, 0.0], row, [2.0, 2.0], [3.0, 3.0], row])
     cb = Codebook.from_centroids(cents, train_seed=0)
     dist, j = _nearest_sq_dist(row[None, :], cb.centroids)
     assert j[0] == 2
     assert dist[0] == 0.0
+
+
+def _search_case(n):
+    """``n`` Gaussian rows against 16 centroids.  The last row ties between
+    centroids 5 and 9 at squared distance exactly 1; when ``n > 1`` the
+    middle row sits a rounding error away from centroid 0, where the expanded
+    distance comes out negative before the clamp."""
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((n, 4))
+    cents = rng.standard_normal((16, 4))
+    cents[5] = (4.0, 4.0, 4.0, 3.0)
+    cents[9] = (4.0, 4.0, 4.0, 5.0)
+    if n:
+        points[-1] = 4.0
+    if n > 1:
+        for _ in range(1000):
+            cents[0] = rng.standard_normal(4) * 1e3
+            points[n // 2] = np.nextafter(cents[0], np.inf)
+            raw = (np.einsum("ij,ij->i", points, points)[:, None]
+                   - 2.0 * (points @ cents.T) + np.einsum("ij,ij->i", cents, cents))
+            if raw[n // 2, 0] < 0.0:
+                break
+        else:
+            pytest.fail("no row with a negative expanded distance found")
+    return points, cents
+
+
+@pytest.mark.parametrize("n", [0, 1, NEAREST_BLOCK_ROWS - 1, NEAREST_BLOCK_ROWS,
+                               NEAREST_BLOCK_ROWS + 1, 3 * NEAREST_BLOCK_ROWS + 7])
+def test_nearest_matches_reference_bit_for_bit(n):
+    points, cents = _search_case(n)
+    dist, idx = _nearest_sq_dist(points, cents)
+    want_dist, want_idx = reference_nearest_sq_dist(points, cents)
+    assert dist.dtype == want_dist.dtype and idx.dtype == want_idx.dtype
+    assert dist.tobytes() == want_dist.tobytes()
+    assert idx.tobytes() == want_idx.tobytes()
+    p_sq = np.einsum("ij,ij->i", points, points)
+    again = _nearest_sq_dist(points, cents, p_sq)
+    assert again[0].tobytes() == dist.tobytes() and np.array_equal(again[1], idx)
+    if n:
+        assert (idx[-1], dist[-1]) == (5, 1.0)
+    if n > 1:
+        assert (idx[n // 2], dist[n // 2]) == (0, 0.0)
+
+
+def test_training_matches_reference_bit_for_bit():
+    n = 3 * NEAREST_BLOCK_ROWS + 5
+    cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=n)
+    want = reference_train_gaussian_codebook(4, 16, 2024, n_samples=n)
+    assert cb.centroids.tobytes() == want.tobytes()
+
+
+def test_encode_indices_match_reference_search():
+    d = 4096
+    x = np.random.default_rng(3).standard_normal(d)
+    spec = RotationSpec(dim=d, layers=3, seed=4242)
+    cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=4000)
+    idx, scale = vq_encode(x, spec, cb)
+    u, want_scale = rotate_normalized(x, spec)
+    _, want = reference_nearest_sq_dist(u.reshape(-1, 4), cb.centroids)
+    assert scale == want_scale
+    assert np.array_equal(idx, want)
 
 
 def test_codebook_of_realized_blocks_gives_zero_error():
@@ -270,3 +335,7 @@ def test_universality_validation():
         verify_codebook_universality(two_spike(16), cb, dims=(20,), trials=100)
     with pytest.raises(ValueError):
         verify_codebook_universality(two_spike(32), cb, dims=(16,), trials=100)
+    for trials, gauss_trials in ((0, 100), (1, 100), (100, 0), (100, 1)):
+        with pytest.raises(ValueError, match="need at least two trials"):
+            verify_codebook_universality(two_spike(16), cb, dims=(16,),
+                                         trials=trials, gauss_trials=gauss_trials)
