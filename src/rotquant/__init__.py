@@ -11,7 +11,6 @@ from .adaptive import AdaptiveDecision, decide_layers, pipeline_with_adaptivity
 from .bsq import (
     BsqConfig,
     BsqPayload,
-    ErrorFunctionSpec,
     bsq_decode,
     bsq_encode,
     expected_error_gaussian,
@@ -63,7 +62,6 @@ __all__ = [
     "BsqPayload",
     "Codebook",
     "DrivePayload",
-    "ErrorFunctionSpec",
     "FormatError",
     "MAX_LAYERS",
     "RotationSpec",

@@ -8,7 +8,8 @@ a neighboring grid level (unbiased: ``P(up) = (z - q_i)/(q_{i+1} - q_i)``);
 the rare escapes are transmitted exactly as (index, value) pairs.
 
 The conditional expected squared rounding error at ``z`` is the closed form
-``e(z) = (z - q_i)(q_{i+1} - z)`` inside a cell and 0 outside the grid.
+``e(z) = (z - q_i)(q_{i+1} - z)`` inside a cell and 0 outside the grid;
+:meth:`BsqConfig.error_function` evaluates it on the config's own grid.
 ``e`` vanishes at every level, so it is continuous and has total variation
 ``sum_cells w^2/2``, which converts Kolmogorov closeness of ``U`` to
 Gaussian into a bound on the achieved error gap: the measured mean of
@@ -31,7 +32,6 @@ from .rng import Xoshiro256pp
 __all__ = [
     "threshold_for_p",
     "BsqConfig",
-    "ErrorFunctionSpec",
     "BsqPayload",
     "bsq_encode",
     "bsq_decode",
@@ -79,35 +79,12 @@ class BsqConfig:
 
     @cached_property
     def cell_width(self) -> float:
-        return 2.0 * self.threshold / (self.n_levels - 1) if self.n_levels > 1 else 0.0
+        return 2.0 * self.threshold / (self.n_levels - 1)
 
-
-@dataclass(frozen=True)
-class ErrorFunctionSpec:
-    """Piecewise description of the conditional rounding error ``e(z)``.
-
-    ``e(z) = (z - q_i)(q_{i+1} - z)`` on the cell containing ``z`` and zero
-    outside ``[levels[0], levels[-1]]``.  Usually built from a config.
-    """
-
-    levels: np.ndarray
-
-    def __post_init__(self):
-        lv = np.asarray(self.levels, dtype=np.float64)
-        if lv.ndim != 1 or lv.size < 2 or not np.all(np.diff(lv) > 0):
-            raise ValueError("levels must be at least two strictly increasing values")
-        if not np.all(np.isfinite(lv)):
-            raise ValueError("levels must be finite")
-        lv = lv.copy()
-        lv.flags.writeable = False
-        object.__setattr__(self, "levels", lv)
-
-    @classmethod
-    def from_config(cls, cfg: BsqConfig) -> "ErrorFunctionSpec":
-        return cls(levels=cfg.levels)
-
-    def evaluate(self, z):
-        """Vectorized ``e(z)``; exact zeros at grid levels and outside the grid."""
+    def error_function(self, z):
+        """Vectorized conditional rounding error ``e(z)``: ``(z - q_i)(q_{i+1} - z)``
+        on the cell containing ``z``, exactly zero at grid levels and outside
+        the grid."""
         z = np.asarray(z, dtype=np.float64)
         lv = self.levels
         idx = np.clip(np.searchsorted(lv, z, side="right") - 1, 0, lv.size - 2)
@@ -116,20 +93,17 @@ class ErrorFunctionSpec:
         return np.where(inside, e, 0.0)
 
 
-def tv_of_error_function(spec: ErrorFunctionSpec) -> float:
+def tv_of_error_function(cfg: BsqConfig) -> float:
     """Total variation of ``e``: each cell of width ``w`` contributes ``w^2/2``
     (rise to ``w^2/4`` and back)."""
-    w = np.diff(spec.levels)
+    w = np.diff(cfg.levels)
     return float(np.sum(w * w) / 2.0)
 
 
-def expected_error_gaussian(cfg: BsqConfig, nodes: int = 32) -> float:
-    """``int e(z) dPhi(z)`` by per-cell Gauss-Legendre quadrature."""
-    if nodes < 2:
-        raise ValueError("need at least two quadrature nodes")
-    spec = ErrorFunctionSpec.from_config(cfg)
-    x, wq = np.polynomial.legendre.leggauss(nodes)
-    lv = spec.levels
+def expected_error_gaussian(cfg: BsqConfig) -> float:
+    """``int e(z) dPhi(z)`` by 32-node Gauss-Legendre quadrature per cell."""
+    x, wq = np.polynomial.legendre.leggauss(32)
+    lv = cfg.levels
     a, b = lv[:-1], lv[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -187,8 +161,6 @@ class BsqPayload:
 
 def _stochastic_codes(z: np.ndarray, cfg: BsqConfig, u: np.ndarray) -> np.ndarray:
     """Unbiased rounding of in-range values ``z`` to grid level codes."""
-    if cfg.n_levels == 1:
-        return np.zeros(z.shape, dtype=np.uint32)
     w = cfg.cell_width
     pos = (z + cfg.threshold) / w
     base = np.clip(np.floor(pos), 0, cfg.n_levels - 2)
@@ -235,24 +207,21 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
     errors of the trial means.  ``layers=0`` turns the rotation off, which
     is the adversarial (negative-control) configuration.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     norm = float(np.linalg.norm(x))
     if norm == 0.0 or not np.all(np.isfinite(x)):
         raise ValueError("input must be finite and non-zero")
-    efs = ErrorFunctionSpec.from_config(cfg)
 
     def chunk(lo, hi, seeds):
         u_rows = rotate_many(x / norm, layers, seeds) * math.sqrt(d)
-        return efs.evaluate(u_rows).mean(axis=1)
+        return cfg.error_function(u_rows).mean(axis=1)
 
     per_trial = np.concatenate(map_trials(master_seed, trials, d, chunk))
     measured = float(np.mean(per_trial))
     std_err = float(np.std(per_trial, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     expected = expected_error_gaussian(cfg)
-    tv = tv_of_error_function(efs)
+    tv = tv_of_error_function(cfg)
     bound = KOLMOGOROV_2LAYER_C * tv / math.sqrt(d)
     slack = 4.0 * std_err
     statistic = abs(measured - expected)

@@ -53,6 +53,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_input_flags(p: argparse.ArgumentParser):
     p.add_argument("--in", dest="input", metavar="FILE",
                    help="vector file (wire kind 4)")
@@ -104,8 +111,9 @@ def cmd_transform(args) -> int:
     spec = RotationSpec(dim=x.size, layers=args.layers, seed=args.seed)
     y = inverse_rotation(x, spec) if args.inverse else apply_rotation(x, spec)
     if args.out:
-        Path(args.out).write_bytes(codec.serialize(y))
-        print(f"wrote {args.out} ({codec.wire_size(y)} bytes)")
+        data = codec.serialize(y)
+        Path(args.out).write_bytes(data)
+        print(f"wrote {args.out} ({len(data)} bytes)")
     else:
         head = [float(v) for v in y[: min(8, y.size)]]
         _print_json({"d": int(y.size), "layers": spec.layers,
@@ -252,7 +260,7 @@ def main(argv=None) -> int:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write the report here")
         if threads:
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_positive_int, default=1,
                            help="worker threads (result-invariant)")
 
     p = sub.add_parser("transform", help="apply or invert a seeded rotation")

@@ -287,17 +287,4 @@ def deserialize(data: bytes):
 
 def wire_size(obj) -> int:
     """Exact wire footprint in bytes, for bandwidth accounting."""
-    if isinstance(obj, DrivePayload):
-        return _HEADER.size + _F64.size + (obj.spec.dim + 7) // 8
-    if isinstance(obj, BsqPayload):
-        n_out = obj.outlier_idx.size
-        n_codes = obj.spec.dim - n_out
-        return (_HEADER.size + 2 * _F64.size + _U32.size
-                + (n_codes * obj.config.bits + 7) // 8
-                + n_out * _OUTLIER.size)
-    if isinstance(obj, Codebook):
-        return (_HEADER.size + 2 * _U32.size + _F64.size
-                + 8 * obj.block_dim * obj.n_centroids)
-    if isinstance(obj, np.ndarray):
-        return _HEADER.size + 8 * obj.size
-    raise TypeError(f"cannot size {type(obj).__name__}")
+    return len(serialize(obj))

@@ -288,8 +288,11 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
     elements given ``row_elems`` per trial; ``fn(lo, hi, seeds)`` handles
     trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Returns the
     chunk results in trial order (see :func:`run_ordered`), so reductions
-    over them do not depend on ``threads``.
+    over them do not depend on ``threads``.  Raises ``ValueError`` for
+    ``trials < 1``.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     step = max(1, TRIAL_CHUNK_ELEMS // row_elems)
     spt = seeds_per_trial
 

@@ -8,6 +8,12 @@ amount by which the measurement misses the floor, so 0 passes); trend
 claims are reported as consecutive-pair rows (``statistic`` is the later
 value, ``bound`` the earlier).
 
+A runner takes only what its callers vary: mostly dimensions, trial and
+draw counts, the master seed and ``threads``.  Settings that no caller
+varies (outlier tail masses, covariance pairs, the codebook shape, the
+calibrated bounds) are fixed in the runner; ``rotquant report`` runs each
+runner at its default, full-scale settings.
+
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
 Results are bit-identical across reruns and thread counts.  Per-trial
@@ -65,9 +71,9 @@ __all__ = [
 DEFAULT_MASTER_SEED = 12345
 
 
-def dkw_slack(n: int, alpha: float = 0.05) -> float:
-    """Two-sided DKW band half-width at confidence ``1 - alpha``."""
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+def dkw_slack(n: int) -> float:
+    """Two-sided DKW band half-width at 95% confidence (``alpha = 0.05``)."""
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
 def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
@@ -131,15 +137,14 @@ def run_scalar_convergence(dims, trials: int | None = None,
 
 
 def run_drive_biased(d: int = 4096, trials: int = 10_000,
-                     kinds=("two_spike", "one_hot"),
                      master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
-    """Biased sign-quantizer error: mean vNMSE stays under
-    ``1 - 2/pi + 10/sqrt(d)``, above the 0.30 sanity floor, and agrees with
-    the l1-only error identity."""
+    """Biased sign-quantizer error on the two-spike and one-hot inputs: mean
+    vNMSE stays under ``1 - 2/pi + 10/sqrt(d)``, above the 0.30 sanity
+    floor, and agrees with the l1-only error identity."""
     upper = LIMIT_VNMSE["biased"] + 10.0 / math.sqrt(d)
     floor = 0.30
     rows = []
-    for kind in kinds:
+    for kind in ("two_spike", "one_hot"):
         rep = measure_drive_error(gen_adversarial(kind, d),
                                   RotationSpec(d, 2, master_seed),
                                   "biased", trials)
@@ -263,20 +268,20 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
     return rows
 
 
-def run_bsq_outliers(dims=(1024, 4096), tails=(0.1, 0.01),
-                     draws: int = 1_000_000, kind: str = "two_spike",
-                     layers: int = 2, master_seed: int = DEFAULT_MASTER_SEED,
+def run_bsq_outliers(dims=(1024, 4096), draws: int = 1_000_000,
+                     master_seed: int = DEFAULT_MASTER_SEED,
                      threads: int = 1) -> list[VerifyReport]:
-    """Escape-fraction check: the measured share of rotated coordinates
-    beyond each tail threshold stays within ``p + 2.56/sqrt(d)`` plus a
-    three-sigma binomial allowance."""
+    """Escape-fraction check: the measured share of two-layer rotated
+    two-spike coordinates beyond each tail threshold (``p`` = 0.1, 0.01)
+    stays within ``p + 2.56/sqrt(d)`` plus a three-sigma binomial allowance."""
+    kind = "two_spike"
     rows = []
     for d in dims:
         n_trials = max(2, -(-draws // d))
-        values = np.abs(_pooled_coordinates(gen_adversarial(kind, d), layers,
+        values = np.abs(_pooled_coordinates(gen_adversarial(kind, d), 2,
                                             n_trials, master_seed, threads))
         n = values.size
-        for p in tails:
+        for p in (0.1, 0.01):
             frac = float(np.mean(values > threshold_for_p(p)))
             bound = p + OUTLIER_2LAYER_C / math.sqrt(d)
             slack = 3.0 * math.sqrt(p / n)
@@ -308,14 +313,15 @@ def run_bsq_transfer(d: int = 1024, bits: int = 2, tail: float = 0.01,
     return [positive, negative]
 
 
-def run_lemma_bottleneck(dims=(4, 8, 16, 32, 64, 128, 256), planes: int = 100,
-                         master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+def run_lemma_bottleneck(master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
     """Exact two-layer bottleneck: for the two-spike input the final-layer
     conditional covariance of pair (0, 1) is two-valued ``+-1`` with sign
     equal to the product of the plane's first two signs (checked to a few
-    ulps), and the closed form matches brute-force enumeration at d=8."""
+    ulps on 100 planes at each d = 4 .. 256), and the closed form matches
+    brute-force enumeration at d=8."""
+    planes = 100
     rows = []
-    for d in dims:
+    for d in (4, 8, 16, 32, 64, 128, 256):
         xu = gen_adversarial("two_spike", d)
         signs = layer_signs(derive_seeds(master_seed, 0, planes), 1, d)
         covs = np.array([
@@ -362,16 +368,15 @@ def run_lemma_bottleneck(dims=(4, 8, 16, 32, 64, 128, 256), planes: int = 100,
 
 
 def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
-                         pair=(0, 2),
                          master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
     """Third-layer decorrelation: the RMS conditional covariance stays under
     ``sqrt(2 E|R1 xu|_inf^2)`` and decays with dimension.
 
-    The pair defaults to (0, 2): for the two-spike input the one-layer
-    output is supported on one index parity, so pairs whose XOR flips the
-    low bit have identically zero covariance and carry no information.
+    The pair is (0, 2): for the two-spike input the one-layer output is
+    supported on one index parity, so pairs whose XOR flips the low bit have
+    identically zero covariance and carry no information.
     """
-    i, j = pair
+    i, j = 0, 2
     rows = []
     rms_values = []
     for d in dims:
@@ -406,8 +411,7 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
     return rows
 
 
-def _universality_rows(reports, label: str, final_gap_bound: float | None,
-                       negative: bool) -> list[VerifyReport]:
+def _universality_rows(reports, label: str, negative: bool) -> list[VerifyReport]:
     scaled = []
     for rep in reports:
         f = math.sqrt(rep.d / math.log(rep.d))
@@ -425,49 +429,46 @@ def _universality_rows(reports, label: str, final_gap_bound: float | None,
             negative_control=negative,
             extra={"previous_d": d_prev, "scale": "sqrt(d/log d)"},
         ))
-    if final_gap_bound is not None:
-        last = reports[-1]
-        rows.append(VerifyReport(
-            experiment="vq-universality", d=last.d, statistic=last.gap,
-            bound=final_gap_bound, slack=0.0,
-            trials=last.trials,
-            std_err=last.gap_se, claim=f"{label}-final-gap",
-            slack_kind="pilot-calibrated", negative_control=negative,
-            extra={"err_rht": last.err_rht, "err_gauss": last.err_gauss,
-                   "rms_cov": last.rms_cov, "stein_bound": last.stein_bound},
-        ))
+    last = reports[-1]
+    rows.append(VerifyReport(
+        experiment="vq-universality", d=last.d, statistic=last.gap,
+        bound=0.05, slack=0.0,  # pilot-calibrated final gap
+        trials=last.trials,
+        std_err=last.gap_se, claim=f"{label}-final-gap",
+        slack_kind="pilot-calibrated", negative_control=negative,
+        extra={"err_rht": last.err_rht, "err_gauss": last.err_gauss,
+               "rms_cov": last.rms_cov, "stein_bound": last.stein_bound},
+    ))
     return rows
 
 
-def run_vq_universality(dims=(256, 1024, 4096), block_dim: int = 4,
-                        n_centroids: int = 16, trials: int = 10_000,
+def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
                         train_seed: int = 2024,
                         master_seed: int = DEFAULT_MASTER_SEED,
-                        final_gap_bound: float = 0.05,
                         include_negative: bool = True) -> list[VerifyReport]:
-    """One codebook across dimensions: the distortion gap against fresh
-    Gaussian blocks decays like ``sqrt(log d / d)`` under 3 rotation layers
-    (trend of the scaled gap, plus a pilot-calibrated final absolute gap);
-    with 2 layers the two-spike input must keep a non-decaying gap."""
-    codebook = train_gaussian_codebook(block_dim, n_centroids, train_seed)
-    pattern = gen_adversarial("two_spike", max(4, block_dim))
+    """One 16-centroid codebook of 4-dim blocks across dimensions: the
+    distortion gap against fresh Gaussian blocks decays like
+    ``sqrt(log d / d)`` under 3 rotation layers (trend of the scaled gap,
+    plus a pilot-calibrated final absolute gap under 0.05); with
+    2 layers the two-spike input must keep a non-decaying gap."""
+    codebook = train_gaussian_codebook(4, 16, train_seed)
+    pattern = gen_adversarial("two_spike", 4)
     positive = verify_codebook_universality(
         pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
         cov_pair=(0, 2))
-    rows = _universality_rows(positive, "universality", final_gap_bound,
-                              negative=False)
+    rows = _universality_rows(positive, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
             pattern, codebook, dims, trials, master_seed=master_seed,
             layers=2, cov_pair=(0, 1))
         rows.extend(_universality_rows(negative, "two-layer-control",
-                                       final_gap_bound, negative=True))
+                                       negative=True))
     return rows
 
 
-def run_adaptive_decisions(d: int = 1024,
-                           master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
-    """The three canonical layer-count decisions, checked exactly."""
+def run_adaptive_decisions(master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+    """The three canonical layer-count decisions at d=1024, checked exactly."""
+    d = 1024
     rht_of_one_hot = apply_rotation(gen_adversarial("one_hot", d),
                                     RotationSpec(d, 1, master_seed))
     cases = [
@@ -534,10 +535,11 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
     )]
 
 
-def run_cd_expansion(d_min: int = 16, d_max: int = 1 << 20) -> list[VerifyReport]:
+def run_cd_expansion() -> list[VerifyReport]:
     """Accuracy of the scaling-constant expansion
-    ``c_d ~ sqrt(2/pi) (1 + 1/(4d))`` over every dimension in range:
+    ``c_d ~ sqrt(2/pi) (1 + 1/(4d))`` over every dimension from 16 to 2^20:
     the worst ``d^2``-scaled deviation stays under 10."""
+    d_min, d_max = 16, 1 << 20
     d = np.arange(d_min, d_max + 1, dtype=np.float64)
     cd = cd_values(d)
     approx = math.sqrt(2.0 / math.pi) * (1.0 + 1.0 / (4.0 * d))

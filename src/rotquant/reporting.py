@@ -3,7 +3,8 @@
 Every experiment reduces to rows of the same shape: a measured statistic, the
 closed-form bound it must stay under, and an explicit slack term (sampling
 allowance) with its provenance.  A row passes when
-``statistic <= bound + slack``; ``VerifyReport.passed`` is derived from those
+``statistic <= bound + slack``; ``VerifyReport.passed`` and its margin
+``VerifyReport.headroom = bound + slack - statistic`` are derived from those
 three fields, never stored, so no runner writes the rule out.
 Negative-control rows are *expected* to fail, and the run as a whole is
 healthy when every row behaves as expected.  The JSON form also records the
@@ -68,6 +69,12 @@ class VerifyReport:
     def passed(self) -> bool:
         return bool(self.statistic <= self.bound + self.slack)
 
+    @property
+    def headroom(self) -> float:
+        """``bound + slack - statistic``: at least zero on a passing row, so a
+        healthy negative control (a row that must fail) has negative headroom."""
+        return self.bound + self.slack - self.statistic
+
     def ok(self) -> bool:
         """Healthy outcome: pass normally, fail if a negative control."""
         return self.passed != self.negative_control
@@ -82,6 +89,7 @@ class VerifyReport:
             "slack": self.slack,
             "slack_kind": self.slack_kind,
             "pass": self.passed,
+            "headroom": self.headroom,
             "negative_control": self.negative_control,
             "trials": self.trials,
             "std_err": self.std_err,

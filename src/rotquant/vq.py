@@ -75,7 +75,6 @@ class VqReport:
     d: int
     err_rht: float    # measured E min_c |U_block - c|^2
     err_gauss: float  # measured E min_c |Z - c|^2
-    gap: float        # |err_rht - err_gauss|
     gap_se: float
     rms_cov: float    # measured RMS final-layer conditional covariance
     stein_bound: float  # smoothness-budget diagnostic, not a pass target
@@ -86,9 +85,11 @@ class VqReport:
     def __post_init__(self):
         if self.err_rht < 0.0 or self.err_gauss < 0.0:
             raise ValueError("distortions must be non-negative")
-        if not math.isclose(self.gap, abs(self.err_rht - self.err_gauss),
-                            rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError("gap must equal |err_rht - err_gauss|")
+
+    @property
+    def gap(self) -> float:
+        """``|err_rht - err_gauss|``, derived so it cannot disagree."""
+        return abs(self.err_rht - self.err_gauss)
 
 
 # Rows per block of the nearest-centroid search: a (block, k) distance tile
@@ -129,15 +130,14 @@ def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None):
 
 
 def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
-                            n_samples: int = 1 << 17, max_iters: int = 50,
-                            rel_tol: float = 1e-6) -> Codebook:
+                            n_samples: int = 1 << 17) -> Codebook:
     """Deterministic Lloyd training on standard-normal blocks.
 
     Sample row ``j`` comes from its own derived stream (``train_seed`` index
     ``j``) and the initialization stream from index ``n_samples``, so the
     result depends only on the arguments.  Init is distance-squared weighted
-    seeding; empty clusters are reseeded from the farthest point; stops on
-    ``max_iters`` or relative inertia improvement below ``rel_tol``.
+    seeding; empty clusters are reseeded from the farthest point; stops after
+    50 iterations or once the relative inertia improvement drops below 1e-6.
     """
     if block_dim < 1 or n_centroids < 1:
         raise ValueError("block_dim and n_centroids must be positive")
@@ -166,7 +166,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
     p_sq = np.einsum("ij,ij->i", samples, samples)
     columns = np.ascontiguousarray(samples.T)
     prev_inertia = math.inf
-    for _ in range(max_iters):
+    for _ in range(50):
         min_d2, assign = _nearest_sq_dist(samples, centroids, p_sq)
         counts = np.bincount(assign, minlength=n_centroids)
         for m in np.nonzero(counts == 0)[0]:
@@ -180,7 +180,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
                                      minlength=n_centroids)
         centroids = sums / counts[:, None]
         inertia = float(min_d2.sum())
-        if prev_inertia - inertia < rel_tol * max(prev_inertia, 1e-300):
+        if prev_inertia - inertia < 1e-6 * max(prev_inertia, 1e-300):
             break
         prev_inertia = inertia
     return Codebook.from_centroids(centroids, train_seed)
@@ -231,12 +231,15 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     ``|a|_inf^2`` of the pre-final vector ``a`` (``xu`` itself for 2 layers,
     ``R1 xu`` for 3), whose mean controls the decay bound.
     Returns ``(covs, linf_sq)`` arrays of length ``trials``; raises
-    ``ValueError`` for a zero or non-finite ``x``.
+    ``ValueError`` for a zero or non-finite ``x`` or fewer than two trials
+    (the callers' standard errors need two).
     """
     if layers not in (2, 3):
         raise ValueError("covariance diagnostics apply to 2 or 3 layers")
     if i == j:
         raise ValueError("need two distinct coordinates")
+    if trials < 2:
+        raise ValueError("need at least two trials")
     x = np.asarray(x, dtype=np.float64)
     d = x.size
     check_dim(d)
@@ -324,7 +327,6 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
             d=d,
             err_rht=rht_mean,
             err_gauss=gauss_mean,
-            gap=abs(rht_mean - gauss_mean),
             gap_se=math.hypot(rht_se, gauss_se),
             rms_cov=rms,
             stein_bound=stein_diagnostic_constant(k),

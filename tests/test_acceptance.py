@@ -39,7 +39,7 @@ from rotquant.experiments import (
 )
 from rotquant.generators import gen_adversarial
 from rotquant.metrics import conditional_cov_exact, moment_scan, normal_cdf
-from rotquant.bsq import BsqConfig, ErrorFunctionSpec, tv_of_error_function
+from rotquant.bsq import BsqConfig, tv_of_error_function
 from rotquant.vq import stein_diagnostic_constant
 from _oracles import CD_ORACLE
 
@@ -195,8 +195,7 @@ def test_criterion_13_exact_examples(tmp_path, capsys):
     checks["drive-d1"] = drive_decode(pay).tolist() == [-2.5]
     checks["stein"] = stein_diagnostic_constant(4) < stein_diagnostic_constant(8)
     cfg = BsqConfig(bits=1, tail_mass=0.2)
-    efs = ErrorFunctionSpec.from_config(cfg)
-    checks["tv-b1"] = tv_of_error_function(efs) == 2.0 * cfg.threshold**2
+    checks["tv-b1"] = tv_of_error_function(cfg) == 2.0 * cfg.threshold**2
     try:
         deserialize(b"XXXX" + serialize(np.ones(2))[4:])
         checks["codec-magic"] = False

@@ -7,7 +7,6 @@ from scipy.integrate import quad
 from rotquant.bsq import (
     BsqConfig,
     BsqPayload,
-    ErrorFunctionSpec,
     _stochastic_codes,
     bsq_decode,
     bsq_encode,
@@ -68,21 +67,21 @@ def test_config_validation():
 # --- error function ------------------------------------------------------------
 
 def test_error_function_one_cell_closed_form():
-    efs = ErrorFunctionSpec(np.array([-1.0, 1.0]))
-    assert tv_of_error_function(efs) == 2.0  # w^2/2 with w=2
-    assert efs.evaluate(np.array([0.0]))[0] == 1.0
-    assert efs.evaluate(np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
-    assert efs.evaluate(np.array([-1.1, 1.1])).tolist() == [0.0, 0.0]
+    cfg = BsqConfig(bits=1, tail_mass=0.2)
+    t = cfg.threshold
+    assert tv_of_error_function(cfg) == 2.0 * t * t  # w^2/2 with w=2t
+    assert cfg.error_function(np.array([0.0]))[0] == t * t
+    assert cfg.error_function(np.array([-t, t])).tolist() == [0.0, 0.0]
+    assert cfg.error_function(np.array([-1.1 * t, 1.1 * t])).tolist() == [0.0, 0.0]
 
 
 def test_error_function_values_inside_cells():
     cfg = BsqConfig(bits=2, tail_mass=0.01)
-    efs = ErrorFunctionSpec.from_config(cfg)
     lv = cfg.levels
     mid = (lv[1] + lv[2]) / 2.0
     w = cfg.cell_width
-    assert abs(efs.evaluate(np.array([mid]))[0] - w * w / 4.0) <= 1e-12
-    assert efs.evaluate(np.array([lv[1]]))[0] == 0.0
+    assert abs(cfg.error_function(np.array([mid]))[0] - w * w / 4.0) <= 1e-12
+    assert cfg.error_function(np.array([lv[1]]))[0] == 0.0
 
 
 def test_tv_exact_law_and_halving():
@@ -90,7 +89,7 @@ def test_tv_exact_law_and_halving():
     prev = None
     for b in range(1, 8):
         L = 2**b
-        tv = tv_of_error_function(ErrorFunctionSpec.from_config(BsqConfig(bits=b, tail_mass=0.01)))
+        tv = tv_of_error_function(BsqConfig(bits=b, tail_mass=0.01))
         assert abs(tv - 2.0 * t * t / (L - 1)) <= 1e-10
         if prev is not None:
             # "doubling levels halves TV" holds asymptotically; the exact
@@ -102,16 +101,16 @@ def test_tv_exact_law_and_halving():
 def test_tv_from_config_matches_oracle():
     from _oracles import TV_B2_P001
 
-    tv = tv_of_error_function(ErrorFunctionSpec.from_config(BsqConfig(bits=2, tail_mass=0.01)))
+    tv = tv_of_error_function(BsqConfig(bits=2, tail_mass=0.01))
     assert abs(tv - TV_B2_P001) <= 1e-12 * TV_B2_P001
 
 
 def test_tv_refinement_scan():
     # numeric variation over a fine grid converges to the closed form from below
-    efs = ErrorFunctionSpec.from_config(BsqConfig(bits=3, tail_mass=0.05))
-    grid = np.linspace(efs.levels[0] - 0.5, efs.levels[-1] + 0.5, 400_001)
-    scanned = float(np.sum(np.abs(np.diff(efs.evaluate(grid)))))
-    closed = tv_of_error_function(efs)
+    cfg = BsqConfig(bits=3, tail_mass=0.05)
+    grid = np.linspace(cfg.levels[0] - 0.5, cfg.levels[-1] + 0.5, 400_001)
+    scanned = float(np.sum(np.abs(np.diff(cfg.error_function(grid)))))
+    closed = tv_of_error_function(cfg)
     assert scanned <= closed + 1e-9
     assert closed - scanned <= 1e-4
 
@@ -121,8 +120,7 @@ def test_expected_error_oracle_and_quad():
         cfg = BsqConfig(bits=bits, tail_mass=p)
         got = expected_error_gaussian(cfg)
         assert abs(got - want) <= 1e-12, (bits, p)
-        efs = ErrorFunctionSpec.from_config(cfg)
-        num, err = quad(lambda z: efs.evaluate(np.array([z]))[0] * math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi),
+        num, err = quad(lambda z: cfg.error_function(np.array([z]))[0] * math.exp(-z * z / 2.0) / math.sqrt(2.0 * math.pi),
                         -cfg.threshold, cfg.threshold, limit=200)
         assert abs(got - num) <= 1e-9 + 10.0 * err
 

@@ -1,11 +1,14 @@
+import inspect
 import json
 import math
 import os
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rotquant import cli, core
+from rotquant import cli, core, experiments
 from rotquant.bsq import BsqConfig, verify_tv_transfer
 from rotquant.codec import deserialize, serialize
 from rotquant.core import RotationSpec
@@ -128,6 +131,10 @@ def test_json_report_shape_and_determinism():
                              "master_seed": 1}
     assert doc["rows"][0]["extra"] == {"note": 1.5}
     assert "extra" not in doc["rows"][1]
+    # headroom = bound + slack - statistic; negative on the failing control
+    assert doc["rows"][0]["headroom"] == 0.2 + 0.01 - 0.1
+    assert doc["rows"][1]["headroom"] < 0.0
+    assert "headroom" not in render_rows(rows, fmt="csv")
     assert set(doc["env"]) == {"rotquant", "numpy", "scipy", "blas",
                                "cpu_count", "threads"}
     assert set(doc["env"]["blas"]) == {"name", "version"}
@@ -173,8 +180,8 @@ def test_scalar_convergence_thread_invariant():
 
 
 def test_outlier_check_thread_invariant():
-    a = run_bsq_outliers(dims=(256,), tails=(0.1,), draws=40_000, threads=1)
-    b = run_bsq_outliers(dims=(256,), tails=(0.1,), draws=40_000, threads=3)
+    a = run_bsq_outliers(dims=(256,), draws=40_000, threads=1)
+    b = run_bsq_outliers(dims=(256,), draws=40_000, threads=3)
     assert _fields(a) == _fields(b)
 
 
@@ -334,6 +341,25 @@ def test_cli_input_validation(tmp_path):
         cli.main(["verify-scalar", "--dims", "a,b"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify-scalar", "--dims", "64", "--trials", "0"], "need at least one trial"),
+    (["verify-vq", "--dims", "16", "--cov-trials", "1"], "need at least two trials"),
+    (["verify-vq", "--dims", "16", "--cov-trials", "0"], "need at least two trials"),
+])
+def test_cli_rejects_degenerate_trial_counts(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify-scalar", "verify-bsq", "report"])
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_threads_must_be_a_positive_integer(command, threads, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_cli_reports_io_errors(capsys):
     assert cli.main(["decode", "--in", "/nonexistent/payload.bin"]) == 2
     assert "payload.bin" in capsys.readouterr().err
@@ -350,3 +376,29 @@ def test_cli_decode_writes_reconstruction(tmp_path, capsys):
     assert info["kind"] == "bsq" and info["bits"] == 3
     back = deserialize(rec.read_bytes())
     assert isinstance(back, np.ndarray) and back.size == 32
+
+
+# --- benchmark contract -------------------------------------------------------
+
+def _bench_workloads():
+    """``bench/workloads.py``, run from its source text so that nothing is
+    written next to it (no bytecode cache)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_bench_harness_kwargs_bind_to_the_runners():
+    """Every runner call of the benchmark's harness pass still binds, with
+    ``threads`` added where the runner takes it, as the benchmark does."""
+    runs = _bench_workloads().McHarness.RUNS
+    assert runs
+    for name, kwargs in runs:
+        signature = inspect.signature(getattr(experiments, name))
+        kw = dict(kwargs, master_seed=1)
+        if "threads" in signature.parameters:
+            kw["threads"] = 2
+        signature.bind(**kw)

@@ -62,13 +62,16 @@ def test_codebook_validation():
 
 
 def test_report_validation():
-    VqReport(d=8, err_rht=1.0, err_gauss=0.75, gap=0.25, gap_se=0.01,
-             rms_cov=0.1, stein_bound=58.0, trials=10)
-    with pytest.raises(ValueError):
-        VqReport(d=8, err_rht=1.0, err_gauss=0.75, gap=0.3, gap_se=0.01,
+    rep = VqReport(d=8, err_rht=0.75, err_gauss=1.0, gap_se=0.01,
+                   rms_cov=0.1, stein_bound=58.0, trials=10)
+    assert rep.gap == 0.25
+    rep.err_rht = 1.5
+    assert rep.gap == 0.5  # derived, so it follows its distortions
+    with pytest.raises(TypeError):
+        VqReport(d=8, err_rht=1.0, err_gauss=0.75, gap=0.25, gap_se=0.01,
                  rms_cov=0.1, stein_bound=58.0, trials=10)
     with pytest.raises(ValueError):
-        VqReport(d=8, err_rht=-1.0, err_gauss=0.75, gap=1.75, gap_se=0.01,
+        VqReport(d=8, err_rht=-1.0, err_gauss=0.75, gap_se=0.01,
                  rms_cov=0.1, stein_bound=58.0, trials=10)
 
 
