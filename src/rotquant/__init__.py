@@ -7,7 +7,7 @@ wire codec, an O(d) adaptive layer-count check, and a verification harness
 whose report rows compare measured statistics against closed-form bounds.
 """
 
-from .adaptive import AdaptiveDecision, decide_layers, pipeline_with_adaptivity
+from .adaptive import AdaptiveDecision, decide_layers
 from .bsq import (
     BsqConfig,
     BsqPayload,
@@ -46,7 +46,6 @@ from .reporting import VERSION, VerifyReport, all_ok, render_rows
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 from .vq import (
     Codebook,
-    rms_conditional_cov,
     stein_diagnostic_constant,
     train_gaussian_codebook,
     verify_codebook_universality,
@@ -88,9 +87,7 @@ __all__ = [
     "inverse_rotation",
     "measure_drive_error",
     "moment_scan",
-    "pipeline_with_adaptivity",
     "render_rows",
-    "rms_conditional_cov",
     "rotate_many",
     "scaling_constant_cd",
     "serialize",

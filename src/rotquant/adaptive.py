@@ -4,16 +4,17 @@ Rotation layers are the expensive part of the pipeline, and most real inputs
 do not need the worst-case count: one layer suffices for scalar quantization
 when the normalized third moment is already as small as a rotation would
 make it on average, and the vector pipeline can skip its smoothing layer
-when no coordinate carries outsized mass.  Both conditions are single-pass
-functionals of the input, so the decision costs O(d) time and O(1) space.
+when no coordinate carries outsized mass.  Both conditions are functionals
+of one moment scan, so the decision costs O(d) time.  Callers build the
+rotation from the decision, e.g.
+``RotationSpec(d, decide_layers(x).scalar_layers, seed)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .core import RotationSpec
 from .metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C, moment_scan
 
 __all__ = [
@@ -21,10 +22,7 @@ __all__ = [
     "default_eta3",
     "default_eta_inf",
     "decide_layers",
-    "pipeline_with_adaptivity",
 ]
-
-TASKS = ("scalar", "vq")
 
 
 def default_eta3(d: int) -> float:
@@ -83,7 +81,9 @@ class AdaptiveDecision:
 def decide_layers(x, eta3: float | None = None,
                   eta_inf: float | None = None) -> AdaptiveDecision:
     """Single-pass flatness check; thresholds default to the rotated-input
-    scales ``eta3 = C3/sqrt(d)`` and ``eta_inf = 2 ln(2d)/d``."""
+    scales ``eta3 = C3/sqrt(d)`` and ``eta_inf = 2 ln(2d)/d``.  Raises
+    ``ValueError`` for a zero input or a threshold that is not finite and
+    positive."""
     stats = moment_scan(x)
     if stats.sum_sq <= 0.0:
         raise ValueError("input must be non-zero")
@@ -92,6 +92,9 @@ def decide_layers(x, eta3: float | None = None,
         eta3 = default_eta3(d)
     if eta_inf is None:
         eta_inf = default_eta_inf(d)
+    for name, eta in (("eta3", eta3), ("eta_inf", eta_inf)):
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {eta}")
     rho3 = stats.sum_abs_cubed / stats.sum_sq ** 1.5
     linf_sq = stats.max_sq / stats.sum_sq
     return AdaptiveDecision(
@@ -103,13 +106,3 @@ def decide_layers(x, eta3: float | None = None,
         vq_layers=2 if linf_sq <= eta_inf else 3,
     )
 
-
-def pipeline_with_adaptivity(x, task: str, base_spec: RotationSpec):
-    """Reduce ``base_spec``'s layer count when the input's flatness permits;
-    never increase it.  Returns ``(effective_spec, decision)``."""
-    if task not in TASKS:
-        raise ValueError(f"task must be one of {TASKS}, got {task!r}")
-    decision = decide_layers(x)
-    recommended = decision.scalar_layers if task == "scalar" else decision.vq_layers
-    effective = min(base_spec.layers, recommended)
-    return replace(base_spec, layers=effective), decision

@@ -185,8 +185,8 @@ def cmd_check(args) -> int:
 
 def cmd_verify_scalar(args) -> int:
     rows = run_scalar_convergence(
-        args.dims, trials=args.trials, draws=args.draws,
-        kind=args.gen or "two_spike", layers=args.layers,
+        args.dims, draws=args.draws,
+        kind=args.gen, layers=args.layers,
         master_seed=args.master_seed, threads=args.threads)
     return _emit(rows, args)
 
@@ -301,9 +301,7 @@ def main(argv=None) -> int:
     common(p, threads=True)
     p.add_argument("--gen", choices=KINDS, default="two_spike")
     p.add_argument("--dims", type=_parse_dims, default=(256, 1024, 4096))
-    p.add_argument("--trials", type=int, default=None,
-                   help="rotations per dimension")
-    p.add_argument("--draws", type=int, default=None,
+    p.add_argument("--draws", type=int, default=1_000_000,
                    help="pooled coordinate draws per dimension")
     p.add_argument("--layers", type=int, default=2)
     p.set_defaults(fn=cmd_verify_scalar)

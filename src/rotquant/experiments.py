@@ -9,10 +9,14 @@ claims are reported as consecutive-pair rows (``statistic`` is the later
 value, ``bound`` the earlier).
 
 A runner takes only what its callers vary: mostly dimensions, trial and
-draw counts, the master seed and ``threads``.  Settings that no caller
-varies (outlier tail masses, covariance pairs, the codebook shape, the
-calibrated bounds) are fixed in the runner; ``rotquant report`` runs each
-runner at its default, full-scale settings.
+draw counts, the master seed and ``threads``.  Runners that pool coordinate
+draws are sized by ``draws``, rounded up to whole rotations.  Settings
+that no caller varies (outlier tail masses, covariance pairs, the codebook
+shape, the calibrated bounds) are fixed in the runner; ``rotquant report``
+runs each runner at its default, full-scale settings.  Each quantity is
+measured by one runner: the final-layer covariance only by
+:func:`run_vq_decorrelation`, the codebook distortion gap only by
+:func:`run_vq_universality`.
 
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
@@ -76,6 +80,12 @@ def dkw_slack(n: int) -> float:
     return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
 
 
+def _trials_for(draws: int, d: int) -> int:
+    """Whole rotations of dimension ``d`` that reach ``draws`` pooled
+    coordinates (at least two)."""
+    return max(2, -(-draws // d))
+
+
 def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
                         threads: int = 1) -> np.ndarray:
     """All coordinates of ``sqrt(d) R xu`` pooled over independently seeded
@@ -93,21 +103,19 @@ def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
 
 
 def run_scalar_convergence(dims, trials: int | None = None,
-                           draws: int | None = None, kind: str = "two_spike",
+                           draws: int = 1_000_000, kind: str = "two_spike",
                            layers: int = 2, master_seed: int = DEFAULT_MASTER_SEED,
                            threads: int = 1) -> list[VerifyReport]:
     """Kolmogorov and 1-Wasserstein convergence of rotated coordinates.
 
-    Per dimension, pools ``trials`` rotations (or enough to reach ``draws``
-    coordinate draws) and checks the empirical distances to N(0,1) against
-    ``1.28/sqrt(d)`` (slack: DKW band) and ``3 C3/sqrt(d)`` (slack: 0.01
-    quantile-coupling allowance).
+    Per dimension, pools enough rotations to reach ``draws`` coordinate
+    draws (or exactly ``trials`` rotations when given) and checks the
+    empirical distances to N(0,1) against ``1.28/sqrt(d)`` (slack: DKW band)
+    and ``3 C3/sqrt(d)`` (slack: 0.01 quantile-coupling allowance).
     """
-    if trials is None and draws is None:
-        draws = 1_000_000
     rows = []
     for d in dims:
-        n_trials = trials if trials is not None else max(2, -(-draws // d))
+        n_trials = trials if trials is not None else _trials_for(draws, d)
         values = _pooled_coordinates(gen_adversarial(kind, d), layers,
                                      n_trials, master_seed, threads)
         sample = EmpiricalSample.from_values(values)
@@ -277,7 +285,7 @@ def run_bsq_outliers(dims=(1024, 4096), draws: int = 1_000_000,
     kind = "two_spike"
     rows = []
     for d in dims:
-        n_trials = max(2, -(-draws // d))
+        n_trials = _trials_for(draws, d)
         values = np.abs(_pooled_coordinates(gen_adversarial(kind, d), 2,
                                             n_trials, master_seed, threads))
         n = values.size
@@ -437,7 +445,7 @@ def _universality_rows(reports, label: str, negative: bool) -> list[VerifyReport
         std_err=last.gap_se, claim=f"{label}-final-gap",
         slack_kind="pilot-calibrated", negative_control=negative,
         extra={"err_rht": last.err_rht, "err_gauss": last.err_gauss,
-               "rms_cov": last.rms_cov, "stein_bound": last.stein_bound},
+               "stein_bound": last.stein_bound},
     ))
     return rows
 
@@ -454,13 +462,12 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     codebook = train_gaussian_codebook(4, 16, train_seed)
     pattern = gen_adversarial("two_spike", 4)
     positive = verify_codebook_universality(
-        pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
-        cov_pair=(0, 2))
+        pattern, codebook, dims, trials, master_seed=master_seed, layers=3)
     rows = _universality_rows(positive, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
             pattern, codebook, dims, trials, master_seed=master_seed,
-            layers=2, cov_pair=(0, 1))
+            layers=2)
         rows.extend(_universality_rows(negative, "two-layer-control",
                                        negative=True))
     return rows
@@ -511,7 +518,7 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
     if len(chosen) < n_inputs:
         raise RuntimeError("could not find enough inputs passing the scan")
 
-    n_trials = max(2, -(-draws // d))
+    n_trials = _trials_for(draws, d)
     n = n_trials * d
     bound = BERRY_ESSEEN_C * eta3
     slack = dkw_slack(n)

@@ -16,7 +16,6 @@ approximations, so the acceptance checks compare like for like.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,41 +55,24 @@ class FlatnessStats:
 
 
 def moment_scan(x) -> FlatnessStats:
-    """Collect ``(sum x^2, sum |x|^3, max x^2)`` in a single pass.
+    """Collect ``(sum x^2, sum |x|^3, max x^2)`` of a 1-d vector.
 
-    Accepts a numpy array (vectorized) or any finite iterable of floats,
-    which is consumed exactly once -- callers may hand in a stream.
+    Accepts a numpy array or any finite iterable of floats; an iterable is
+    read exactly once into an array, so callers may hand in a stream.
     """
-    if isinstance(x, np.ndarray):
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("input must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input must be finite")
-        sq = x * x
-        return FlatnessStats(
-            sum_sq=float(np.sum(sq)),
-            sum_abs_cubed=float(np.sum(sq * np.abs(x))),
-            max_sq=float(np.max(sq)),
-            count=x.size,
-        )
-    sum_sq = 0.0
-    sum_cubed = 0.0
-    max_sq = 0.0
-    n = 0
-    for v in x:
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError("input must be finite")
-        q = v * v
-        sum_sq += q
-        sum_cubed += q * abs(v)
-        if q > max_sq:
-            max_sq = q
-        n += 1
-    if n == 0:
+    if not isinstance(x, np.ndarray):
+        x = np.fromiter(x, dtype=np.float64)
+    if x.ndim != 1 or x.size == 0:
         raise ValueError("input must be a non-empty 1-d vector")
-    return FlatnessStats(sum_sq=sum_sq, sum_abs_cubed=sum_cubed, max_sq=max_sq,
-                         count=n)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input must be finite")
+    sq = x * x
+    return FlatnessStats(
+        sum_sq=float(np.sum(sq)),
+        sum_abs_cubed=float(np.sum(sq * np.abs(x))),
+        max_sq=float(np.max(sq)),
+        count=x.size,
+    )
 
 
 def normal_cdf(t):

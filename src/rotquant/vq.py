@@ -6,13 +6,18 @@ block-wise near-Gaussian (pairwise correlations conditionally vanish at the
 final layer), that one codebook serves every input and every dimension: the
 measured distortion gap between rotated data and fresh Gaussian data decays
 like sqrt(log d / d).  With only 2 layers an adversarial input keeps a
-non-Gaussian block law and the gap stays put - the checks here measure both.
+non-Gaussian block law and the gap stays put.
+
+Two measurements back this: ``conditional_cov_trials`` samples the
+final-layer pair covariance (summarized once, in
+``experiments.run_vq_decorrelation``), and ``verify_codebook_universality``
+samples the distortion gap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +32,6 @@ __all__ = [
     "vq_decode",
     "stein_diagnostic_constant",
     "conditional_cov_trials",
-    "rms_conditional_cov",
     "verify_codebook_universality",
 ]
 
@@ -76,11 +80,9 @@ class VqReport:
     err_rht: float    # measured E min_c |U_block - c|^2
     err_gauss: float  # measured E min_c |Z - c|^2
     gap_se: float
-    rms_cov: float    # measured RMS final-layer conditional covariance
     stein_bound: float  # smoothness-budget diagnostic, not a pass target
     trials: int
     layers: int = 3
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.err_rht < 0.0 or self.err_gauss < 0.0:
@@ -199,8 +201,14 @@ def vq_encode(x, spec, codebook: Codebook):
 
 
 def vq_decode(indices, scale: float, spec, codebook: Codebook) -> np.ndarray:
-    """Rebuild blocks from centroid indices and invert the rotation."""
-    idx = np.asarray(indices, dtype=np.int64)
+    """Rebuild blocks from centroid indices and invert the rotation.
+
+    Raises ``ValueError`` unless the indices have an integer dtype and each
+    names a centroid of ``codebook``.
+    """
+    idx = np.asarray(indices)
+    if idx.dtype.kind not in "iu":
+        raise ValueError("centroid indices must be integers")
     d = spec.dim
     if idx.size * codebook.block_dim != d:
         raise ValueError("index count does not match the dimension")
@@ -265,21 +273,9 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     return np.concatenate(covs), np.concatenate(linf_sq)
 
 
-def rms_conditional_cov(x, i: int, j: int, layers: int, trials: int,
-                        master_seed: int = 0) -> float:
-    """Root mean square of the final-layer conditional covariance over
-    ``trials`` draws of the earlier sign planes."""
-    if trials < 100:
-        raise ValueError("need at least 100 trials for a stable RMS")
-    covs, _ = conditional_cov_trials(x, i, j, layers, trials, master_seed)
-    return float(np.sqrt(np.mean(covs * covs)))
-
-
 def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
                                  master_seed: int = 0, layers: int = 3,
-                                 gauss_trials: int = 100_000,
-                                 cov_pair: tuple[int, int] = (0, 2),
-                                 cov_trials: int = 1000):
+                                 gauss_trials: int = 100_000):
     """Distortion-gap measurement for one shared codebook across dimensions.
 
     The input's pattern is re-embedded (zero-padded, renormalized) at each
@@ -320,18 +316,13 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
         errs = np.concatenate(map_trials(master_seed, trials, d, chunk))
         rht_mean = float(errs.mean())
         rht_se = float(errs.std(ddof=1) / math.sqrt(trials))
-        cov_layers = layers if layers in (2, 3) else 3
-        rms = rms_conditional_cov(xu, cov_pair[0], cov_pair[1], cov_layers,
-                                  cov_trials, master_seed)
         reports.append(VqReport(
             d=d,
             err_rht=rht_mean,
             err_gauss=gauss_mean,
             gap_se=math.hypot(rht_se, gauss_se),
-            rms_cov=rms,
             stein_bound=stein_diagnostic_constant(k),
             trials=trials,
             layers=layers,
-            extra={"rht_se": rht_se, "gauss_se": gauss_se},
         ))
     return reports

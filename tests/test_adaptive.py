@@ -8,7 +8,6 @@ from rotquant.adaptive import (
     decide_layers,
     default_eta3,
     default_eta_inf,
-    pipeline_with_adaptivity,
 )
 from rotquant.core import RotationSpec, apply_rotation
 from rotquant.metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C
@@ -65,7 +64,7 @@ def test_decision_is_scale_and_permutation_invariant():
     assert math.isclose(perm.linf_sq, base.linf_sq, rel_tol=1e-12)
 
 
-def test_accepts_a_stream_without_materializing():
+def test_accepts_a_stream_read_once():
     d = 4096
     seen = {"n": 0}
 
@@ -95,25 +94,12 @@ def test_bounds_follow_the_thresholds():
                     "vq_layers", "dk_bound", "w1_bound", "rms_cov_bound"}
 
 
-def test_pipeline_never_increases_layers():
-    flat = np.full(1024, 0.5)
-    spike = np.zeros(1024)
-    spike[0] = 1.0
-
-    spec3 = RotationSpec(dim=1024, layers=3, seed=9)
-    eff, dec = pipeline_with_adaptivity(flat, "scalar", spec3)
-    assert eff.layers == 1 and dec.scalar_layers == 1
-    assert (eff.dim, eff.seed) == (1024, 9)
-
-    eff, dec = pipeline_with_adaptivity(spike, "vq", spec3)
-    assert eff.layers == 3 and dec.vq_layers == 3
-
-    spec1 = RotationSpec(dim=1024, layers=1, seed=9)
-    eff, _ = pipeline_with_adaptivity(spike, "vq", spec1)
-    assert eff.layers == 1  # a caller's cheaper budget is kept
-
-    with pytest.raises(ValueError):
-        pipeline_with_adaptivity(flat, "matrix", spec3)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_thresholds_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="eta3 must be finite and positive"):
+        decide_layers(np.ones(8), eta3=bad)
+    with pytest.raises(ValueError, match="eta_inf must be finite and positive"):
+        decide_layers(np.ones(8), eta_inf=bad)
 
 
 def test_decision_is_frozen():

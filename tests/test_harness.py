@@ -1,4 +1,6 @@
+import csv
 import inspect
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotquant import cli, core, experiments
+from rotquant import cli, core, experiments, vq
 from rotquant.bsq import BsqConfig, verify_tv_transfer
 from rotquant.codec import deserialize, serialize
 from rotquant.core import RotationSpec
@@ -204,7 +206,7 @@ def _chunked_results(threads: int = 1):
         "cov3": conditional_cov_trials(x, 0, 2, 3, 150, master_seed=4),
         "vq": verify_codebook_universality(
             x[:8], codebook, (64, 256), 300, master_seed=5,
-            gauss_trials=2000, cov_trials=100),
+            gauss_trials=2000),
         "pooled": _pooled_coordinates(x, 2, 300, 6, threads=threads),
     }
 
@@ -276,6 +278,12 @@ def test_cli_check_recommends_layers(capsys):
     assert (doc["scalar_layers"], doc["vq_layers"]) == (2, 3)
 
 
+@pytest.mark.parametrize("flag", ["--eta3", "--eta-inf"])
+def test_cli_check_rejects_bad_thresholds(flag, capsys):
+    assert cli.main(["check", "--gen", "flat", "--d", "64", flag, "nan"]) == 2
+    assert "must be finite and positive" in capsys.readouterr().err
+
+
 def test_cli_transform_roundtrip(tmp_path, capsys):
     fwd = tmp_path / "fwd.bin"
     assert cli.main(["transform", "--gen", "one_hot", "--d", "8",
@@ -328,6 +336,66 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     assert not any(r["negative_control"] for r in doc["rows"])
 
 
+def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
+                                                             capsys):
+    passes = []
+    measure = vq.conditional_cov_trials
+
+    def counted(x, i, j, layers, trials, master_seed=0):
+        passes.append(trials)
+        return measure(x, i, j, layers, trials, master_seed)
+
+    for module in (vq, experiments):
+        monkeypatch.setattr(module, "conditional_cov_trials", counted)
+    cli.main(["verify-vq", "--dims", "16,32", "--trials", "200",
+              "--cov-trials", "100", "--skip-negative"])
+    capsys.readouterr()
+    assert passes == [100, 100]
+
+
+REPORT_RUNNERS = (
+    "run_scalar_convergence", "run_drive_biased", "run_drive_unbiased",
+    "run_dme", "run_bsq_outliers", "run_bsq_transfer", "run_lemma_bottleneck",
+    "run_vq_decorrelation", "run_vq_universality", "run_adaptive_decisions",
+    "run_adaptive_soundness", "run_cd_expansion",
+)
+
+
+def test_report_calls_every_runner_once(monkeypatch, capsys):
+    """``report`` runs every runner once, in row order, and hands each the
+    master seed and thread count it takes."""
+    assert set(REPORT_RUNNERS) == {n for n in experiments.__all__
+                                   if n.startswith("run_")}
+    calls = []
+
+    def recorder(name):
+        signature = inspect.signature(getattr(experiments, name))
+
+        def run(*args, **kwargs):
+            calls.append((name, signature.bind(*args, **kwargs).arguments))
+            return [VerifyReport(experiment=name, d=1, statistic=0.0,
+                                 bound=0.0, slack=0.0, trials=1, std_err=0.0)]
+        return run
+
+    for name in REPORT_RUNNERS:
+        monkeypatch.setattr(cli, name, recorder(name))
+    assert cli.main(["report", "--format", "csv", "--master-seed", "5",
+                     "--threads", "3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [r["experiment"] for r in rows] == list(REPORT_RUNNERS)
+    assert [name for name, _ in calls] == list(REPORT_RUNNERS)
+    threaded = []
+    for name, arguments in calls:
+        parameters = inspect.signature(getattr(experiments, name)).parameters
+        if "master_seed" in parameters:
+            assert arguments.get("master_seed") == 5, name
+        if "threads" in parameters:
+            assert arguments.get("threads") == 3, name
+            threaded.append(name)
+    assert threaded == ["run_scalar_convergence", "run_bsq_outliers",
+                        "run_adaptive_soundness"]
+
+
 def test_cli_input_validation(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["check", "--gen", "flat", "--in", "whatever.bin"])
@@ -342,7 +410,8 @@ def test_cli_input_validation(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["verify-scalar", "--dims", "64", "--trials", "0"], "need at least one trial"),
+    (["verify-bsq", "--dims", "64", "--draws", "1000", "--transfer-d", "64",
+      "--trials", "0"], "need at least one trial"),
     (["verify-vq", "--dims", "16", "--cov-trials", "1"], "need at least two trials"),
     (["verify-vq", "--dims", "16", "--cov-trials", "0"], "need at least two trials"),
 ])

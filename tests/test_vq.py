@@ -11,7 +11,6 @@ from rotquant.vq import (
     Codebook,
     VqReport,
     conditional_cov_trials,
-    rms_conditional_cov,
     stein_diagnostic_constant,
     train_gaussian_codebook,
     verify_codebook_universality,
@@ -63,16 +62,16 @@ def test_codebook_validation():
 
 def test_report_validation():
     rep = VqReport(d=8, err_rht=0.75, err_gauss=1.0, gap_se=0.01,
-                   rms_cov=0.1, stein_bound=58.0, trials=10)
+                   stein_bound=58.0, trials=10)
     assert rep.gap == 0.25
     rep.err_rht = 1.5
     assert rep.gap == 0.5  # derived, so it follows its distortions
     with pytest.raises(TypeError):
         VqReport(d=8, err_rht=1.0, err_gauss=0.75, gap=0.25, gap_se=0.01,
-                 rms_cov=0.1, stein_bound=58.0, trials=10)
+                 stein_bound=58.0, trials=10)
     with pytest.raises(ValueError):
         VqReport(d=8, err_rht=-1.0, err_gauss=0.75, gap_se=0.01,
-                 rms_cov=0.1, stein_bound=58.0, trials=10)
+                 stein_bound=58.0, trials=10)
 
 
 # --- training -----------------------------------------------------------------
@@ -253,6 +252,12 @@ def test_decode_validation():
         vq_decode(np.zeros(7, dtype=np.uint32), 1.0, spec, cb)
     with pytest.raises(ValueError):
         vq_decode(np.full(8, 8, dtype=np.uint32), 1.0, spec, cb)
+    for bad in ([1.7, 0.2] * 4, np.zeros(8)):
+        with pytest.raises(ValueError, match="must be integers"):
+            vq_decode(bad, 1.0, spec, cb)
+    assert np.array_equal(vq_decode([1, 0] * 4, 1.0, spec, cb),
+                          vq_decode(np.array([1, 0] * 4, dtype=np.uint32),
+                                    1.0, spec, cb))
     with pytest.raises(ValueError):
         vq_encode(np.ones(32), RotationSpec(dim=32, layers=2, seed=0),
                   train_gaussian_codebook(3, 4, train_seed=1, n_samples=1000))
@@ -295,8 +300,8 @@ def test_flat_input_covariance_second_moment():
 
 def test_rms_covariance_validation():
     x = two_spike(16)
-    with pytest.raises(ValueError):
-        rms_conditional_cov(x, 0, 1, layers=2, trials=50)
+    with pytest.raises(ValueError, match="need at least two trials"):
+        conditional_cov_trials(x, 0, 1, layers=2, trials=1)
     with pytest.raises(ValueError):
         conditional_cov_trials(x, 0, 0, layers=2, trials=100)
     with pytest.raises(ValueError):
@@ -308,8 +313,6 @@ def test_rms_covariance_validation():
         for layers in (2, 3):
             with pytest.raises(ValueError, match="finite and non-zero"):
                 conditional_cov_trials(bad, 0, 2, layers=layers, trials=100)
-        with pytest.raises(ValueError, match="finite and non-zero"):
-            rms_conditional_cov(bad, 0, 2, layers=3, trials=100)
 
 
 # --- universality check -------------------------------------------------------
@@ -317,8 +320,7 @@ def test_rms_covariance_validation():
 def test_universality_reports_shape_and_fields():
     cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=4000)
     reports = verify_codebook_universality(two_spike(16), cb, dims=(16, 32),
-                                           trials=400, gauss_trials=2000,
-                                           cov_trials=100)
+                                           trials=400, gauss_trials=2000)
     assert [r.d for r in reports] == [16, 32]
     for r in reports:
         assert r.gap == abs(r.err_rht - r.err_gauss)
@@ -326,7 +328,6 @@ def test_universality_reports_shape_and_fields():
         assert r.stein_bound == stein_diagnostic_constant(4)
         assert r.layers == 3
         assert r.trials == 400
-        assert set(r.extra) == {"rht_se", "gauss_se"}
         assert 0.0 < r.err_rht < 4.0
 
 
