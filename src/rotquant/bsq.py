@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, inverse_rotation, map_trials, rotate_many, rotate_normalized
+from .core import RotationSpec, inverse_rotation, map_trials, mean_se, rotate_many, rotate_normalized, unit_vector
 from .metrics import KOLMOGOROV_2LAYER_C, normal_quantile
 from .reporting import VerifyReport
 from .rng import Xoshiro256pp
@@ -204,22 +204,18 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
     Pools ``trials`` independently seeded rotations of ``x``, measures the
     mean of ``e(U)`` over all coordinate draws, and compares against the
     Gaussian expectation within ``1.28 TV(e)/sqrt(d)`` plus four standard
-    errors of the trial means.  ``layers=0`` turns the rotation off, which
-    is the adversarial (negative-control) configuration.
+    errors of the trial means, so it needs at least two trials and a finite,
+    non-zero ``x``.  ``layers=0`` turns the rotation off, which is the
+    adversarial (negative-control) configuration.
     """
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite and non-zero")
+    xu, _ = unit_vector(x)
+    d = xu.size
 
     def chunk(lo, hi, seeds):
-        u_rows = rotate_many(x / norm, layers, seeds) * math.sqrt(d)
+        u_rows = rotate_many(xu, layers, seeds) * math.sqrt(d)
         return cfg.error_function(u_rows).mean(axis=1)
 
-    per_trial = np.concatenate(map_trials(master_seed, trials, d, chunk))
-    measured = float(np.mean(per_trial))
-    std_err = float(np.std(per_trial, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    measured, std_err = mean_se(np.concatenate(map_trials(master_seed, trials, d, chunk)))
     expected = expected_error_gaussian(cfg)
     tv = tv_of_error_function(cfg)
     bound = KOLMOGOROV_2LAYER_C * tv / math.sqrt(d)

@@ -38,6 +38,8 @@ __all__ = [
     "FWHT_BLOCK_ELEMS",
     "run_ordered",
     "map_trials",
+    "mean_se",
+    "unit_vector",
 ]
 
 MAX_LAYERS = 3
@@ -288,11 +290,12 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
     elements given ``row_elems`` per trial; ``fn(lo, hi, seeds)`` handles
     trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Returns the
     chunk results in trial order (see :func:`run_ordered`), so reductions
-    over them do not depend on ``threads``.  Raises ``ValueError`` for
-    ``trials < 1``.
+    over them do not depend on ``threads``.  Every Monte Carlo measurement
+    reports a standard error over its trials (:func:`mean_se`) or pools
+    several rotations, so ``trials < 2`` raises ``ValueError``.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if trials < 2:
+        raise ValueError("need at least two trials")
     step = max(1, TRIAL_CHUNK_ELEMS // row_elems)
     spt = seeds_per_trial
 
@@ -301,6 +304,24 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
         return fn(lo, hi, derive_seeds(master_seed, lo * spt, (hi - lo) * spt))
 
     return run_ordered(range(0, trials, step), chunk, threads)
+
+
+def mean_se(samples):
+    """``(mean, standard error of the mean)`` of per-trial samples, the
+    latter from the ``ddof=1`` standard deviation."""
+    s = np.asarray(samples)
+    return float(np.mean(s)), float(np.std(s, ddof=1) / math.sqrt(s.size))
+
+
+def unit_vector(x):
+    """``(x / |x|_2, |x|_2)``; raises ``ValueError`` unless ``x`` is
+    non-zero and finite, with a norm that does not overflow."""
+    x = np.asarray(x, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if not 0.0 < norm < math.inf:  # NaN and inf entries make the norm NaN or inf
+        raise ValueError("input must be finite and non-zero")
+    return x / norm, norm
 
 
 def apply_rotation(x, spec: RotationSpec) -> np.ndarray:

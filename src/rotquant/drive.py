@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import RotationSpec, apply_rotation, inverse_rotation, map_trials, rotate_many, sign_vector, unpack_sign_bits
+from .core import RotationSpec, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, unpack_sign_bits
 
 __all__ = [
     "MODES",
@@ -90,6 +90,11 @@ def cd_values(dims: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class DrivePayload:
     """Wire content of one encoded vector: mode, rotation spec, scale, signs."""
@@ -100,8 +105,7 @@ class DrivePayload:
     sign_bits: bytes
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _check_mode(self.mode)
         if not math.isfinite(self.scale) or self.scale < 0.0:
             raise ValueError("scale must be finite and non-negative")
         if len(self.sign_bits) != (self.spec.dim + 7) // 8:
@@ -118,8 +122,7 @@ def _drive_scale(mode: str, d: int, l1, norm):
 
 def drive_encode(x, spec: RotationSpec, mode: str = "biased") -> DrivePayload:
     """Rotate ``x`` and quantize to signs plus a single scale."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     y = apply_rotation(x, spec)
     scale = float(_drive_scale(mode, spec.dim, np.sum(np.abs(y)),
                                np.linalg.norm(x)))
@@ -169,10 +172,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int) 
     Trial ``i`` uses seed ``mix64(spec_template.seed + i)``.  All statistics
     are reduced in trial order, so reruns and threaded callers agree bitwise.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    _check_mode(mode)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec_template.dim,):
         raise ValueError("vector length does not match the rotation spec")
@@ -198,8 +198,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int) 
         mean_acc += xsum
     vnmse_samples, scale_sq, l1_sq = (np.concatenate(p) for p in zip(*per_trial))
 
-    vnmse = float(np.mean(vnmse_samples))
-    std_err = float(np.std(vnmse_samples, ddof=1) / math.sqrt(trials))
+    vnmse, std_err = mean_se(vnmse_samples)
     mean_hat = mean_acc / trials
     bias_sq_norm = float(np.sum((mean_hat - x) ** 2) / norm_sq)
     # E|xhat|^2 = scale^2 d exactly, so the plug-in variance needs no second pass.
@@ -231,6 +230,7 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
     ``master = spec_template.seed``, so ``N = 1`` reproduces the exact seed
     stream of :func:`measure_drive_error`.
     """
+    _check_mode(mode)
     xs = np.asarray(client_vectors, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("client vectors must form a non-empty (N, d) matrix")
@@ -239,8 +239,6 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
         raise ValueError("client vector length does not match the rotation spec")
     if not np.all(np.isfinite(xs)):
         raise ValueError("client vectors must be finite")
-    if trials < 2:
-        raise ValueError("need at least two trials")
     norms = np.linalg.norm(xs, axis=1)
     if np.any(norms == 0.0):
         raise ValueError("client vectors must be non-zero")
@@ -258,7 +256,6 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
     per_trial = np.concatenate(map_trials(
         spec_template.seed, trials, n_clients * d, chunk,
         seeds_per_trial=n_clients))
-    nmse = float(np.mean(per_trial))
-    std_err = float(np.std(per_trial, ddof=1) / math.sqrt(trials))
+    nmse, std_err = mean_se(per_trial)
     return DmeReport(n_clients=n_clients, trials=trials, nmse=nmse,
                      std_err=std_err, per_trial=per_trial)

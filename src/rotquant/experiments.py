@@ -10,17 +10,21 @@ value, ``bound`` the earlier).
 
 A runner takes only what its callers vary: mostly dimensions, trial and
 draw counts, the master seed and ``threads``.  Runners that pool coordinate
-draws are sized by ``draws``, rounded up to whole rotations.  Settings
-that no caller varies (outlier tail masses, covariance pairs, the codebook
-shape, the calibrated bounds) are fixed in the runner; ``rotquant report``
-runs each runner at its default, full-scale settings.  Each quantity is
-measured by one runner: the final-layer covariance only by
-:func:`run_vq_decorrelation`, the codebook distortion gap only by
-:func:`run_vq_universality`.
+draws are sized by ``draws`` (at least 1), rounded up to whole rotations
+and to at least two.  Settings that no caller varies (outlier tail masses,
+covariance pairs, the codebook shape, the calibrated bounds) are fixed in
+the runner; ``rotquant report`` runs each runner at its default, full-scale
+settings.  Each quantity is measured by one runner: the final-layer
+covariance only by :func:`run_vq_decorrelation`, the codebook distortion
+gap only by :func:`run_vq_universality`.
 
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
-Results are bit-identical across reruns and thread counts.  Per-trial
+The estimators share three rules from :mod:`rotquant.core`: ``map_trials``
+needs at least two trials, :func:`~rotquant.core.mean_se` reduces per-trial
+samples to a mean and standard error, and :func:`~rotquant.core.unit_vector`
+normalizes an input and rejects a zero or non-finite one.  Results are
+bit-identical across reruns and thread counts.  Per-trial
 statistics also do not depend on the chunk size, but running sums over
 chunks do in their last bits, so the chunk budget is a fixed constant.
 """
@@ -33,7 +37,7 @@ import numpy as np
 
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, threshold_for_p, verify_tv_transfer
-from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, rotate_many, run_ordered
+from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, mean_se, rotate_many, run_ordered, unit_vector
 from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
@@ -82,7 +86,9 @@ def dkw_slack(n: int) -> float:
 
 def _trials_for(draws: int, d: int) -> int:
     """Whole rotations of dimension ``d`` that reach ``draws`` pooled
-    coordinates (at least two)."""
+    coordinates, and at least two; ``draws`` must be at least 1."""
+    if draws < 1:
+        raise ValueError("need at least one draw")
     return max(2, -(-draws // d))
 
 
@@ -90,9 +96,8 @@ def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
                         threads: int = 1) -> np.ndarray:
     """All coordinates of ``sqrt(d) R xu`` pooled over independently seeded
     rotations, in trial order."""
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    xu = x / np.linalg.norm(x)
+    xu, _ = unit_vector(x)
+    d = xu.size
     root_d = math.sqrt(d)
 
     def chunk(lo, hi, seeds):
@@ -390,13 +395,12 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
     for d in dims:
         covs, linf_sq = conditional_cov_trials(
             gen_adversarial("two_spike", d), i, j, 3, trials, master_seed)
-        m2 = float(np.mean(covs * covs))
+        m2, se_m2 = mean_se(covs * covs)
         rms = math.sqrt(m2)
-        se_m2 = float(np.std(covs * covs, ddof=1) / math.sqrt(trials))
         se_rms = se_m2 / (2.0 * rms) if rms > 0 else 0.0
-        b2 = 2.0 * float(np.mean(linf_sq))
+        mean_linf_sq, se_linf_sq = mean_se(linf_sq)
+        b2, se_b2 = 2.0 * mean_linf_sq, 2.0 * se_linf_sq
         bound = math.sqrt(b2)
-        se_b2 = 2.0 * float(np.std(linf_sq, ddof=1) / math.sqrt(trials))
         se_bound = se_b2 / (2.0 * bound) if bound > 0 else 0.0
         slack = 4.0 * (se_rms + se_bound)
         rms_values.append((d, rms, se_rms))
@@ -405,7 +409,7 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
             slack=slack, trials=trials,
             std_err=se_rms, claim="final-layer-decorrelation",
             slack_kind="4sigma",
-            extra={"pair": [i, j], "mean_linf_sq": b2 / 2.0},
+            extra={"pair": [i, j], "mean_linf_sq": mean_linf_sq},
         ))
     for t in range(1, len(rms_values)):
         d_prev, rms_prev, _ = rms_values[t - 1]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, rotate_many, rotate_normalized
+from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, mean_se, rotate_many, rotate_normalized, unit_vector
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
@@ -239,24 +239,16 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     ``|a|_inf^2`` of the pre-final vector ``a`` (``xu`` itself for 2 layers,
     ``R1 xu`` for 3), whose mean controls the decay bound.
     Returns ``(covs, linf_sq)`` arrays of length ``trials``; raises
-    ``ValueError`` for a zero or non-finite ``x`` or fewer than two trials
-    (the callers' standard errors need two).
+    ``ValueError`` for a zero or non-finite ``x`` or fewer than two trials.
     """
     if layers not in (2, 3):
         raise ValueError("covariance diagnostics apply to 2 or 3 layers")
     if i == j:
         raise ValueError("need two distinct coordinates")
-    if trials < 2:
-        raise ValueError("need at least two trials")
-    x = np.asarray(x, dtype=np.float64)
-    d = x.size
-    check_dim(d)
+    xu, _ = unit_vector(x)
+    d = check_dim(xu.size)
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate index out of range")
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite and non-zero")
-    xu = x / norm
     perm = np.arange(d) ^ (i ^ j)
 
     def chunk(lo, hi, seeds):
@@ -284,45 +276,33 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     codebook on fresh Gaussian blocks.  Returns one ``VqReport`` per dim;
     callers judge the trend of ``gap * sqrt(d / log d)``.
     """
-    if trials < 2 or gauss_trials < 2:
+    if gauss_trials < 2:  # the Gaussian reference pass bypasses map_trials
         raise ValueError("need at least two trials")
-    x = np.asarray(x, dtype=np.float64)
-    norm = float(np.linalg.norm(x))
-    if norm == 0.0 or not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite and non-zero")
+    pattern, _ = unit_vector(x)
     k = codebook.block_dim
 
-    gkeys = derive_seeds(master_seed, trials, gauss_trials)
-    gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)
-    g_err, _ = _nearest_sq_dist(gauss_blocks, codebook.centroids)
-    gauss_mean = float(g_err.mean())
-    gauss_se = float(g_err.std(ddof=1) / math.sqrt(gauss_trials))
-
-    reports = []
+    rht = []
     for d in dims:
         check_dim(d)
         if d % k != 0:
             raise ValueError("dimension must be a multiple of the block size")
-        if x.size > d:
+        if pattern.size > d:
             raise ValueError("input pattern longer than the target dimension")
         xu = np.zeros(d)
-        xu[: x.size] = x / norm
+        xu[: pattern.size] = pattern
 
         def chunk(lo, hi, seeds):
             # scale only the first block: the full rows are not needed
             first = rotate_many(xu, layers, seeds)[:, :k] * math.sqrt(d)
             return _nearest_sq_dist(first, codebook.centroids)[0]
 
-        errs = np.concatenate(map_trials(master_seed, trials, d, chunk))
-        rht_mean = float(errs.mean())
-        rht_se = float(errs.std(ddof=1) / math.sqrt(trials))
-        reports.append(VqReport(
-            d=d,
-            err_rht=rht_mean,
-            err_gauss=gauss_mean,
-            gap_se=math.hypot(rht_se, gauss_se),
-            stein_bound=stein_diagnostic_constant(k),
-            trials=trials,
-            layers=layers,
-        ))
-    return reports
+        rht.append((d, mean_se(np.concatenate(map_trials(master_seed, trials, d, chunk)))))
+
+    gkeys = derive_seeds(master_seed, trials, gauss_trials)
+    gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)
+    gauss_mean, gauss_se = mean_se(_nearest_sq_dist(gauss_blocks, codebook.centroids)[0])
+    return [VqReport(d=d, err_rht=rht_mean, err_gauss=gauss_mean,
+                     gap_se=math.hypot(rht_se, gauss_se),
+                     stein_bound=stein_diagnostic_constant(k), trials=trials,
+                     layers=layers)
+            for d, (rht_mean, rht_se) in rht]

@@ -15,8 +15,11 @@ from rotquant.core import (
     fwht,
     inverse_rotation,
     layer_signs,
+    map_trials,
+    mean_se,
     rotate_many,
     sign_vector,
+    unit_vector,
     unpack_sign_bits,
 )
 from rotquant.rng import MASK64, derive_seeds
@@ -378,3 +381,31 @@ def test_spec_rejects_non_integer_fields():
     spec = RotationSpec(dim=np.int64(8), layers=np.uint8(1), seed=np.uint64(MASK64))
     assert (spec.dim, spec.layers, spec.seed) == (8, 1, MASK64)
     assert all(type(v) is int for v in (spec.dim, spec.layers, spec.seed))
+
+
+# --- Monte Carlo estimator rules ------------------------------------------------
+
+@pytest.mark.parametrize("trials", [-1, 0, 1])
+def test_map_trials_needs_two_trials(trials):
+    with pytest.raises(ValueError, match="need at least two trials"):
+        map_trials(0, trials, 8, lambda lo, hi, seeds: seeds)
+
+
+def test_mean_se_is_the_ddof1_standard_error():
+    s = np.random.default_rng(3).standard_normal(1001)
+    mean, se = mean_se(s)
+    assert mean == float(np.mean(s))
+    assert se == float(np.std(s, ddof=1) / math.sqrt(s.size))
+    assert mean_se([2.0, 2.0]) == (2.0, 0.0)
+
+
+def test_unit_vector():
+    x = np.array([3.0, 0.0, -4.0, 0.0])
+    xu, norm = unit_vector(x)
+    assert norm == 5.0 and type(norm) is float
+    assert xu.tolist() == [0.6, 0.0, -0.8, 0.0]
+    # |x|^2 overflows although every entry is finite
+    for bad in (np.zeros(4), [1.0, np.nan], [1.0, np.inf], [-np.inf, 1.0],
+                np.full(4, 1e200)):
+        with pytest.raises(ValueError, match="input must be finite and non-zero"):
+            unit_vector(bad)

@@ -149,6 +149,16 @@ def test_measure_drive_error_deterministic_case():
     assert rep.std_err == 0.0
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda mode: measure_drive_error(np.ones(8), RotationSpec(8, 2, 1), mode, 1),
+    lambda mode: dme_simulate(np.ones((2, 8)), RotationSpec(8, 2, 1), mode, 1),
+], ids=["measure_drive_error", "dme_simulate"])
+def test_error_estimators_reject_unknown_mode_first(estimate):
+    # one trial is also invalid: the mode is checked before any trial work
+    with pytest.raises(ValueError, match="mode must be one of"):
+        estimate("garbage")
+
+
 def test_measure_drive_error_biased_magnitude():
     x = RNG.standard_normal(1024)
     rep = measure_drive_error(x, RotationSpec(dim=1024, layers=2, seed=1), mode="biased",

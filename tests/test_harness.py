@@ -1,4 +1,5 @@
 import csv
+import importlib
 import inspect
 import io
 import json
@@ -230,6 +231,44 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
     assert np.array_equal(got["pooled"], ref["pooled"])
 
 
+def _small_codebook():
+    return train_gaussian_codebook(4, 8, train_seed=1, n_samples=2000)
+
+
+# Every Monte Carlo estimator as ``run(x, trials)`` on a 16-dim input.
+ESTIMATORS = {
+    "measure_drive_error": lambda x, trials: measure_drive_error(
+        x, RotationSpec(16, 2, 0), "biased", trials),
+    "dme_simulate": lambda x, trials: dme_simulate(
+        np.tile(x, (2, 1)), RotationSpec(16, 2, 0), "unbiased", trials),
+    "verify_tv_transfer": lambda x, trials: verify_tv_transfer(
+        x, BsqConfig(2, 0.01), trials),
+    "conditional_cov_trials": lambda x, trials: conditional_cov_trials(
+        x, 0, 2, 3, trials),
+    "verify_codebook_universality": lambda x, trials: verify_codebook_universality(
+        x, _small_codebook(), (16,), trials, gauss_trials=100),
+    "_pooled_coordinates": lambda x, trials: _pooled_coordinates(x, 2, trials, 0),
+}
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+def test_estimators_share_the_trial_and_input_rules(name):
+    """One contract for every estimator: fewer than two trials is an error,
+    and so is a zero or non-finite input (except for ``dme_simulate``,
+    which names the bad client vectors)."""
+    run = ESTIMATORS[name]
+    x = gen_adversarial("two_spike", 16)
+    for trials in (-1, 0, 1):
+        with pytest.raises(ValueError, match="need at least two trials"):
+            run(x, trials)
+    if name == "dme_simulate":
+        return
+    for bad in (np.zeros(16), np.where(x > 0, np.nan, 0.0),
+                np.where(x > 0, np.inf, 0.0)):
+        with pytest.raises(ValueError, match="input must be finite and non-zero"):
+            run(bad, 100)
+
+
 def test_runs_are_reproducible():
     a = run_scalar_convergence((64,), draws=10_000, master_seed=99)
     b = run_scalar_convergence((64,), draws=10_000, master_seed=99)
@@ -411,9 +450,15 @@ def test_cli_input_validation(tmp_path):
 
 @pytest.mark.parametrize("argv, message", [
     (["verify-bsq", "--dims", "64", "--draws", "1000", "--transfer-d", "64",
-      "--trials", "0"], "need at least one trial"),
+      "--trials", "0"], "need at least two trials"),
     (["verify-vq", "--dims", "16", "--cov-trials", "1"], "need at least two trials"),
     (["verify-vq", "--dims", "16", "--cov-trials", "0"], "need at least two trials"),
+    (["verify-bsq", "--dims", "64", "--draws", "1000", "--transfer-d", "64",
+      "--trials", "1"], "need at least two trials"),
+    (["verify-bsq", "--dims", "64", "--draws", "0", "--transfer-d", "64"],
+     "need at least one draw"),
+    (["verify-scalar", "--dims", "64", "--draws", "0"], "need at least one draw"),
+    (["verify-scalar", "--dims", "64", "--draws", "-5"], "need at least one draw"),
 ])
 def test_cli_rejects_degenerate_trial_counts(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -449,11 +494,11 @@ def test_cli_decode_writes_reconstruction(tmp_path, capsys):
 
 # --- benchmark contract -------------------------------------------------------
 
-def _bench_workloads():
-    """``bench/workloads.py``, run from its source text so that nothing is
+def _bench_module(name: str):
+    """``bench/<name>.py``, run from its source text so that nothing is
     written next to it (no bytecode cache)."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    module = types.ModuleType("bench_workloads")
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
     module.__file__ = str(path)
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
          module.__dict__)
@@ -463,7 +508,7 @@ def _bench_workloads():
 def test_bench_harness_kwargs_bind_to_the_runners():
     """Every runner call of the benchmark's harness pass still binds, with
     ``threads`` added where the runner takes it, as the benchmark does."""
-    runs = _bench_workloads().McHarness.RUNS
+    runs = _bench_module("workloads").McHarness.RUNS
     assert runs
     for name, kwargs in runs:
         signature = inspect.signature(getattr(experiments, name))
@@ -471,3 +516,18 @@ def test_bench_harness_kwargs_bind_to_the_runners():
         if "threads" in signature.parameters:
             kw["threads"] = 2
         signature.bind(**kw)
+
+
+def test_bench_tracer_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists under its
+    traced name: a module attribute, or a method in its class's namespace."""
+    tracer = _bench_module("tracer")
+    assert tracer.TARGETS
+    for module, path, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"{tracer.PACKAGE}.{module}")
+        if "." in path:
+            cls_name, attr = path.split(".")
+            owner, path = vars(owner)[cls_name], attr
+        assert path in vars(owner), f"{module}.{path}"
+        target = vars(owner)[path]
+        assert callable(getattr(target, "__func__", target)), f"{module}.{path}"

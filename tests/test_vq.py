@@ -299,20 +299,14 @@ def test_flat_input_covariance_second_moment():
 
 
 def test_rms_covariance_validation():
+    # trial counts and bad inputs: test_harness.py's shared estimator contract
     x = two_spike(16)
-    with pytest.raises(ValueError, match="need at least two trials"):
-        conditional_cov_trials(x, 0, 1, layers=2, trials=1)
     with pytest.raises(ValueError):
         conditional_cov_trials(x, 0, 0, layers=2, trials=100)
     with pytest.raises(ValueError):
         conditional_cov_trials(x, 0, 1, layers=1, trials=100)
     with pytest.raises(ValueError):
         conditional_cov_trials(x, 0, 16, layers=2, trials=100)
-    for bad in (np.zeros(16), np.where(x > 0, np.nan, 0.0),
-                np.where(x > 0, np.inf, 0.0)):
-        for layers in (2, 3):
-            with pytest.raises(ValueError, match="finite and non-zero"):
-                conditional_cov_trials(bad, 0, 2, layers=layers, trials=100)
 
 
 # --- universality check -------------------------------------------------------
@@ -339,7 +333,9 @@ def test_universality_validation():
         verify_codebook_universality(two_spike(16), cb, dims=(20,), trials=100)
     with pytest.raises(ValueError):
         verify_codebook_universality(two_spike(32), cb, dims=(16,), trials=100)
-    for trials, gauss_trials in ((0, 100), (1, 100), (100, 0), (100, 1)):
+    # the Gaussian reference pass checks its own count; the rotated trials
+    # follow the shared estimator contract in test_harness.py
+    for gauss_trials in (0, 1):
         with pytest.raises(ValueError, match="need at least two trials"):
             verify_codebook_universality(two_spike(16), cb, dims=(16,),
-                                         trials=trials, gauss_trials=gauss_trials)
+                                         trials=100, gauss_trials=gauss_trials)
