@@ -18,7 +18,7 @@ from .bsq import (
     tv_of_error_function,
     verify_tv_transfer,
 )
-from .codec import FormatError, deserialize, serialize, wire_size
+from .codec import FormatError, deserialize, serialize
 from .core import (
     MAX_LAYERS,
     RotationSpec,
@@ -99,5 +99,4 @@ __all__ = [
     "verify_tv_transfer",
     "vq_decode",
     "vq_encode",
-    "wire_size",
 ]

@@ -33,7 +33,6 @@ __all__ = [
     "FormatError",
     "serialize",
     "deserialize",
-    "wire_size",
     "MAGIC",
     "WIRE_VERSION",
     "KIND_DRIVE",
@@ -283,8 +282,3 @@ def deserialize(data: bytes):
     if kind == KIND_VECTOR:
         return _deserialize_vector(flags, key, body)
     raise FormatError("kind", f"unknown payload kind {kind}")
-
-
-def wire_size(obj) -> int:
-    """Exact wire footprint in bytes, for bandwidth accounting."""
-    return len(serialize(obj))

@@ -35,6 +35,7 @@ __all__ = [
     "rotate_normalized",
     "rotate_many",
     "TRIAL_CHUNK_ELEMS",
+    "TRIAL_BLOCK",
     "FWHT_BLOCK_ELEMS",
     "run_ordered",
     "map_trials",
@@ -44,10 +45,12 @@ __all__ = [
 
 MAX_LAYERS = 3
 
-# Elements materialized per chunk of Monte Carlo trials.  A fixed constant,
-# not an option: per-trial statistics do not depend on it, but running sums
-# over chunks (such as a mean reconstruction) do, in their last bits.
+# Elements materialized per chunk of Monte Carlo trials, and the number of
+# consecutive trials (aligned to trial 0) that a chunk never splits.  No
+# result depends on the budget: per-trial values are computed trial by trial,
+# and sums over trials add per-block sums in trial order.
 TRIAL_CHUNK_ELEMS = 1 << 22
+TRIAL_BLOCK = 4
 
 # Elements (2^15 float64 = 256 KiB) that the FWHT carries through its stages
 # as one block while they stay in cache.  A fixed constant, not an option;
@@ -261,6 +264,14 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     if not 0 <= layers <= MAX_LAYERS:
         raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
     out = np.broadcast_to(x, (seeds.size, d)).copy()
+    _rotate_rows(out, layers, seeds, inverse)
+    return out
+
+
+def _rotate_rows(out, layers: int, seeds, inverse: bool) -> None:
+    """:func:`rotate_many` in place on the C-contiguous ``(n_seeds, d)``
+    float64 rows ``out``, drawing each sign plane as it is applied."""
+    d = out.shape[1]
     if not inverse:
         for layer in range(1, layers + 1):
             out *= layer_signs(seeds, layer, d)
@@ -269,7 +280,6 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
         for layer in range(layers, 0, -1):
             fwht(out, normalize=True, out=out)
             out *= layer_signs(seeds, layer, d)
-    return out
 
 
 def run_ordered(jobs, fn, threads: int = 1):
@@ -287,7 +297,9 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
 
     Trial ``i`` owns seeds ``mix64(master_seed + i * s + c)`` for
     ``c < s = seeds_per_trial``.  Chunks hold about ``TRIAL_CHUNK_ELEMS``
-    elements given ``row_elems`` per trial; ``fn(lo, hi, seeds)`` handles
+    elements given ``row_elems`` per trial, rounded down to whole blocks of
+    ``TRIAL_BLOCK`` trials but to at least one block, so a chunk boundary
+    never splits a block; ``fn(lo, hi, seeds)`` handles
     trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Returns the
     chunk results in trial order (see :func:`run_ordered`), so reductions
     over them do not depend on ``threads``.  Every Monte Carlo measurement
@@ -296,7 +308,7 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
     """
     if trials < 2:
         raise ValueError("need at least two trials")
-    step = max(1, TRIAL_CHUNK_ELEMS // row_elems)
+    step = max(1, TRIAL_CHUNK_ELEMS // row_elems // TRIAL_BLOCK) * TRIAL_BLOCK
     spt = seeds_per_trial
 
     def chunk(lo):

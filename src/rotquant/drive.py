@@ -12,6 +12,10 @@ The encoder rotates, keeps only coordinate signs, and sends one scale:
 
 Decoding needs only the payload: the rotation is regenerated from the seed.
 The reconstruction always satisfies ``|xhat|_2 = scale * sqrt(d)``.
+
+The Monte Carlo estimators share one kernel: :func:`dme_simulate` averages
+the decodes of ``N`` clients per trial, and :func:`measure_drive_error` is
+its one-client case, with the same seeds and per-trial errors.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import RotationSpec, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, unpack_sign_bits
 
 __all__ = [
     "MODES",
@@ -155,57 +159,71 @@ class DriveErrorReport:
     eq1_vnmse: float | None = None
 
 
-def _encode_decode_rows(rows: np.ndarray, seeds: np.ndarray, spec: RotationSpec,
-                        mode: str, norms: np.ndarray):
-    """Batched encode+decode. Returns (xhat rows, scales, rotated l1 norms)."""
-    y = rotate_many(rows, spec.layers, seeds)
-    l1 = np.sum(np.abs(y), axis=1)
-    scales = _drive_scale(mode, spec.dim, l1, norms)
-    signs = np.where(y < 0, -1.0, 1.0)
-    xhat = scales[:, None] * rotate_many(signs, spec.layers, seeds, inverse=True)
-    return xhat, scales, l1
+def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int):
+    """Encode and decode every row (client) of ``xs`` in each of ``trials``
+    trials, seeded as in :func:`dme_simulate`; a chunk signs, rotates back
+    and scales its rotated rows in place, in one buffer.
+
+    Returns per trial the squared error of the decoded client mean over the
+    mean client energy; per encoded row the scale and rotated l1 norm; the
+    trial mean of the decoded client means, summed per ``TRIAL_BLOCK``
+    trials in trial order; and the squared client norms.
+    """
+    _check_mode(mode)
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape[0] == 0 or xs.shape[1] != spec_template.dim:
+        raise ValueError("input must be a non-empty (N, d) matrix whose rows "
+                         "match the rotation spec")
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(xs * xs, axis=1)
+    if not np.all((sq > 0.0) & (sq < math.inf)):  # NaN fails both
+        raise ValueError("input must be finite and non-zero")
+    n, d = xs.shape
+    layers = spec_template.layers
+    x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
+
+    def chunk(lo, hi, seeds):
+        n_t = hi - lo
+        y = rotate_many(xs[0] if n == 1 else np.tile(xs, (n_t, 1)), layers, seeds)
+        l1 = np.sum(np.abs(y), axis=1)
+        scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
+        np.add(y, 0.0, out=y)  # -0.0 turns +0.0, whose sign is +1 as in sign_vector
+        np.copysign(1.0, y, out=y)
+        _rotate_rows(y, layers, seeds, inverse=True)
+        y *= scales[:, None]
+        avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
+        blocks = avg[::TRIAL_BLOCK].copy()
+        for j in range(1, TRIAL_BLOCK):
+            blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
+        # map_trials runs the chunks one after another in trial order.
+        for block in blocks:
+            np.add(mean_acc, block, out=mean_acc)
+        avg -= x_avg
+        return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1
+
+    err, scales, l1 = (np.concatenate(p) for p in zip(*map_trials(
+        spec_template.seed, trials, n * d, chunk, seeds_per_trial=n)))
+    return err, scales, l1, mean_acc / trials, sq
 
 
 def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int) -> DriveErrorReport:
-    """Encode/decode ``x`` under ``trials`` independent rotation seeds.
+    """Encode/decode ``x`` under ``trials`` independent rotation seeds, as
+    the one-client case of :func:`dme_simulate`.
 
     Trial ``i`` uses seed ``mix64(spec_template.seed + i)``.  All statistics
-    are reduced in trial order, so reruns and threaded callers agree bitwise.
+    are reduced in trial order, so reruns, threaded callers and any chunk
+    size agree bitwise.
     """
-    _check_mode(mode)
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec_template.dim,):
-        raise ValueError("vector length does not match the rotation spec")
-    norm_sq = float(np.dot(x, x))
-    if norm_sq == 0.0 or not math.isfinite(norm_sq):
-        raise ValueError("input must be finite and non-zero")
-
-    d = spec_template.dim
-    norm = math.sqrt(norm_sq)
-
-    def chunk(lo, hi, seeds):
-        xhat, scales, l1 = _encode_decode_rows(
-            np.broadcast_to(x, (hi - lo, d)), seeds, spec_template, mode,
-            np.full(hi - lo, norm))
-        diff = xhat - x
-        return (np.einsum("ij,ij->i", diff, diff) / norm_sq, scales * scales,
-                l1 * l1, xhat.sum(axis=0))
-
-    per_trial = []
-    mean_acc = np.zeros(d)
-    for *rows, xsum in map_trials(spec_template.seed, trials, d, chunk):
-        per_trial.append(rows)
-        mean_acc += xsum
-    vnmse_samples, scale_sq, l1_sq = (np.concatenate(p) for p in zip(*per_trial))
-
+    vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode, trials)
+    d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
-    mean_hat = mean_acc / trials
     bias_sq_norm = float(np.sum((mean_hat - x) ** 2) / norm_sq)
     # E|xhat|^2 = scale^2 d exactly, so the plug-in variance needs no second pass.
-    variance_norm = float((np.mean(scale_sq) * d - np.dot(mean_hat, mean_hat)) / norm_sq)
+    variance_norm = float((np.mean(scales * scales) * d - np.dot(mean_hat, mean_hat)) / norm_sq)
     eq1 = None
     if mode == "biased":
-        eq1 = float(1.0 - np.mean(l1_sq) / (d * norm_sq))
+        eq1 = float(1.0 - np.mean(l1 * l1) / (d * norm_sq))
     return DriveErrorReport(mode=mode, trials=trials, vnmse=vnmse, std_err=std_err,
                             bias_sq_norm=bias_sq_norm, variance_norm=variance_norm,
                             eq1_vnmse=eq1)
@@ -228,34 +246,9 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
 
     Client ``c`` of trial ``t`` uses seed ``mix64(master + t * N + c)`` where
     ``master = spec_template.seed``, so ``N = 1`` reproduces the exact seed
-    stream of :func:`measure_drive_error`.
+    stream and per-trial errors of :func:`measure_drive_error`.
     """
-    _check_mode(mode)
-    xs = np.asarray(client_vectors, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ValueError("client vectors must form a non-empty (N, d) matrix")
-    n_clients, d = xs.shape
-    if d != spec_template.dim:
-        raise ValueError("client vector length does not match the rotation spec")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("client vectors must be finite")
-    norms = np.linalg.norm(xs, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("client vectors must be non-zero")
-
-    x_avg = xs.mean(axis=0)
-    denom = float(np.mean(norms**2))
-
-    def chunk(lo, hi, seeds):
-        n_t = hi - lo
-        xhat, _, _ = _encode_decode_rows(np.tile(xs, (n_t, 1)), seeds,
-                                         spec_template, mode, np.tile(norms, n_t))
-        diff = xhat.reshape(n_t, n_clients, d).mean(axis=1) - x_avg
-        return np.einsum("ij,ij->i", diff, diff) / denom
-
-    per_trial = np.concatenate(map_trials(
-        spec_template.seed, trials, n_clients * d, chunk,
-        seeds_per_trial=n_clients))
+    per_trial, _, _, _, sq = _simulate(client_vectors, spec_template, mode, trials)
     nmse, std_err = mean_se(per_trial)
-    return DmeReport(n_clients=n_clients, trials=trials, nmse=nmse,
+    return DmeReport(n_clients=sq.size, trials=trials, nmse=nmse,
                      std_err=std_err, per_trial=per_trial)

@@ -24,9 +24,9 @@ The estimators share three rules from :mod:`rotquant.core`: ``map_trials``
 needs at least two trials, :func:`~rotquant.core.mean_se` reduces per-trial
 samples to a mean and standard error, and :func:`~rotquant.core.unit_vector`
 normalizes an input and rejects a zero or non-finite one.  Results are
-bit-identical across reruns and thread counts.  Per-trial
-statistics also do not depend on the chunk size, but running sums over
-chunks do in their last bits, so the chunk budget is a fixed constant.
+bit-identical across reruns, thread counts and chunk sizes: sums over trials
+run in fixed blocks of :data:`~rotquant.core.TRIAL_BLOCK` trials that no
+chunk splits.
 """
 
 from __future__ import annotations

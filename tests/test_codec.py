@@ -16,7 +16,6 @@ from rotquant.codec import (
     FormatError,
     deserialize,
     serialize,
-    wire_size,
 )
 from rotquant.core import RotationSpec
 from rotquant.drive import DrivePayload, drive_decode, drive_encode
@@ -51,22 +50,7 @@ def test_drive_wire_footprint():
     for d in (1, 2, 64, 256, 1024):
         pay = drive_payload(d=d, layers=min(2, d.bit_length() - 1))
         wire = serialize(pay)
-        assert len(wire) == wire_size(pay) == 16 + 8 + (d + 7) // 8
-
-
-def test_wire_size_matches_serialization_for_all_kinds():
-    objs = [
-        drive_payload(mode="unbiased"),
-        bsq_payload(),
-        train_gaussian_codebook(4, 8, train_seed=1, n_samples=2000),
-        RNG.standard_normal(37),
-    ]
-    for obj in objs:
-        assert len(serialize(obj)) == wire_size(obj)
-    with pytest.raises(TypeError):
-        serialize(3.14)
-    with pytest.raises(TypeError):
-        wire_size("payload")
+        assert len(wire) == 16 + 8 + (d + 7) // 8
 
 
 def test_code_packing_golden():
@@ -119,6 +103,8 @@ def test_vector_roundtrip_bit_exact():
         serialize(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         serialize(np.array([1.0, np.inf]))
+    with pytest.raises(TypeError):  # a bare float is not a wire object
+        serialize(3.14)
 
 
 def test_external_seed_travels_out_of_band():

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rotquant import core
 from rotquant.core import RotationSpec, apply_rotation
 from rotquant.drive import (
     cd_values,
@@ -13,6 +15,7 @@ from rotquant.drive import (
     scaling_constant_cd,
     DrivePayload,
 )
+from rotquant.generators import gen_adversarial
 from _oracles import CD_ORACLE
 
 RNG = np.random.default_rng(42)
@@ -177,11 +180,33 @@ def test_measure_drive_error_is_reproducible():
 
 
 def test_dme_single_client_equals_drive_error():
-    x = RNG.standard_normal(128)
-    spec = RotationSpec(dim=128, layers=2, seed=2024)
+    # an input whose BLAS dot product and pairwise sum of squares differ, so
+    # both estimators must take the norm from the same expression
+    x = np.random.default_rng(0).standard_normal(4096)
+    assert np.dot(x, x) != np.add.reduce(x * x)
+    spec = RotationSpec(dim=4096, layers=2, seed=2024)
     drive = measure_drive_error(x, spec, mode="unbiased", trials=40)
     dme = dme_simulate([x], spec, mode="unbiased", trials=40)
     assert dme.nmse == drive.vnmse
+    assert dme.std_err == drive.std_err
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda: measure_drive_error(gen_adversarial("one_hot", 1024),
+                                RotationSpec(1024, 2, 1), "unbiased", 4096),
+    lambda: dme_simulate(np.tile(gen_adversarial("one_hot", 4096), (16, 1)),
+                         RotationSpec(4096, 2, 1), "unbiased", 64),
+], ids=["measure_drive_error", "dme_simulate"])
+def test_drive_estimators_keep_few_chunk_sized_arrays(estimate):
+    # both runs are one full chunk at the default budget; tracemalloc sees
+    # numpy's buffers, so this bounds what a chunk keeps alive at once
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * core.TRIAL_CHUNK_ELEMS * 8
 
 
 def test_dme_zero_error_scalar_clients():

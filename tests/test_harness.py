@@ -200,6 +200,8 @@ def _chunked_results(threads: int = 1):
     codebook = train_gaussian_codebook(2, 4, train_seed=1, n_samples=1000)
     return {
         "drive": measure_drive_error(x, spec, "biased", 300),
+        # a last trial block that is not full
+        "drive_unbiased": measure_drive_error(x, spec, "unbiased", 301),
         "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60).per_trial,
         "tv": verify_tv_transfer(x, BsqConfig(2, 0.01), 200,
                                  master_seed=3).to_row(),
@@ -213,22 +215,21 @@ def _chunked_results(threads: int = 1):
 
 
 def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
-    """Many small trial chunks give the default budget's per-trial values;
-    only the running mean reconstruction of DRIVE moves, in its last bits."""
+    """Smaller trial chunks give the default budget's results bit for bit,
+    the DRIVE mean reconstruction (summed in fixed trial blocks) included."""
+    assert core.TRIAL_CHUNK_ELEMS == 1 << 22
     ref = _chunked_results()
-    monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", 1 << 14)
-    got = _chunked_results(threads=2)
-    for field in ("vnmse", "std_err", "eq1_vnmse"):
-        assert getattr(got["drive"], field) == getattr(ref["drive"], field)
-    for field in ("bias_sq_norm", "variance_norm"):
-        assert math.isclose(getattr(got["drive"], field),
-                            getattr(ref["drive"], field), rel_tol=1e-12)
-    assert np.array_equal(got["dme"], ref["dme"])
-    assert got["tv"] == ref["tv"]
-    for key in ("cov2", "cov3"):
-        assert all(np.array_equal(g, r) for g, r in zip(got[key], ref[key]))
-    assert got["vq"] == ref["vq"]
-    assert np.array_equal(got["pooled"], ref["pooled"])
+    for budget in (1 << 18, 1 << 14):
+        monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
+        got = _chunked_results(threads=2)
+        assert got["drive"] == ref["drive"]
+        assert got["drive_unbiased"] == ref["drive_unbiased"]
+        assert np.array_equal(got["dme"], ref["dme"])
+        assert got["tv"] == ref["tv"]
+        for key in ("cov2", "cov3"):
+            assert all(np.array_equal(g, r) for g, r in zip(got[key], ref[key]))
+        assert got["vq"] == ref["vq"]
+        assert np.array_equal(got["pooled"], ref["pooled"])
 
 
 def _small_codebook():
@@ -254,17 +255,14 @@ ESTIMATORS = {
 @pytest.mark.parametrize("name", ESTIMATORS)
 def test_estimators_share_the_trial_and_input_rules(name):
     """One contract for every estimator: fewer than two trials is an error,
-    and so is a zero or non-finite input (except for ``dme_simulate``,
-    which names the bad client vectors)."""
+    and so is a zero, non-finite or overflowing input."""
     run = ESTIMATORS[name]
     x = gen_adversarial("two_spike", 16)
     for trials in (-1, 0, 1):
         with pytest.raises(ValueError, match="need at least two trials"):
             run(x, trials)
-    if name == "dme_simulate":
-        return
     for bad in (np.zeros(16), np.where(x > 0, np.nan, 0.0),
-                np.where(x > 0, np.inf, 0.0)):
+                np.where(x > 0, np.inf, 0.0), x * 1e200):
         with pytest.raises(ValueError, match="input must be finite and non-zero"):
             run(bad, 100)
 
