@@ -82,11 +82,16 @@ def decide_layers(x, eta3: float | None = None,
                   eta_inf: float | None = None) -> AdaptiveDecision:
     """Single-pass flatness check; thresholds default to the rotated-input
     scales ``eta3 = C3/sqrt(d)`` and ``eta_inf = 2 ln(2d)/d``.  Raises
-    ``ValueError`` for a zero input or a threshold that is not finite and
-    positive."""
+    ``ValueError`` for an input whose moments are zero or overflow, or a
+    threshold that is not finite and positive."""
     stats = moment_scan(x)
-    if stats.sum_sq <= 0.0:
-        raise ValueError("input must be non-zero")
+    try:
+        rho3 = stats.sum_abs_cubed / stats.sum_sq ** 1.5
+        linf_sq = stats.max_sq / stats.sum_sq
+    except (OverflowError, ZeroDivisionError):
+        rho3 = linf_sq = math.nan
+    if not (math.isfinite(rho3) and math.isfinite(linf_sq)):
+        raise ValueError("input must be finite and non-zero")
     d = stats.count
     if eta3 is None:
         eta3 = default_eta3(d)
@@ -95,8 +100,6 @@ def decide_layers(x, eta3: float | None = None,
     for name, eta in (("eta3", eta3), ("eta_inf", eta_inf)):
         if not (math.isfinite(eta) and eta > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {eta}")
-    rho3 = stats.sum_abs_cubed / stats.sum_sq ** 1.5
-    linf_sq = stats.max_sq / stats.sum_sq
     return AdaptiveDecision(
         rho3=rho3,
         linf_sq=linf_sq,

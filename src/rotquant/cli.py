@@ -103,7 +103,9 @@ def _emit(rows, args) -> int:
 
 
 def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print ``payload`` as strict JSON; a NaN or infinite value raises
+    ``ValueError`` rather than printing ``NaN``/``Infinity``."""
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def cmd_transform(args) -> int:

@@ -3,10 +3,13 @@
 Each runner measures one family of claims on adversarial inputs and returns
 :class:`~rotquant.reporting.VerifyReport` rows: a statistic, the closed-form
 bound, and an explicit sampling slack (DKW band or four standard errors).
-Floor/band constraints are reported as shortfall rows (``statistic`` is the
-amount by which the measurement misses the floor, so 0 passes); trend
-claims are reported as consecutive-pair rows (``statistic`` is the later
-value, ``bound`` the earlier).
+Two row shapes are written once each.  A two-sided band (:func:`_band_rows`)
+is an ``<claim>-upper`` row (``value <= hi``) and an ``<claim>-floor`` row
+whose ``statistic`` is ``floor - value`` against bound 0, so a passing floor
+row has a negative statistic and ``headroom = value - floor``.  A decay over
+``d`` (:func:`_trend_rows`) is one row per consecutive pair of dimensions:
+``statistic`` is the later value, ``bound`` the earlier, ``std_err`` the
+later standard error and ``slack`` ``k`` times the two errors in quadrature.
 
 A runner takes only what its callers vary: mostly dimensions, trial and
 draw counts, the master seed and ``threads``.  Runners that pool coordinate
@@ -92,6 +95,40 @@ def _trials_for(draws: int, d: int) -> int:
     return max(2, -(-draws // d))
 
 
+def _band_rows(claim: str, key: str, value: float, floor: float, upper: float,
+               context=(), **fields) -> list[VerifyReport]:
+    """``<claim>-upper`` (``value <= upper``) and ``<claim>-floor``
+    (``floor - value <= 0``), both exact.  ``extra`` holds ``context`` and
+    ``value`` under ``key``; only the floor row adds ``floor``.  ``fields``
+    are the remaining :class:`VerifyReport` fields (experiment, d, trials,
+    std_err)."""
+    extra = {**dict(context), key: value}
+    return [
+        VerifyReport(statistic=value, bound=upper, slack=0.0,
+                     claim=f"{claim}-upper", slack_kind="exact", extra=extra,
+                     **fields),
+        VerifyReport(statistic=floor - value, bound=0.0, slack=0.0,
+                     claim=f"{claim}-floor", slack_kind="exact",
+                     extra={**extra, "floor": floor}, **fields),
+    ]
+
+
+def _trend_rows(claim: str, points, k: float, context=(),
+                **fields) -> list[VerifyReport]:
+    """One row per consecutive pair of ``(d, value, std_err, trials)``
+    points: the later value against the earlier as bound, with slack
+    ``k * hypot(se_prev, se_cur)`` (kind ``exact`` when ``k`` is 0)."""
+    slack_kind = f"{k:g}sigma" if k else "exact"
+    return [
+        VerifyReport(d=d, statistic=value, bound=prev,
+                     slack=k * math.hypot(se_prev, se), trials=trials,
+                     std_err=se, claim=claim, slack_kind=slack_kind,
+                     extra={"previous_d": d_prev, **dict(context)}, **fields)
+        for (d_prev, prev, se_prev, _), (d, value, se, trials)
+        in zip(points, points[1:])
+    ]
+
+
 def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
                         threads: int = 1) -> np.ndarray:
     """All coordinates of ``sqrt(d) R xu`` pooled over independently seeded
@@ -162,19 +199,9 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
                                   RotationSpec(d, 2, master_seed),
                                   "biased", trials)
         base = {"kind": kind, "vnmse": rep.vnmse}
-        rows.append(VerifyReport(
-            experiment="drive-biased", d=d, statistic=rep.vnmse, bound=upper,
-            slack=0.0, trials=trials,
-            std_err=rep.std_err, claim="sign-quantizer-vnmse-upper",
-            slack_kind="exact", extra=base,
-        ))
-        shortfall = max(0.0, floor - rep.vnmse)
-        rows.append(VerifyReport(
-            experiment="drive-biased", d=d, statistic=shortfall, bound=0.0,
-            slack=0.0, trials=trials,
-            std_err=rep.std_err, claim="sign-quantizer-vnmse-floor",
-            slack_kind="exact", extra={**base, "floor": floor},
-        ))
+        rows += _band_rows("sign-quantizer-vnmse", "vnmse", rep.vnmse, floor,
+                           upper, {"kind": kind}, experiment="drive-biased",
+                           d=d, trials=trials, std_err=rep.std_err)
         gap = abs(rep.vnmse - rep.eq1_vnmse)
         rows.append(VerifyReport(
             experiment="drive-biased", d=d, statistic=gap, bound=0.0,
@@ -197,40 +224,21 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
     ``variance/trials``, so the trial counts grow with dimension to keep the
     floor from masking the decay being measured.
     """
-    rows = []
     rep = measure_drive_error(gen_adversarial("one_hot", d),
                               RotationSpec(d, 2, master_seed),
                               "unbiased", trials)
-    var_lo, var_hi = 0.52, 0.62
-    rows.append(VerifyReport(
-        experiment="drive-unbiased", d=d, statistic=rep.variance_norm,
-        bound=var_hi, slack=0.0,
-        trials=trials, std_err=rep.std_err, claim="unbiased-variance-upper",
-        slack_kind="exact", extra={"vnmse": rep.vnmse},
-    ))
-    shortfall = max(0.0, var_lo - rep.variance_norm)
-    rows.append(VerifyReport(
-        experiment="drive-unbiased", d=d, statistic=shortfall, bound=0.0,
-        slack=0.0, trials=trials,
-        std_err=rep.std_err, claim="unbiased-variance-floor",
-        slack_kind="exact",
-        extra={"variance_norm": rep.variance_norm, "floor": var_lo},
-    ))
+    rows = _band_rows("unbiased-variance", "variance_norm", rep.variance_norm,
+                      0.52, 0.62, experiment="drive-unbiased", d=d,
+                      trials=trials, std_err=rep.std_err)
 
-    biases = []
-    for dm, tm in zip(bias_dims, bias_trials):
-        r = measure_drive_error(gen_adversarial("one_hot", dm),
-                                RotationSpec(dm, 2, master_seed),
-                                "unbiased", tm)
-        biases.append(r.bias_sq_norm)
-    for t in range(1, len(bias_dims)):
-        rows.append(VerifyReport(
-            experiment="drive-unbiased", d=bias_dims[t],
-            statistic=biases[t], bound=biases[t - 1], slack=0.0,
-            trials=bias_trials[t], std_err=0.0,
-            claim="unbiased-bias-nonincreasing", slack_kind="exact",
-            extra={"previous_d": bias_dims[t - 1]},
-        ))
+    biases = [measure_drive_error(gen_adversarial("one_hot", dm),
+                                  RotationSpec(dm, 2, master_seed),
+                                  "unbiased", tm).bias_sq_norm
+              for dm, tm in zip(bias_dims, bias_trials)]
+    rows += _trend_rows("unbiased-bias-nonincreasing",
+                        [(dm, b, 0.0, tm) for dm, b, tm
+                         in zip(bias_dims, biases, bias_trials)],
+                        0.0, experiment="drive-unbiased")
     slope = float(np.polyfit(np.log(np.asarray(bias_dims, dtype=float)),
                              np.log(np.maximum(biases, 1e-300)), 1)[0])
     rows.append(VerifyReport(
@@ -264,20 +272,10 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
             extra={"n_clients": n},
         ))
     if 1 in nmse_by_n and 16 in nmse_by_n:
-        ratio = nmse_by_n[1] / nmse_by_n[16]
-        rows.append(VerifyReport(
-            experiment="dme", d=d, statistic=ratio, bound=20.0, slack=0.0,
-            trials=trials, std_err=0.0,
-            claim="dme-ratio-upper", slack_kind="exact",
-            extra={"nmse_1": nmse_by_n[1], "nmse_16": nmse_by_n[16]},
-        ))
-        shortfall = max(0.0, 12.0 - ratio)
-        rows.append(VerifyReport(
-            experiment="dme", d=d, statistic=shortfall, bound=0.0, slack=0.0,
-            trials=trials, std_err=0.0,
-            claim="dme-ratio-floor", slack_kind="exact",
-            extra={"ratio": ratio, "floor": 12.0},
-        ))
+        rows += _band_rows("dme-ratio", "ratio", nmse_by_n[1] / nmse_by_n[16],
+                           12.0, 20.0,
+                           {"nmse_1": nmse_by_n[1], "nmse_16": nmse_by_n[16]},
+                           experiment="dme", d=d, trials=trials, std_err=0.0)
     return rows
 
 
@@ -403,7 +401,7 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
         bound = math.sqrt(b2)
         se_bound = se_b2 / (2.0 * bound) if bound > 0 else 0.0
         slack = 4.0 * (se_rms + se_bound)
-        rms_values.append((d, rms, se_rms))
+        rms_values.append((d, rms, se_rms, trials))
         rows.append(VerifyReport(
             experiment="vq-decorrelation", d=d, statistic=rms, bound=bound,
             slack=slack, trials=trials,
@@ -411,36 +409,18 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
             slack_kind="4sigma",
             extra={"pair": [i, j], "mean_linf_sq": mean_linf_sq},
         ))
-    for t in range(1, len(rms_values)):
-        d_prev, rms_prev, _ = rms_values[t - 1]
-        d_cur, rms_cur, se_cur = rms_values[t]
-        rows.append(VerifyReport(
-            experiment="vq-decorrelation", d=d_cur, statistic=rms_cur,
-            bound=rms_prev, slack=0.0,
-            trials=trials, std_err=se_cur, claim="rms-decreasing",
-            slack_kind="exact", extra={"previous_d": d_prev},
-        ))
-    return rows
+    return rows + _trend_rows("rms-decreasing", rms_values, 0.0,
+                              experiment="vq-decorrelation")
 
 
 def _universality_rows(reports, label: str, negative: bool) -> list[VerifyReport]:
     scaled = []
     for rep in reports:
         f = math.sqrt(rep.d / math.log(rep.d))
-        scaled.append((rep.d, rep.gap * f, rep.gap_se * f))
-    rows = []
-    for t in range(1, len(scaled)):
-        d_prev, g_prev, se_prev = scaled[t - 1]
-        d_cur, g_cur, se_cur = scaled[t]
-        slack = 4.0 * math.hypot(se_prev, se_cur)
-        rows.append(VerifyReport(
-            experiment="vq-universality", d=d_cur, statistic=g_cur,
-            bound=g_prev, slack=slack,
-            trials=reports[t].trials, std_err=se_cur,
-            claim=f"{label}-scaled-gap-trend", slack_kind="4sigma",
-            negative_control=negative,
-            extra={"previous_d": d_prev, "scale": "sqrt(d/log d)"},
-        ))
+        scaled.append((rep.d, rep.gap * f, rep.gap_se * f, rep.trials))
+    rows = _trend_rows(f"{label}-scaled-gap-trend", scaled, 4.0,
+                       {"scale": "sqrt(d/log d)"}, experiment="vq-universality",
+                       negative_control=negative)
     last = reports[-1]
     rows.append(VerifyReport(
         experiment="vq-universality", d=last.d, statistic=last.gap,

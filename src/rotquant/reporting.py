@@ -5,7 +5,9 @@ closed-form bound it must stay under, and an explicit slack term (sampling
 allowance) with its provenance.  A row passes when
 ``statistic <= bound + slack``; ``VerifyReport.passed`` and its margin
 ``VerifyReport.headroom = bound + slack - statistic`` are derived from those
-three fields, never stored, so no runner writes the rule out.
+three fields, never stored, so no runner writes the rule out.  The JSON row
+also gives ``headroom_se``, the headroom in standard errors (``null`` for a
+row without a standard error); the CSV keeps its fixed columns.
 Negative-control rows are *expected* to fail, and the run as a whole is
 healthy when every row behaves as expected.  The JSON form also records the
 environment that produced the rows (see ``_environment``).
@@ -75,6 +77,11 @@ class VerifyReport:
         healthy negative control (a row that must fail) has negative headroom."""
         return self.bound + self.slack - self.statistic
 
+    @property
+    def headroom_se(self) -> float | None:
+        """``headroom`` in standard errors; ``None`` when ``std_err`` is 0."""
+        return self.headroom / self.std_err if self.std_err > 0 else None
+
     def ok(self) -> bool:
         """Healthy outcome: pass normally, fail if a negative control."""
         return self.passed != self.negative_control
@@ -90,6 +97,7 @@ class VerifyReport:
             "slack_kind": self.slack_kind,
             "pass": self.passed,
             "headroom": self.headroom,
+            "headroom_se": self.headroom_se,
             "negative_control": self.negative_control,
             "trials": self.trials,
             "std_err": self.std_err,

@@ -80,8 +80,16 @@ def test_accepts_a_stream_read_once():
 
 
 def test_zero_input_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input must be finite and non-zero"):
         decide_layers(np.zeros(64))
+
+
+# The sum of cubes overflows; the sum of squares does; neither does, but the
+# sum of squares to the power 1.5 does.
+@pytest.mark.parametrize("d, value", [(8, 1e103), (8, 1e200), (1024, 2e101)])
+def test_overflowing_moments_rejected(d, value):
+    with pytest.raises(ValueError, match="input must be finite and non-zero"):
+        decide_layers(np.full(d, value))
 
 
 def test_bounds_follow_the_thresholds():

@@ -124,7 +124,7 @@ def _undated(text):
 def test_json_report_shape_and_determinism():
     cfg = {"command": "demo", "dims": (64,), "trials": None, "master_seed": 1}
     rows = [row(True, claim="alpha", extra={"note": np.float64(1.5)}),
-            row(False, negative=True)]
+            row(False, negative=True, std_err=0.0)]
     doc = _undated(render_rows(rows, cfg, fmt="json"))
     assert doc == _undated(render_rows(rows, cfg, fmt="json"))
     assert doc["all_ok"] is True
@@ -137,6 +137,9 @@ def test_json_report_shape_and_determinism():
     # headroom = bound + slack - statistic; negative on the failing control
     assert doc["rows"][0]["headroom"] == 0.2 + 0.01 - 0.1
     assert doc["rows"][1]["headroom"] < 0.0
+    # headroom_se = headroom / std_err, null without a standard error
+    assert doc["rows"][0]["headroom_se"] == (0.2 + 0.01 - 0.1) / 0.001
+    assert doc["rows"][1]["headroom_se"] is None
     assert "headroom" not in render_rows(rows, fmt="csv")
     assert set(doc["env"]) == {"rotquant", "numpy", "scipy", "blas",
                                "cpu_count", "threads"}
@@ -232,6 +235,72 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
         assert np.array_equal(got["pooled"], ref["pooled"])
 
 
+# Every runner that uses map_trials, at sizes that split into several chunks
+# at a budget of 2^12 elements.
+RUNNERS = {
+    "run_scalar_convergence": lambda: experiments.run_scalar_convergence(
+        (64,), draws=20_000, threads=2),
+    "run_drive_biased": lambda: experiments.run_drive_biased(d=256, trials=300),
+    "run_drive_unbiased": lambda: experiments.run_drive_unbiased(
+        d=256, trials=200, bias_dims=(64, 256), bias_trials=(200, 300)),
+    "run_dme": lambda: experiments.run_dme(d=256, trials=100),
+    "run_bsq_outliers": lambda: experiments.run_bsq_outliers(
+        dims=(256,), draws=20_000, threads=2),
+    "run_bsq_transfer": lambda: experiments.run_bsq_transfer(d=256, trials=200),
+    "run_vq_decorrelation": lambda: experiments.run_vq_decorrelation(
+        dims=(64, 256), trials=200),
+    "run_vq_universality": lambda: experiments.run_vq_universality(
+        dims=(64, 256), trials=200),
+    "run_adaptive_soundness": lambda: experiments.run_adaptive_soundness(
+        n_inputs=3, d=256, draws=20_000, threads=2),
+}
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_runner_rows_do_not_depend_on_the_chunk_budget(name, monkeypatch):
+    """Each runner's full rows are the same at the default budget and at
+    budgets small enough to split its trials into several chunks."""
+    assert core.TRIAL_CHUNK_ELEMS == 1 << 22
+    ref = [r.to_row() for r in RUNNERS[name]()]
+    chunks = []
+    run_ordered = core.run_ordered
+
+    def counted(jobs, fn, threads=1):
+        chunks.append(len(jobs))
+        return run_ordered(jobs, fn, threads)
+
+    monkeypatch.setattr(core, "run_ordered", counted)
+    for budget in (1 << 16, 1 << 12):
+        monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
+        chunks.clear()
+        assert [r.to_row() for r in RUNNERS[name]()] == ref
+    assert max(chunks) >= 2
+
+
+def test_band_and_trend_rows_report_their_margin():
+    """A floor row's statistic is ``floor - value``, so its headroom is the
+    margin above the floor; only floor rows carry ``floor``; a trend row's
+    bound is the value it is compared against."""
+    rows = (experiments.run_dme(d=256, trials=200)
+            + experiments.run_drive_unbiased(
+                d=256, trials=200, bias_dims=(64, 128, 256),
+                bias_trials=(200, 300, 400)))
+    floors = [r for r in rows if r.claim.endswith("-floor")]
+    assert [r.claim for r in floors] == ["dme-ratio-floor",
+                                         "unbiased-variance-floor"]
+    for r in floors:
+        value = r.extra["ratio" if r.experiment == "dme" else "variance_norm"]
+        assert r.statistic == r.extra["floor"] - value
+        assert r.headroom == value - r.extra["floor"] > 0.0
+    assert not any("floor" in r.extra for r in rows
+                   if r.claim.endswith("-upper"))
+    trend = [r for r in rows if r.claim == "unbiased-bias-nonincreasing"]
+    biases = rows[-1].extra["bias_sq_norm"]
+    assert [r.bound for r in trend] == biases[:-1]
+    assert [r.statistic for r in trend] == biases[1:]
+    assert [r.extra["previous_d"] for r in trend] == [64, 128]
+
+
 def _small_codebook():
     return train_gaussian_codebook(4, 8, train_seed=1, n_samples=2000)
 
@@ -306,13 +375,38 @@ def test_cli_encode_decode_reports_error(tmp_path, capsys):
     assert "expected_vnmse" not in json.loads(capsys.readouterr().out)
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_cli_check_recommends_layers(capsys):
     assert cli.main(["check", "--gen", "flat", "--d", "1024"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert (doc["scalar_layers"], doc["vq_layers"]) == (1, 2)
     assert cli.main(["check", "--gen", "one_hot", "--d", "1024"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert (doc["scalar_layers"], doc["vq_layers"]) == (2, 3)
+
+
+@pytest.mark.parametrize("value", [1e103, 1e200])
+def test_cli_check_rejects_overflowing_moments(value, tmp_path, capsys):
+    vec = tmp_path / "vec.bin"
+    vec.write_bytes(serialize(np.full(8, value)))
+    assert cli.main(["check", "--in", str(vec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input must be finite and non-zero" in captured.err
+
+
+def test_cli_prints_no_non_finite_json(tmp_path, capsys):
+    vec = tmp_path / "vec.bin"
+    vec.write_bytes(serialize(np.full(8, 1e200)))
+    assert cli.main(["transform", "--in", str(vec)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not JSON compliant" in captured.err
 
 
 @pytest.mark.parametrize("flag", ["--eta3", "--eta-inf"])
