@@ -198,7 +198,7 @@ def bsq_decode(payload: BsqPayload) -> np.ndarray:
 
 
 def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
-                       master_seed: int = 0) -> VerifyReport:
+                       master_seed: int = 0, threads: int = 1) -> VerifyReport:
     """Monte Carlo check of the error-transfer bound.
 
     Pools ``trials`` independently seeded rotations of ``x``, measures the
@@ -215,7 +215,8 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
         u_rows = rotate_many(xu, layers, seeds) * math.sqrt(d)
         return cfg.error_function(u_rows).mean(axis=1)
 
-    measured, std_err = mean_se(np.concatenate(map_trials(master_seed, trials, d, chunk)))
+    measured, std_err = mean_se(np.concatenate(list(map_trials(
+        master_seed, trials, d, chunk, threads=threads))))
     expected = expected_error_gaussian(cfg)
     tv = tv_of_error_function(cfg)
     bound = KOLMOGOROV_2LAYER_C * tv / math.sqrt(d)

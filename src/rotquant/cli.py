@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -108,6 +109,18 @@ def _print_json(payload: dict):
     print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
+def _norm(y) -> float:
+    """``|y|_2``; when the plain sum of squares overflows, computed again on
+    ``y / max|y|`` and scaled back, so a finite ``y`` whose norm fits in a
+    float64 gets a finite norm."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(y))
+    if norm == math.inf and np.all(np.isfinite(y)):
+        top = float(np.max(np.abs(y)))
+        norm = top * float(np.linalg.norm(y / top))
+    return norm
+
+
 def cmd_transform(args) -> int:
     x = _load_input(args)
     spec = RotationSpec(dim=x.size, layers=args.layers, seed=args.seed)
@@ -120,7 +133,7 @@ def cmd_transform(args) -> int:
         head = [float(v) for v in y[: min(8, y.size)]]
         _print_json({"d": int(y.size), "layers": spec.layers,
                      "seed": spec.seed, "inverse": bool(args.inverse),
-                     "norm": float(np.linalg.norm(y)), "head": head})
+                     "norm": _norm(y), "head": head})
     return 0
 
 
@@ -195,9 +208,10 @@ def cmd_verify_scalar(args) -> int:
 
 def cmd_verify_drive(args) -> int:
     rows = run_drive_biased(d=args.d, trials=args.trials,
-                            master_seed=args.master_seed)
+                            master_seed=args.master_seed, threads=args.threads)
     rows += run_drive_unbiased(d=args.d, trials=args.trials,
-                               master_seed=args.master_seed)
+                               master_seed=args.master_seed,
+                               threads=args.threads)
     return _emit(rows, args)
 
 
@@ -207,43 +221,44 @@ def cmd_verify_bsq(args) -> int:
                             threads=args.threads)
     rows += run_bsq_transfer(d=args.transfer_d, bits=args.bits,
                              tail=args.tail_mass, trials=args.trials,
-                             master_seed=args.master_seed)
+                             master_seed=args.master_seed,
+                             threads=args.threads)
     return _emit(rows, args)
 
 
 def cmd_verify_vq(args) -> int:
     rows = run_lemma_bottleneck(master_seed=args.master_seed)
     rows += run_vq_decorrelation(dims=args.dims, trials=args.cov_trials,
-                                 master_seed=args.master_seed)
+                                 master_seed=args.master_seed,
+                                 threads=args.threads)
     rows += run_vq_universality(dims=args.dims, trials=args.trials,
                                 train_seed=args.train_seed,
                                 master_seed=args.master_seed,
-                                include_negative=not args.skip_negative)
+                                include_negative=not args.skip_negative,
+                                threads=args.threads)
     return _emit(rows, args)
 
 
 def cmd_dme(args) -> int:
     rows = run_dme(d=args.d, n_clients=args.clients, trials=args.trials,
-                   master_seed=args.master_seed)
+                   master_seed=args.master_seed, threads=args.threads)
     return _emit(rows, args)
 
 
 def cmd_report(args) -> int:
-    rows = run_scalar_convergence((256, 1024, 4096),
-                                  master_seed=args.master_seed,
-                                  threads=args.threads)
-    rows += run_drive_biased(master_seed=args.master_seed)
-    rows += run_drive_unbiased(master_seed=args.master_seed)
-    rows += run_dme(master_seed=args.master_seed)
-    rows += run_bsq_outliers(master_seed=args.master_seed,
-                             threads=args.threads)
-    rows += run_bsq_transfer(master_seed=args.master_seed)
-    rows += run_lemma_bottleneck(master_seed=args.master_seed)
-    rows += run_vq_decorrelation(master_seed=args.master_seed)
-    rows += run_vq_universality(master_seed=args.master_seed)
-    rows += run_adaptive_decisions(master_seed=args.master_seed)
-    rows += run_adaptive_soundness(master_seed=args.master_seed,
-                                   threads=args.threads)
+    seeded = {"master_seed": args.master_seed}
+    threaded = dict(seeded, threads=args.threads)
+    rows = run_scalar_convergence((256, 1024, 4096), **threaded)
+    rows += run_drive_biased(**threaded)
+    rows += run_drive_unbiased(**threaded)
+    rows += run_dme(**threaded)
+    rows += run_bsq_outliers(**threaded)
+    rows += run_bsq_transfer(**threaded)
+    rows += run_lemma_bottleneck(**seeded)
+    rows += run_vq_decorrelation(**threaded)
+    rows += run_vq_universality(**threaded)
+    rows += run_adaptive_decisions(**seeded)
+    rows += run_adaptive_soundness(**threaded)
     rows += run_cd_expansion()
     return _emit(rows, args)
 
@@ -255,15 +270,14 @@ def main(argv=None) -> int:
                     "transform, encode/decode, and verification harness.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads=False):
+    def common(p):
         p.add_argument("--master-seed", type=int, default=DEFAULT_MASTER_SEED,
                        help=f"seed deriving all trial randomness "
                             f"(default {DEFAULT_MASTER_SEED})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", metavar="FILE", help="write the report here")
-        if threads:
-            p.add_argument("--threads", type=_positive_int, default=1,
-                           help="worker threads (result-invariant)")
+        p.add_argument("--threads", type=_positive_int, default=1,
+                       help="worker threads (result-invariant)")
 
     p = sub.add_parser("transform", help="apply or invert a seeded rotation")
     _add_input_flags(p)
@@ -300,7 +314,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-scalar",
                        help="Kolmogorov / Wasserstein convergence checks")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--gen", choices=KINDS, default="two_spike")
     p.add_argument("--dims", type=_parse_dims, default=(256, 1024, 4096))
     p.add_argument("--draws", type=int, default=1_000_000,
@@ -316,7 +330,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify-bsq",
                        help="outlier-fraction and error-transfer checks")
-    common(p, threads=True)
+    common(p)
     p.add_argument("--dims", type=_parse_dims, default=(1024, 4096))
     p.add_argument("--draws", type=int, default=1_000_000)
     p.add_argument("--transfer-d", type=int, default=1024)
@@ -345,7 +359,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_dme)
 
     p = sub.add_parser("report", help="run every verification at full scale")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,11 +46,13 @@ __all__ = [
 
 MAX_LAYERS = 3
 
-# Elements materialized per chunk of Monte Carlo trials, and the number of
+# Elements materialized per chunk of Monte Carlo trials (2^18 float64 =
+# 2 MiB, so a chunk's arrays stay near cache size and a run splits into
+# enough chunks to keep several threads busy), and the number of
 # consecutive trials (aligned to trial 0) that a chunk never splits.  No
 # result depends on the budget: per-trial values are computed trial by trial,
 # and sums over trials add per-block sums in trial order.
-TRIAL_CHUNK_ELEMS = 1 << 22
+TRIAL_CHUNK_ELEMS = 1 << 18
 TRIAL_BLOCK = 4
 
 # Elements (2^15 float64 = 256 KiB) that the FWHT carries through its stages
@@ -283,12 +286,23 @@ def _rotate_rows(out, layers: int, seeds, inverse: bool) -> None:
 
 
 def run_ordered(jobs, fn, threads: int = 1):
-    """``[fn(job) for job in jobs]``, in job order regardless of scheduling;
-    with ``threads > 1`` the jobs run on a thread pool."""
+    """Yield ``fn(job)`` for each job, in job order regardless of scheduling.
+
+    With ``threads > 1`` the jobs run on a thread pool that holds at most
+    ``2 * threads`` jobs submitted and not yet yielded, so a slow consumer
+    keeps at most that many results (and ``threads`` running jobs) alive.
+    """
     if threads <= 1:
-        return [fn(job) for job in jobs]
+        yield from map(fn, jobs)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, jobs))
+        pending = deque()
+        for job in jobs:
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, job))
+        while pending:
+            yield pending.popleft().result()
 
 
 def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
@@ -300,7 +314,7 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
     elements given ``row_elems`` per trial, rounded down to whole blocks of
     ``TRIAL_BLOCK`` trials but to at least one block, so a chunk boundary
     never splits a block; ``fn(lo, hi, seeds)`` handles
-    trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Returns the
+    trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Yields the
     chunk results in trial order (see :func:`run_ordered`), so reductions
     over them do not depend on ``threads``.  Every Monte Carlo measurement
     reports a standard error over its trials (:func:`mean_se`) or pools

@@ -159,10 +159,11 @@ class DriveErrorReport:
     eq1_vnmse: float | None = None
 
 
-def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int):
+def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
+              threads: int = 1):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
-    trials, seeded as in :func:`dme_simulate`; a chunk signs, rotates back
-    and scales its rotated rows in place, in one buffer.
+    trials, seeded as in :func:`dme_simulate`; a chunk tiles its clients
+    into one buffer, then rotates, signs, rotates back and scales it in place.
 
     Returns per trial the squared error of the decoded client mean over the
     mean client energy; per encoded row the scale and rotated l1 norm; the
@@ -184,7 +185,11 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int):
 
     def chunk(lo, hi, seeds):
         n_t = hi - lo
-        y = rotate_many(xs[0] if n == 1 else np.tile(xs, (n_t, 1)), layers, seeds)
+        if n == 1:  # rotate_many broadcasts the row into a new chunk buffer
+            y = rotate_many(xs[0], layers, seeds)
+        else:  # every entry is finite (checked above): rotate the tile in place
+            y = np.tile(xs, (n_t, 1))
+            _rotate_rows(y, layers, seeds, inverse=False)
         l1 = np.sum(np.abs(y), axis=1)
         scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
         np.add(y, 0.0, out=y)  # -0.0 turns +0.0, whose sign is +1 as in sign_vector
@@ -195,27 +200,31 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int):
         blocks = avg[::TRIAL_BLOCK].copy()
         for j in range(1, TRIAL_BLOCK):
             blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
-        # map_trials runs the chunks one after another in trial order.
-        for block in blocks:
-            np.add(mean_acc, block, out=mean_acc)
         avg -= x_avg
-        return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1
+        return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1, blocks
 
-    err, scales, l1 = (np.concatenate(p) for p in zip(*map_trials(
-        spec_template.seed, trials, n * d, chunk, seeds_per_trial=n)))
+    parts = []
+    for err, scales, l1, blocks in map_trials(spec_template.seed, trials, n * d, chunk,
+                                              seeds_per_trial=n, threads=threads):
+        for block in blocks:  # chunks arrive in trial order
+            np.add(mean_acc, block, out=mean_acc)
+        parts.append((err, scales, l1))
+    err, scales, l1 = (np.concatenate(p) for p in zip(*parts))
     return err, scales, l1, mean_acc / trials, sq
 
 
-def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int) -> DriveErrorReport:
+def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
+                        threads: int = 1) -> DriveErrorReport:
     """Encode/decode ``x`` under ``trials`` independent rotation seeds, as
     the one-client case of :func:`dme_simulate`.
 
     Trial ``i`` uses seed ``mix64(spec_template.seed + i)``.  All statistics
-    are reduced in trial order, so reruns, threaded callers and any chunk
+    are reduced in trial order, so reruns, any ``threads`` and any chunk
     size agree bitwise.
     """
     x = np.asarray(x, dtype=np.float64)
-    vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode, trials)
+    vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode,
+                                                        trials, threads)
     d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
     bias_sq_norm = float(np.sum((mean_hat - x) ** 2) / norm_sq)
@@ -241,14 +250,16 @@ class DmeReport:
     per_trial: np.ndarray
 
 
-def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials: int) -> DmeReport:
+def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials: int,
+                 threads: int = 1) -> DmeReport:
     """Each client encodes with its own seed; the server averages decodes.
 
     Client ``c`` of trial ``t`` uses seed ``mix64(master + t * N + c)`` where
     ``master = spec_template.seed``, so ``N = 1`` reproduces the exact seed
     stream and per-trial errors of :func:`measure_drive_error`.
     """
-    per_trial, _, _, _, sq = _simulate(client_vectors, spec_template, mode, trials)
+    per_trial, _, _, _, sq = _simulate(client_vectors, spec_template, mode, trials,
+                                       threads)
     nmse, std_err = mean_se(per_trial)
     return DmeReport(n_clients=sq.size, trials=trials, nmse=nmse,
                      std_err=std_err, per_trial=per_trial)

@@ -140,8 +140,8 @@ def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
     def chunk(lo, hi, seeds):
         return (rotate_many(xu, layers, seeds) * root_d).reshape(-1)
 
-    return np.concatenate(map_trials(master_seed, trials, d, chunk,
-                                     threads=threads))
+    return np.concatenate(list(map_trials(master_seed, trials, d, chunk,
+                                          threads=threads)))
 
 
 def run_scalar_convergence(dims, trials: int | None = None,
@@ -187,7 +187,8 @@ def run_scalar_convergence(dims, trials: int | None = None,
 
 
 def run_drive_biased(d: int = 4096, trials: int = 10_000,
-                     master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+                     master_seed: int = DEFAULT_MASTER_SEED,
+                     threads: int = 1) -> list[VerifyReport]:
     """Biased sign-quantizer error on the two-spike and one-hot inputs: mean
     vNMSE stays under ``1 - 2/pi + 10/sqrt(d)``, above the 0.30 sanity
     floor, and agrees with the l1-only error identity."""
@@ -197,7 +198,7 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
     for kind in ("two_spike", "one_hot"):
         rep = measure_drive_error(gen_adversarial(kind, d),
                                   RotationSpec(d, 2, master_seed),
-                                  "biased", trials)
+                                  "biased", trials, threads)
         base = {"kind": kind, "vnmse": rep.vnmse}
         rows += _band_rows("sign-quantizer-vnmse", "vnmse", rep.vnmse, floor,
                            upper, {"kind": kind}, experiment="drive-biased",
@@ -216,7 +217,8 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
 def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
                        bias_dims=(64, 256, 1024, 4096),
                        bias_trials=(10_000, 20_000, 40_000, 60_000),
-                       master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+                       master_seed: int = DEFAULT_MASTER_SEED,
+                       threads: int = 1) -> list[VerifyReport]:
     """Unbiased sign-quantizer: variance share in the ``pi/2 - 1`` band and
     squared bias decaying with dimension.
 
@@ -226,14 +228,14 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
     """
     rep = measure_drive_error(gen_adversarial("one_hot", d),
                               RotationSpec(d, 2, master_seed),
-                              "unbiased", trials)
+                              "unbiased", trials, threads)
     rows = _band_rows("unbiased-variance", "variance_norm", rep.variance_norm,
                       0.52, 0.62, experiment="drive-unbiased", d=d,
                       trials=trials, std_err=rep.std_err)
 
     biases = [measure_drive_error(gen_adversarial("one_hot", dm),
                                   RotationSpec(dm, 2, master_seed),
-                                  "unbiased", tm).bias_sq_norm
+                                  "unbiased", tm, threads).bias_sq_norm
               for dm, tm in zip(bias_dims, bias_trials)]
     rows += _trend_rows("unbiased-bias-nonincreasing",
                         [(dm, b, 0.0, tm) for dm, b, tm
@@ -253,7 +255,8 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
 
 
 def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
-            master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+            master_seed: int = DEFAULT_MASTER_SEED,
+            threads: int = 1) -> list[VerifyReport]:
     """Distributed mean estimation with identical one-hot clients: per-round
     NMSE under ``(pi/2 - 1)/N + 0.05`` and the 1-vs-16 client ratio near the
     ideal factor 16."""
@@ -262,7 +265,7 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
     nmse_by_n = {}
     for n in n_clients:
         rep = dme_simulate(np.tile(x, (n, 1)), RotationSpec(d, 2, master_seed),
-                           "unbiased", trials)
+                           "unbiased", trials, threads)
         nmse_by_n[n] = rep.nmse
         bound = LIMIT_VNMSE["unbiased"] / n + 0.05
         rows.append(VerifyReport(
@@ -308,17 +311,19 @@ def run_bsq_outliers(dims=(1024, 4096), draws: int = 1_000_000,
 
 def run_bsq_transfer(d: int = 1024, bits: int = 2, tail: float = 0.01,
                      trials: int = 1000,
-                     master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+                     master_seed: int = DEFAULT_MASTER_SEED,
+                     threads: int = 1) -> list[VerifyReport]:
     """Error-transfer bound on the rotated adversarial input, plus the
     unrotated grid-midpoint input as a negative control that must violate
     the same bound."""
     cfg = BsqConfig(bits=bits, tail_mass=tail)
     positive = verify_tv_transfer(gen_adversarial("two_spike", d), cfg,
-                                  trials, layers=2, master_seed=master_seed)
+                                  trials, layers=2, master_seed=master_seed,
+                                  threads=threads)
     adversarial = gen_adversarial("grid_midpoints", d, tail_mass=tail,
                                   bits=bits)
     negative = verify_tv_transfer(adversarial, cfg, trials=16, layers=0,
-                                  master_seed=master_seed)
+                                  master_seed=master_seed, threads=threads)
     negative.negative_control = True
     negative.claim = "quantization-error-transfer-unrotated"
     return [positive, negative]
@@ -379,7 +384,8 @@ def run_lemma_bottleneck(master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyR
 
 
 def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
-                         master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
+                         master_seed: int = DEFAULT_MASTER_SEED,
+                         threads: int = 1) -> list[VerifyReport]:
     """Third-layer decorrelation: the RMS conditional covariance stays under
     ``sqrt(2 E|R1 xu|_inf^2)`` and decays with dimension.
 
@@ -392,7 +398,8 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
     rms_values = []
     for d in dims:
         covs, linf_sq = conditional_cov_trials(
-            gen_adversarial("two_spike", d), i, j, 3, trials, master_seed)
+            gen_adversarial("two_spike", d), i, j, 3, trials, master_seed,
+            threads)
         m2, se_m2 = mean_se(covs * covs)
         rms = math.sqrt(m2)
         se_rms = se_m2 / (2.0 * rms) if rms > 0 else 0.0
@@ -437,7 +444,8 @@ def _universality_rows(reports, label: str, negative: bool) -> list[VerifyReport
 def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
                         train_seed: int = 2024,
                         master_seed: int = DEFAULT_MASTER_SEED,
-                        include_negative: bool = True) -> list[VerifyReport]:
+                        include_negative: bool = True,
+                        threads: int = 1) -> list[VerifyReport]:
     """One 16-centroid codebook of 4-dim blocks across dimensions: the
     distortion gap against fresh Gaussian blocks decays like
     ``sqrt(log d / d)`` under 3 rotation layers (trend of the scaled gap,
@@ -446,12 +454,13 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     codebook = train_gaussian_codebook(4, 16, train_seed)
     pattern = gen_adversarial("two_spike", 4)
     positive = verify_codebook_universality(
-        pattern, codebook, dims, trials, master_seed=master_seed, layers=3)
+        pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
+        threads=threads)
     rows = _universality_rows(positive, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
             pattern, codebook, dims, trials, master_seed=master_seed,
-            layers=2)
+            layers=2, threads=threads)
         rows.extend(_universality_rows(negative, "two-layer-control",
                                        negative=True))
     return rows
@@ -513,7 +522,7 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
                                      derive_seed(master_seed, 10_000 + idx))
         return empirical_kolmogorov(EmpiricalSample.from_values(values))
 
-    dks = run_ordered(chosen, one, threads)
+    dks = list(run_ordered(chosen, one, threads))
     worst = int(np.argmax(dks))
     stat = float(dks[worst])
     return [VerifyReport(

@@ -66,13 +66,14 @@ def moment_scan(x) -> FlatnessStats:
         raise ValueError("input must be a non-empty 1-d vector")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
-    sq = x * x
-    return FlatnessStats(
-        sum_sq=float(np.sum(sq)),
-        sum_abs_cubed=float(np.sum(sq * np.abs(x))),
-        max_sq=float(np.max(sq)),
-        count=x.size,
-    )
+    with np.errstate(over="ignore"):  # an overflow shows as an infinite sum
+        sq = x * x
+        return FlatnessStats(
+            sum_sq=float(np.sum(sq)),
+            sum_abs_cubed=float(np.sum(sq * np.abs(x))),
+            max_sq=float(np.max(sq)),
+            count=x.size,
+        )
 
 
 def normal_cdf(t):

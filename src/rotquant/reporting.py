@@ -129,7 +129,7 @@ def all_ok(rows) -> bool:
 def _environment(threads: int | None = None) -> dict:
     """The software and machine behind a report: rotquant, numpy and scipy
     versions, the BLAS numpy was built against, the CPU count, and the
-    ``--threads`` value (``None`` for a command without one)."""
+    ``--threads`` value (``None`` when the config has none)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "rotquant": VERSION,

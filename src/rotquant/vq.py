@@ -228,7 +228,7 @@ def stein_diagnostic_constant(k: int) -> float:
 
 
 def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
-                           master_seed: int = 0):
+                           master_seed: int = 0, threads: int = 1):
     """Per-trial final-layer conditional covariances.
 
     The covariance of output pair ``(i, j)`` over the last sign layer equals
@@ -261,13 +261,13 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
             w = layer_signs(seeds, 2, d) * a
         return np.einsum("ij,ij->i", w, w[:, perm]), np.max(np.abs(a), axis=1) ** 2
 
-    covs, linf_sq = zip(*map_trials(master_seed, trials, d, chunk))
+    covs, linf_sq = zip(*map_trials(master_seed, trials, d, chunk, threads=threads))
     return np.concatenate(covs), np.concatenate(linf_sq)
 
 
 def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
                                  master_seed: int = 0, layers: int = 3,
-                                 gauss_trials: int = 100_000):
+                                 gauss_trials: int = 100_000, threads: int = 1):
     """Distortion-gap measurement for one shared codebook across dimensions.
 
     The input's pattern is re-embedded (zero-padded, renormalized) at each
@@ -296,7 +296,8 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
             first = rotate_many(xu, layers, seeds)[:, :k] * math.sqrt(d)
             return _nearest_sq_dist(first, codebook.centroids)[0]
 
-        rht.append((d, mean_se(np.concatenate(map_trials(master_seed, trials, d, chunk)))))
+        rht.append((d, mean_se(np.concatenate(list(map_trials(
+            master_seed, trials, d, chunk, threads=threads))))))
 
     gkeys = derive_seeds(master_seed, trials, gauss_trials)
     gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)

@@ -70,7 +70,7 @@ def test_criterion_02_wasserstein(scalar_rows):
 
 
 def test_criterion_03_drive_biased():
-    rows = run_drive_biased()
+    rows = run_drive_biased(threads=4)
     in_band = all(0.34 <= r.extra["vnmse"] <= 0.39 for r in rows)
     ok = all(r.ok() for r in rows) and in_band
     record_criterion(3, "biased sign-quantizer error band and identity", ok)
@@ -78,14 +78,14 @@ def test_criterion_03_drive_biased():
 
 
 def test_criterion_04_drive_unbiased():
-    rows = run_drive_unbiased()
+    rows = run_drive_unbiased(threads=4)
     ok = all(r.ok() for r in rows)
     record_criterion(4, "unbiased variance band and bias decay", ok)
     assert ok, unhealthy(rows)
 
 
 def test_criterion_05_dme():
-    rows = run_dme()
+    rows = run_dme(threads=4)
     ok = all(r.ok() for r in rows)
     record_criterion(5, "distributed mean estimation error scaling", ok)
     assert ok, unhealthy(rows)
@@ -123,7 +123,7 @@ def test_criterion_09_decorrelation():
 
 
 def test_criterion_10_universality():
-    rows = run_vq_universality()
+    rows = run_vq_universality(threads=4)
     controls = [r for r in rows if r.negative_control]
     ok = all(r.ok() for r in rows) and len(controls) == 3
     record_criterion(10, "one codebook serves every dimension", ok)

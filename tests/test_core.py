@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,6 +20,7 @@ from rotquant.core import (
     map_trials,
     mean_se,
     rotate_many,
+    run_ordered,
     sign_vector,
     unit_vector,
     unpack_sign_bits,
@@ -389,6 +392,32 @@ def test_spec_rejects_non_integer_fields():
 def test_map_trials_needs_two_trials(trials):
     with pytest.raises(ValueError, match="need at least two trials"):
         map_trials(0, trials, 8, lambda lo, hi, seeds: seeds)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_run_ordered_yields_in_job_order_with_few_jobs_in_flight(threads):
+    """Results come in job order however the jobs finish, and a slow
+    consumer never has more than ``2 * threads`` jobs started and not yet
+    consumed."""
+    lock = threading.Lock()
+    started, consumed, in_flight = [0], [0], []
+
+    def job(i):
+        with lock:
+            started[0] += 1
+            in_flight.append(started[0] - consumed[0])
+        time.sleep(0.002 * (i % 3))  # later jobs often finish first
+        return i
+
+    got = []
+    for result in run_ordered(range(40), job, threads):
+        time.sleep(0.003)
+        with lock:
+            consumed[0] += 1
+        got.append(result)
+    assert got == list(range(40))
+    assert max(in_flight) <= 2 * threads
+    assert max(in_flight) >= min(threads, 2)  # the pool did run jobs together
 
 
 def test_mean_se_is_the_ddof1_standard_error():

@@ -202,27 +202,29 @@ def _chunked_results(threads: int = 1):
     spec = RotationSpec(256, 2, 21)
     codebook = train_gaussian_codebook(2, 4, train_seed=1, n_samples=1000)
     return {
-        "drive": measure_drive_error(x, spec, "biased", 300),
+        "drive": measure_drive_error(x, spec, "biased", 300, threads),
         # a last trial block that is not full
-        "drive_unbiased": measure_drive_error(x, spec, "unbiased", 301),
-        "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60).per_trial,
-        "tv": verify_tv_transfer(x, BsqConfig(2, 0.01), 200,
-                                 master_seed=3).to_row(),
-        "cov2": conditional_cov_trials(x, 0, 2, 2, 150, master_seed=4),
-        "cov3": conditional_cov_trials(x, 0, 2, 3, 150, master_seed=4),
+        "drive_unbiased": measure_drive_error(x, spec, "unbiased", 301, threads),
+        "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60,
+                            threads).per_trial,
+        "tv": verify_tv_transfer(x, BsqConfig(2, 0.01), 200, master_seed=3,
+                                 threads=threads).to_row(),
+        "cov2": conditional_cov_trials(x, 0, 2, 2, 150, 4, threads),
+        "cov3": conditional_cov_trials(x, 0, 2, 3, 150, 4, threads),
         "vq": verify_codebook_universality(
             x[:8], codebook, (64, 256), 300, master_seed=5,
-            gauss_trials=2000),
+            gauss_trials=2000, threads=threads),
         "pooled": _pooled_coordinates(x, 2, 300, 6, threads=threads),
     }
 
 
 def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
-    """Smaller trial chunks give the default budget's results bit for bit,
-    the DRIVE mean reconstruction (summed in fixed trial blocks) included."""
-    assert core.TRIAL_CHUNK_ELEMS == 1 << 22
+    """Smaller trial chunks, run on two threads, give the default budget's
+    serial results bit for bit, the DRIVE mean reconstruction (summed in
+    fixed trial blocks) included."""
+    assert core.TRIAL_CHUNK_ELEMS == 1 << 18
     ref = _chunked_results()
-    for budget in (1 << 18, 1 << 14):
+    for budget in (1 << 16, 1 << 14):
         monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
         got = _chunked_results(threads=2)
         assert got["drive"] == ref["drive"]
@@ -235,33 +237,34 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
         assert np.array_equal(got["pooled"], ref["pooled"])
 
 
-# Every runner that uses map_trials, at sizes that split into several chunks
-# at a budget of 2^12 elements.
+# Every runner that uses map_trials, with keyword arguments at sizes that
+# split into several chunks at a budget of 2^12 elements.
 RUNNERS = {
-    "run_scalar_convergence": lambda: experiments.run_scalar_convergence(
-        (64,), draws=20_000, threads=2),
-    "run_drive_biased": lambda: experiments.run_drive_biased(d=256, trials=300),
-    "run_drive_unbiased": lambda: experiments.run_drive_unbiased(
-        d=256, trials=200, bias_dims=(64, 256), bias_trials=(200, 300)),
-    "run_dme": lambda: experiments.run_dme(d=256, trials=100),
-    "run_bsq_outliers": lambda: experiments.run_bsq_outliers(
-        dims=(256,), draws=20_000, threads=2),
-    "run_bsq_transfer": lambda: experiments.run_bsq_transfer(d=256, trials=200),
-    "run_vq_decorrelation": lambda: experiments.run_vq_decorrelation(
-        dims=(64, 256), trials=200),
-    "run_vq_universality": lambda: experiments.run_vq_universality(
-        dims=(64, 256), trials=200),
-    "run_adaptive_soundness": lambda: experiments.run_adaptive_soundness(
-        n_inputs=3, d=256, draws=20_000, threads=2),
+    "run_scalar_convergence": {"dims": (64,), "draws": 20_000},
+    "run_drive_biased": {"d": 256, "trials": 300},
+    "run_drive_unbiased": {"d": 256, "trials": 200, "bias_dims": (64, 256),
+                           "bias_trials": (200, 300)},
+    "run_dme": {"d": 256, "trials": 100},
+    "run_bsq_outliers": {"dims": (256,), "draws": 20_000},
+    "run_bsq_transfer": {"d": 256, "trials": 200},
+    "run_vq_decorrelation": {"dims": (64, 256), "trials": 200},
+    "run_vq_universality": {"dims": (64, 256), "trials": 200},
+    "run_adaptive_soundness": {"n_inputs": 3, "d": 256, "draws": 20_000},
 }
+
+
+def _runner_rows(name, threads):
+    return [r.to_row() for r in
+            getattr(experiments, name)(**RUNNERS[name], threads=threads)]
 
 
 @pytest.mark.parametrize("name", RUNNERS)
 def test_runner_rows_do_not_depend_on_the_chunk_budget(name, monkeypatch):
     """Each runner's full rows are the same at the default budget and at
-    budgets small enough to split its trials into several chunks."""
-    assert core.TRIAL_CHUNK_ELEMS == 1 << 22
-    ref = [r.to_row() for r in RUNNERS[name]()]
+    budgets small enough to split its trials into several chunks, whether
+    the chunks run on one thread or two."""
+    assert core.TRIAL_CHUNK_ELEMS == 1 << 18
+    ref = _runner_rows(name, threads=1)
     chunks = []
     run_ordered = core.run_ordered
 
@@ -272,8 +275,9 @@ def test_runner_rows_do_not_depend_on_the_chunk_budget(name, monkeypatch):
     monkeypatch.setattr(core, "run_ordered", counted)
     for budget in (1 << 16, 1 << 12):
         monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
-        chunks.clear()
-        assert [r.to_row() for r in RUNNERS[name]()] == ref
+        for threads in (1, 2):
+            chunks.clear()
+            assert _runner_rows(name, threads) == ref
     assert max(chunks) >= 2
 
 
@@ -390,6 +394,7 @@ def test_cli_check_recommends_layers(capsys):
     assert (doc["scalar_layers"], doc["vq_layers"]) == (2, 3)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [1e103, 1e200])
 def test_cli_check_rejects_overflowing_moments(value, tmp_path, capsys):
     vec = tmp_path / "vec.bin"
@@ -400,13 +405,25 @@ def test_cli_check_rejects_overflowing_moments(value, tmp_path, capsys):
     assert "input must be finite and non-zero" in captured.err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
 def test_cli_prints_no_non_finite_json(tmp_path, capsys):
     vec = tmp_path / "vec.bin"
-    vec.write_bytes(serialize(np.full(8, 1e200)))
+    vec.write_bytes(serialize(np.full(8, 1e308)))  # the first FWHT stage overflows
     assert cli.main(["transform", "--in", str(vec)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not JSON compliant" in captured.err
+
+
+def test_cli_transform_prints_a_finite_norm(tmp_path, capsys):
+    """A finite rotated vector whose sum of squares overflows still has its
+    true norm printed."""
+    vec = tmp_path / "vec.bin"
+    vec.write_bytes(serialize(np.full(8, 1e200)))
+    assert cli.main(["transform", "--in", str(vec)]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["norm"] == pytest.approx(math.sqrt(8) * 1e200, rel=1e-15)
 
 
 @pytest.mark.parametrize("flag", ["--eta3", "--eta-inf"])
@@ -446,9 +463,9 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["experiment"] == "dme"
     assert doc["config"] == {"command": "dme", "d": 64, "clients": [1, 4],
-                             "trials": 20, "master_seed": 3}
+                             "trials": 20, "master_seed": 3, "threads": 1}
     assert [r["extra"]["n_clients"] for r in doc["rows"]] == [1, 4]
-    assert doc["env"]["threads"] is None  # dme has no --threads
+    assert doc["env"]["threads"] == 1
 
     cli.main(["verify-scalar", "--dims", "64", "--draws", "10000",
               "--threads", "2"])
@@ -463,7 +480,7 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     assert doc["config"] == {"command": "verify-vq", "dims": [16, 32],
                              "trials": 200, "cov_trials": 100,
                              "train_seed": 2024, "skip_negative": True,
-                             "master_seed": DEFAULT_MASTER_SEED}
+                             "master_seed": DEFAULT_MASTER_SEED, "threads": 1}
     assert not any(r["negative_control"] for r in doc["rows"])
 
 
@@ -472,9 +489,9 @@ def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
     passes = []
     measure = vq.conditional_cov_trials
 
-    def counted(x, i, j, layers, trials, master_seed=0):
+    def counted(x, i, j, layers, trials, master_seed=0, threads=1):
         passes.append(trials)
-        return measure(x, i, j, layers, trials, master_seed)
+        return measure(x, i, j, layers, trials, master_seed, threads)
 
     for module in (vq, experiments):
         monkeypatch.setattr(module, "conditional_cov_trials", counted)
@@ -523,8 +540,10 @@ def test_report_calls_every_runner_once(monkeypatch, capsys):
         if "threads" in parameters:
             assert arguments.get("threads") == 3, name
             threaded.append(name)
-    assert threaded == ["run_scalar_convergence", "run_bsq_outliers",
-                        "run_adaptive_soundness"]
+    assert threaded == ["run_scalar_convergence", "run_drive_biased",
+                        "run_drive_unbiased", "run_dme", "run_bsq_outliers",
+                        "run_bsq_transfer", "run_vq_decorrelation",
+                        "run_vq_universality", "run_adaptive_soundness"]
 
 
 def test_cli_input_validation(tmp_path):
@@ -557,7 +576,8 @@ def test_cli_rejects_degenerate_trial_counts(argv, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["verify-scalar", "verify-bsq", "report"])
+@pytest.mark.parametrize("command", ["verify-scalar", "verify-drive",
+                                     "verify-bsq", "verify-vq", "dme", "report"])
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_cli_threads_must_be_a_positive_integer(command, threads, capsys):
     with pytest.raises(SystemExit) as exc:
