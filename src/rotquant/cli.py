@@ -19,7 +19,7 @@ import numpy as np
 from . import codec
 from .adaptive import decide_layers
 from .bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
-from .core import RotationSpec, apply_rotation, inverse_rotation
+from .core import RotationSpec, apply_rotation, inverse_rotation, sum_sq
 from .drive import LIMIT_VNMSE, DrivePayload, drive_decode, drive_encode
 from .experiments import (
     DEFAULT_MASTER_SEED,
@@ -110,15 +110,14 @@ def _print_json(payload: dict):
 
 
 def _norm(y) -> float:
-    """``|y|_2``; when the plain sum of squares overflows, computed again on
-    ``y / max|y|`` and scaled back, so a finite ``y`` whose norm fits in a
-    float64 gets a finite norm."""
+    """``|y|_2`` computed on ``y * 2^-e``, ``e`` from ``frexp(max|y|)``, and
+    scaled back by ``2^e``, so a finite ``y`` whose norm fits in a float64
+    gets a finite norm even when its plain sum of squares overflows.  Scaling
+    by a power of two is exact, so this is bit-identical to
+    ``sqrt(sum_sq(y))`` whenever no square overflows or underflows."""
+    _, e = math.frexp(float(np.max(np.abs(y))))  # e = 0 for 0, inf and NaN
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(y))
-    if norm == math.inf and np.all(np.isfinite(y)):
-        top = float(np.max(np.abs(y)))
-        norm = top * float(np.linalg.norm(y / top))
-    return norm
+        return float(np.ldexp(math.sqrt(sum_sq(np.ldexp(y, -e))), e))
 
 
 def cmd_transform(args) -> int:
@@ -173,15 +172,15 @@ def cmd_decode(args) -> int:
                 "outliers": int(obj.outlier_idx.size)}
     else:
         raise SystemExit(f"{args.input} does not hold a decodable payload")
-    info["norm"] = float(np.linalg.norm(xhat))
+    info["norm"] = _norm(xhat)
     if args.ref:
         ref = codec.deserialize(Path(args.ref).read_bytes())
         if not isinstance(ref, np.ndarray) or ref.size != xhat.size:
             raise SystemExit("--ref must be a vector file of matching length")
-        denom = float(np.dot(ref, ref))
+        denom = float(sum_sq(ref))
         if denom <= 0.0:
             raise SystemExit("--ref vector must be non-zero")
-        info["vnmse"] = float(np.sum((xhat - ref) ** 2) / denom)
+        info["vnmse"] = float(sum_sq(xhat - ref)) / denom
         if isinstance(obj, DrivePayload):
             info["expected_vnmse"] = LIMIT_VNMSE[obj.mode]
     if args.out:

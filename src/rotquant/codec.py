@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .bsq import BsqConfig, BsqPayload
-from .core import MAX_LAYERS, RotationSpec
+from .core import MAX_LAYERS, RotationSpec, sum_sq
 from .drive import DrivePayload
 from .vq import Codebook
 
@@ -216,7 +216,7 @@ def _deserialize_codebook(flags: int, key: int, body: bytes) -> Codebook:
     _require(bool(np.all(np.isfinite(cents))), "centroids",
              "centroids must be finite")
     with np.errstate(over="ignore"):  # corrupt bytes may square to inf
-        recomputed = float(np.max(np.linalg.norm(cents, axis=1)))
+        recomputed = float(np.sqrt(np.max(sum_sq(cents))))
     _require(math.isfinite(recomputed), "radius", "centroid norms overflow")
     _require(math.isclose(radius, recomputed, rel_tol=1e-9, abs_tol=1e-12),
              "radius", "stored radius does not match the centroids")

@@ -41,6 +41,7 @@ __all__ = [
     "run_ordered",
     "map_trials",
     "mean_se",
+    "sum_sq",
     "unit_vector",
 ]
 
@@ -339,12 +340,24 @@ def mean_se(samples):
     return float(np.mean(s)), float(np.std(s, ddof=1) / math.sqrt(s.size))
 
 
+def sum_sq(v):
+    """Sum of squares along the last axis, in float64.
+
+    The one way the package reduces a vector to a norm: ``add.reduce(v * v)``
+    in numpy's fixed pairwise order, with no BLAS call, so the result (and
+    every payload scale and report row derived from it) is the same for any
+    BLAS build and BLAS thread count.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    return np.add.reduce(v * v, axis=-1)
+
+
 def unit_vector(x):
     """``(x / |x|_2, |x|_2)``; raises ``ValueError`` unless ``x`` is
     non-zero and finite, with a norm that does not overflow."""
     x = np.asarray(x, dtype=np.float64)
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(x))
+        norm = math.sqrt(sum_sq(x))
     if not 0.0 < norm < math.inf:  # NaN and inf entries make the norm NaN or inf
         raise ValueError("input must be finite and non-zero")
     return x / norm, norm
@@ -367,6 +380,7 @@ def rotate_normalized(x, spec: RotationSpec):
     and ``scale = |x|_2 / sqrt(d)``, so ``R x = scale * U`` (``U = 0`` for
     a zero input)."""
     y = apply_rotation(x, spec)
-    scale = float(np.linalg.norm(y)) / math.sqrt(spec.dim)  # rotation preserves |x|_2
+    with np.errstate(over="ignore"):  # an overflowing norm gives an infinite scale
+        scale = math.sqrt(sum_sq(y)) / math.sqrt(spec.dim)  # rotation preserves |x|_2
     u = y / scale if scale > 0.0 else np.zeros(spec.dim)
     return u, scale

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, sum_sq, unpack_sign_bits
 
 __all__ = [
     "MODES",
@@ -128,8 +128,9 @@ def drive_encode(x, spec: RotationSpec, mode: str = "biased") -> DrivePayload:
     """Rotate ``x`` and quantize to signs plus a single scale."""
     _check_mode(mode)
     y = apply_rotation(x, spec)
-    scale = float(_drive_scale(mode, spec.dim, np.sum(np.abs(y)),
-                               np.linalg.norm(x)))
+    with np.errstate(over="ignore"):  # only the unbiased scale reads it; inf fails its check
+        norm = math.sqrt(sum_sq(x))
+    scale = float(_drive_scale(mode, spec.dim, np.sum(np.abs(y)), norm))
     return DrivePayload(mode=mode, spec=spec, scale=scale, sign_bits=sign_vector(y))
 
 
@@ -176,7 +177,7 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         raise ValueError("input must be a non-empty (N, d) matrix whose rows "
                          "match the rotation spec")
     with np.errstate(over="ignore"):
-        sq = np.add.reduce(xs * xs, axis=1)
+        sq = sum_sq(xs)
     if not np.all((sq > 0.0) & (sq < math.inf)):  # NaN fails both
         raise ValueError("input must be finite and non-zero")
     n, d = xs.shape
@@ -227,9 +228,9 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
                                                         trials, threads)
     d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
-    bias_sq_norm = float(np.sum((mean_hat - x) ** 2) / norm_sq)
+    bias_sq_norm = float(sum_sq(mean_hat - x) / norm_sq)
     # E|xhat|^2 = scale^2 d exactly, so the plug-in variance needs no second pass.
-    variance_norm = float((np.mean(scales * scales) * d - np.dot(mean_hat, mean_hat)) / norm_sq)
+    variance_norm = float((np.mean(scales * scales) * d - sum_sq(mean_hat)) / norm_sq)
     eq1 = None
     if mode == "biased":
         eq1 = float(1.0 - np.mean(l1 * l1) / (d * norm_sq))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bsq import BsqConfig
-from .core import check_dim
+from .core import check_dim, unit_vector
 from .rng import Xoshiro256pp
 
 __all__ = ["KINDS", "gen_adversarial"]
@@ -59,11 +59,11 @@ def gen_adversarial(kind: str, d: int, seed: int = 0, tail_mass: float = 0.01,
         return np.full(d, 1.0 / math.sqrt(d))
     if kind == "grid_midpoints":
         x = _grid_midpoints(d, tail_mass, bits)
-        return x / np.linalg.norm(x)
+        return unit_vector(x)[0]
     if kind == "dirichlet_random":
         gen = Xoshiro256pp([seed])
         u = gen.uniforms(d)[0]
         weights = -np.log1p(-u)  # exponentials -> symmetric Dirichlet mass
         x = gen.sign_values(d)[0] * np.sqrt(weights / weights.sum())
-        return x / np.linalg.norm(x)
+        return unit_vector(x)[0]
     raise ValueError(f"unknown input kind {kind!r}; expected one of {KINDS}")

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
+from .core import check_dim
+
 __all__ = [
     "CUBE_RATIO_C",
     "BERRY_ESSEEN_C",
@@ -149,11 +151,9 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     twice, which matches the pairwise-sum convention).  Runs in O(d).
     """
     y = np.asarray(y, dtype=np.float64)
-    d = y.size
-    if y.ndim != 1 or d == 0:
-        raise ValueError("input must be a non-empty 1-d vector")
-    if d & (d - 1):
-        raise ValueError("dimension must be a power of two")
+    if y.ndim != 1:
+        raise ValueError("input must be a 1-d vector")
+    d = check_dim(y.size)
     s = np.asarray(signs, dtype=np.float64)
     if s.shape != (d,):
         raise ValueError("sign plane length does not match the vector")
@@ -162,5 +162,5 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     alpha = i ^ j
     perm = np.arange(d) ^ alpha
     w = s * y
-    return float(np.dot(w, w[perm]))
+    return float(np.add.reduce(w * w[perm]))
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, mean_se, rotate_many, rotate_normalized, unit_vector
+from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, mean_se, rotate_many, rotate_normalized, sum_sq, unit_vector
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
@@ -55,7 +55,7 @@ class Codebook:
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
         with np.errstate(over="ignore"):
-            r = float(np.max(np.linalg.norm(c, axis=1)))
+            r = float(np.sqrt(np.max(sum_sq(c))))
         if not math.isclose(self.radius, r, rel_tol=1e-9, abs_tol=1e-12):
             raise ValueError("stored radius does not match the centroids")
 
@@ -66,7 +66,7 @@ class Codebook:
     @classmethod
     def from_centroids(cls, centroids, train_seed: int) -> "Codebook":
         c = np.asarray(centroids, dtype=np.float64)
-        radius = float(np.max(np.linalg.norm(c, axis=1)))
+        radius = float(np.sqrt(np.max(sum_sq(c))))
         return cls(block_dim=c.shape[1], centroids=c, train_seed=train_seed,
                    radius=radius)
 
@@ -82,7 +82,6 @@ class VqReport:
     gap_se: float
     stein_bound: float  # smoothness-budget diagnostic, not a pass target
     trials: int
-    layers: int = 3
 
     def __post_init__(self):
         if self.err_rht < 0.0 or self.err_gauss < 0.0:
@@ -110,6 +109,12 @@ def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None):
     one-matmul form ``p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq``.
     ``p_sq`` (the row norms squared) may be passed in when the same points
     are searched repeatedly.
+
+    The cross term is the one BLAS call (``dgemm``) behind a payload byte or
+    a report row: its last bits depend on the BLAS kernel (fused
+    multiply-add or not), so they can move a distortion and, on a near tie,
+    an index.  It stays because a BLAS-free cross term made codebook
+    training nearly twice as slow.
     """
     n = points.shape[0]
     if p_sq is None:
@@ -304,6 +309,5 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     gauss_mean, gauss_se = mean_se(_nearest_sq_dist(gauss_blocks, codebook.centroids)[0])
     return [VqReport(d=d, err_rht=rht_mean, err_gauss=gauss_mean,
                      gap_se=math.hypot(rht_se, gauss_se),
-                     stein_bound=stein_diagnostic_constant(k), trials=trials,
-                     layers=layers)
+                     stein_bound=stein_diagnostic_constant(k), trials=trials)
             for d, (rht_mean, rht_se) in rht]

@@ -320,7 +320,6 @@ def test_universality_reports_shape_and_fields():
         assert r.gap == abs(r.err_rht - r.err_gauss)
         assert r.err_gauss == reports[0].err_gauss  # shared Gaussian baseline
         assert r.stein_bound == stein_diagnostic_constant(4)
-        assert r.layers == 3
         assert r.trials == 400
         assert 0.0 < r.err_rht < 4.0
 
