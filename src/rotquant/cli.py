@@ -3,12 +3,17 @@
 Subcommands fall into two groups: pipeline plumbing (``transform``,
 ``encode``, ``decode``, ``check``) operating on vector/payload files, and
 verification runs (``verify-*``, ``dme``, ``report``) that print report rows
-and exit non-zero when any check lands on the wrong side of its bound.
+and exit non-zero when any check lands on the wrong side of its bound.  Every
+verification run is :func:`cmd_run` over :data:`rotquant.experiments.RUNNERS`:
+``report`` runs the whole table in order, and each ``verify-*``/``dme``
+subcommand runs its own group at the same defaults, each flag setting the
+runner parameter of its name (or the one :data:`FLAG_FOR` names).
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -16,26 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import codec
+from . import codec, experiments
 from .adaptive import decide_layers
 from .bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
 from .core import RotationSpec, apply_rotation, inverse_rotation, sum_sq
 from .drive import LIMIT_VNMSE, DrivePayload, drive_decode, drive_encode
-from .experiments import (
-    DEFAULT_MASTER_SEED,
-    run_adaptive_decisions,
-    run_adaptive_soundness,
-    run_bsq_outliers,
-    run_bsq_transfer,
-    run_cd_expansion,
-    run_dme,
-    run_drive_biased,
-    run_drive_unbiased,
-    run_lemma_bottleneck,
-    run_scalar_convergence,
-    run_vq_decorrelation,
-    run_vq_universality,
-)
+from .experiments import DEFAULT_MASTER_SEED
 from .generators import KINDS, gen_adversarial
 from .reporting import all_ok, render_rows
 
@@ -43,10 +34,21 @@ __all__ = ["main"]
 
 ENCODE_MODES = ("drive-biased", "drive-unbiased", "bsq")
 
+# Runner parameters set by a flag of another name, by runner; every other
+# parameter takes the parsed flag of its own name, where the subcommand has
+# one.  ``--skip-negative`` sets ``include_negative`` to its negation.
+FLAG_FOR = {
+    "run_scalar_convergence": {"kind": "gen"},
+    "run_dme": {"n_clients": "clients"},
+    "run_bsq_transfer": {"d": "transfer_d", "tail": "tail_mass"},
+    "run_vq_decorrelation": {"trials": "cov_trials"},
+}
+
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(",") if part.strip())
+        dims = tuple(_positive_int(part) for part in text.split(",")
+                     if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
     if not dims:
@@ -197,68 +199,20 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_verify_scalar(args) -> int:
-    rows = run_scalar_convergence(
-        args.dims, draws=args.draws,
-        kind=args.gen, layers=args.layers,
-        master_seed=args.master_seed, threads=args.threads)
-    return _emit(rows, args)
-
-
-def cmd_verify_drive(args) -> int:
-    rows = run_drive_biased(d=args.d, trials=args.trials,
-                            master_seed=args.master_seed, threads=args.threads)
-    rows += run_drive_unbiased(d=args.d, trials=args.trials,
-                               master_seed=args.master_seed,
-                               threads=args.threads)
-    return _emit(rows, args)
-
-
-def cmd_verify_bsq(args) -> int:
-    rows = run_bsq_outliers(dims=args.dims, draws=args.draws,
-                            master_seed=args.master_seed,
-                            threads=args.threads)
-    rows += run_bsq_transfer(d=args.transfer_d, bits=args.bits,
-                             tail=args.tail_mass, trials=args.trials,
-                             master_seed=args.master_seed,
-                             threads=args.threads)
-    return _emit(rows, args)
-
-
-def cmd_verify_vq(args) -> int:
-    rows = run_lemma_bottleneck(master_seed=args.master_seed)
-    rows += run_vq_decorrelation(dims=args.dims, trials=args.cov_trials,
-                                 master_seed=args.master_seed,
-                                 threads=args.threads)
-    rows += run_vq_universality(dims=args.dims, trials=args.trials,
-                                train_seed=args.train_seed,
-                                master_seed=args.master_seed,
-                                include_negative=not args.skip_negative,
-                                threads=args.threads)
-    return _emit(rows, args)
-
-
-def cmd_dme(args) -> int:
-    rows = run_dme(d=args.d, n_clients=args.clients, trials=args.trials,
-                   master_seed=args.master_seed, threads=args.threads)
-    return _emit(rows, args)
-
-
-def cmd_report(args) -> int:
-    seeded = {"master_seed": args.master_seed}
-    threaded = dict(seeded, threads=args.threads)
-    rows = run_scalar_convergence((256, 1024, 4096), **threaded)
-    rows += run_drive_biased(**threaded)
-    rows += run_drive_unbiased(**threaded)
-    rows += run_dme(**threaded)
-    rows += run_bsq_outliers(**threaded)
-    rows += run_bsq_transfer(**threaded)
-    rows += run_lemma_bottleneck(**seeded)
-    rows += run_vq_decorrelation(**threaded)
-    rows += run_vq_universality(**threaded)
-    rows += run_adaptive_decisions(**seeded)
-    rows += run_adaptive_soundness(**threaded)
-    rows += run_cd_expansion()
+def cmd_run(args) -> int:
+    """Run the runners of ``args.command`` in table order (all of them for
+    ``report``), each given the parsed flags that set its parameters."""
+    flags = vars(args)
+    if "skip_negative" in flags:
+        flags = dict(flags, include_negative=not args.skip_negative)
+    rows = []
+    for command, runner in experiments.RUNNERS:
+        if args.command in (command, "report"):
+            renamed = FLAG_FOR.get(runner.__name__, {})
+            flag_of = {name: renamed.get(name, name)
+                       for name in inspect.signature(runner).parameters}
+            rows += runner(**{name: flags[flag]
+                              for name, flag in flag_of.items() if flag in flags})
     return _emit(rows, args)
 
 
@@ -277,6 +231,7 @@ def main(argv=None) -> int:
         p.add_argument("--out", metavar="FILE", help="write the report here")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="worker threads (result-invariant)")
+        p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("transform", help="apply or invert a seeded rotation")
     _add_input_flags(p)
@@ -319,13 +274,11 @@ def main(argv=None) -> int:
     p.add_argument("--draws", type=int, default=1_000_000,
                    help="pooled coordinate draws per dimension")
     p.add_argument("--layers", type=int, default=2)
-    p.set_defaults(fn=cmd_verify_scalar)
 
     p = sub.add_parser("verify-drive", help="sign-quantizer error checks")
     common(p)
     p.add_argument("--d", type=int, default=4096)
     p.add_argument("--trials", type=int, default=10_000)
-    p.set_defaults(fn=cmd_verify_drive)
 
     p = sub.add_parser("verify-bsq",
                        help="outlier-fraction and error-transfer checks")
@@ -336,7 +289,6 @@ def main(argv=None) -> int:
     p.add_argument("--bits", type=int, default=2)
     p.add_argument("--tail-mass", type=float, default=0.01)
     p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(fn=cmd_verify_bsq)
 
     p = sub.add_parser("verify-vq",
                        help="bottleneck, decorrelation, and codebook checks")
@@ -348,18 +300,15 @@ def main(argv=None) -> int:
     p.add_argument("--train-seed", type=int, default=2024)
     p.add_argument("--skip-negative", action="store_true",
                    help="skip the 2-layer negative control")
-    p.set_defaults(fn=cmd_verify_vq)
 
     p = sub.add_parser("dme", help="distributed mean estimation simulation")
     common(p)
     p.add_argument("--d", type=int, default=4096)
     p.add_argument("--clients", type=_parse_dims, default=(1, 4, 16))
     p.add_argument("--trials", type=int, default=1000)
-    p.set_defaults(fn=cmd_dme)
 
     p = sub.add_parser("report", help="run every verification at full scale")
     common(p)
-    p.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
     try:

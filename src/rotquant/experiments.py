@@ -16,10 +16,13 @@ draw counts, the master seed and ``threads``.  Runners that pool coordinate
 draws are sized by ``draws`` (at least 1), rounded up to whole rotations
 and to at least two.  Settings that no caller varies (outlier tail masses,
 covariance pairs, the codebook shape, the calibrated bounds) are fixed in
-the runner; ``rotquant report`` runs each runner at its default, full-scale
-settings.  Each quantity is measured by one runner: the final-layer
-covariance only by :func:`run_vq_decorrelation`, the codebook distortion
-gap only by :func:`run_vq_universality`.
+the runner, and each runner's defaults are its full-scale settings.
+:data:`RUNNERS` lists every runner in report row order under the
+subcommand that runs it: ``rotquant report`` runs the whole table and each
+``verify-*``/``dme`` subcommand its own group, at the same defaults.  Each
+quantity is measured by one runner: the final-layer covariance only by
+:func:`run_vq_decorrelation`, the codebook distortion gap only by
+:func:`run_vq_universality`.
 
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
@@ -77,6 +80,7 @@ __all__ = [
     "run_adaptive_decisions",
     "run_adaptive_soundness",
     "run_cd_expansion",
+    "RUNNERS",
 ]
 
 DEFAULT_MASTER_SEED = 12345
@@ -144,7 +148,7 @@ def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
                                           threads=threads)))
 
 
-def run_scalar_convergence(dims, trials: int | None = None,
+def run_scalar_convergence(dims=(256, 1024, 4096), trials: int | None = None,
                            draws: int = 1_000_000, kind: str = "two_spike",
                            layers: int = 2, master_seed: int = DEFAULT_MASTER_SEED,
                            threads: int = 1) -> list[VerifyReport]:
@@ -556,3 +560,21 @@ def run_cd_expansion() -> list[VerifyReport]:
         claim="l1-scale-constant-expansion", slack_kind="exact",
         extra={"d_min": d_min, "d_max": d_max, "worst_d": int(d[worst])},
     )]
+
+
+# Every runner in report row order, under the subcommand that runs it;
+# ``rotquant report`` runs them all.
+RUNNERS = (
+    ("verify-scalar", run_scalar_convergence),
+    ("verify-drive", run_drive_biased),
+    ("verify-drive", run_drive_unbiased),
+    ("dme", run_dme),
+    ("verify-bsq", run_bsq_outliers),
+    ("verify-bsq", run_bsq_transfer),
+    ("verify-vq", run_lemma_bottleneck),
+    ("verify-vq", run_vq_decorrelation),
+    ("verify-vq", run_vq_universality),
+    ("report", run_adaptive_decisions),
+    ("report", run_adaptive_soundness),
+    ("report", run_cd_expansion),
+)

@@ -10,7 +10,9 @@ also gives ``headroom_se``, the headroom in standard errors (``null`` for a
 row without a standard error); the CSV keeps its fixed columns.
 Negative-control rows are *expected* to fail, and the run as a whole is
 healthy when every row behaves as expected.  The JSON form also records the
-environment that produced the rows (see ``_environment``).
+environment that produced the rows (see ``_environment``), and is strict: a
+value that is not finite is written as its ``repr`` string (``"nan"``,
+``"inf"``), never as ``NaN`` or ``Infinity``.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class VerifyReport:
         return self.passed != self.negative_control
 
     def to_row(self) -> dict:
+        """The row as plain JSON types; a non-finite float is its ``repr``
+        (``"nan"``, ``"inf"``), so the JSON report stays strict."""
         row = {
             "experiment": self.experiment,
             "claim": self.claim,
@@ -103,8 +107,8 @@ class VerifyReport:
             "std_err": self.std_err,
         }
         if self.extra:
-            row["extra"] = _jsonable(self.extra)
-        return row
+            row["extra"] = self.extra
+        return _jsonable(row)
 
 
 def _jsonable(value):
@@ -161,7 +165,8 @@ def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
             "all_ok": all_ok(rows),
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=CSV_FIELDS, extrasaction="ignore",

@@ -1,4 +1,5 @@
 import csv
+import functools
 import importlib
 import inspect
 import io
@@ -114,8 +115,14 @@ def test_row_pass_is_derived_from_its_numbers():
                      slack=0.0, passed=False, trials=1, std_err=0.0)
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _undated(text):
-    doc = json.loads(text)
+    doc = _strict_json(text)
     assert "generated_at" in doc
     del doc["generated_at"]
     return doc
@@ -157,6 +164,20 @@ def test_json_report_shape_and_determinism():
 def test_non_finite_extras_serialize():
     doc = _undated(render_rows([row(True, extra={"v": math.inf})], fmt="json"))
     assert doc["rows"][0]["extra"]["v"] == "inf"
+
+
+def test_non_finite_rows_serialize_as_strict_json():
+    """A NaN or infinite statistic, and the headroom derived from it, are
+    written as strings in the JSON and as the same floats in the CSV."""
+    rows = [row(True, statistic=math.nan), row(True, statistic=-math.inf)]
+    nan_row, inf_row = _undated(render_rows(rows, fmt="json"))["rows"]
+    assert nan_row["statistic"] == nan_row["headroom"] == "nan"
+    assert nan_row["headroom_se"] == "nan" and nan_row["pass"] is False
+    assert (inf_row["statistic"], inf_row["headroom"],
+            inf_row["headroom_se"]) == ("-inf", "inf", "inf")
+    assert inf_row["pass"] is True
+    table = list(csv.DictReader(io.StringIO(render_rows(rows, fmt="csv"))))
+    assert [r["statistic"] for r in table] == ["nan", "-inf"]
 
 
 def test_csv_report_schema_roundtrip():
@@ -379,12 +400,6 @@ def test_cli_encode_decode_reports_error(tmp_path, capsys):
     assert "expected_vnmse" not in json.loads(capsys.readouterr().out)
 
 
-def _strict_json(text):
-    def reject(constant):
-        raise ValueError(f"non-finite JSON constant {constant}")
-    return json.loads(text, parse_constant=reject)
-
-
 def test_cli_check_recommends_layers(capsys):
     assert cli.main(["check", "--gen", "flat", "--d", "1024"]) == 0
     doc = _strict_json(capsys.readouterr().out)
@@ -484,6 +499,23 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     assert not any(r["negative_control"] for r in doc["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-scalar", "--dims", "64", "--draws", "10000"],
+    ["verify-bsq", "--dims", "64", "--draws", "1000", "--transfer-d", "64",
+     "--trials", "20"],
+    ["verify-vq", "--dims", "16", "--trials", "50", "--cov-trials", "20",
+     "--skip-negative"],
+    ["dme", "--d", "64", "--clients", "1,16", "--trials", "20"],
+])
+def test_cli_report_json_is_strict(argv, capsys):
+    # verify-drive is left out: its bias sweep runs at full scale whatever
+    # the flags, which takes tens of seconds
+    code = cli.main(argv)
+    doc = _undated(capsys.readouterr().out)
+    assert doc["experiment"] == argv[0]
+    assert doc["rows"] and code == (0 if doc["all_ok"] else 1)
+
+
 def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
                                                              capsys):
     passes = []
@@ -501,52 +533,136 @@ def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
     assert passes == [100, 100]
 
 
-REPORT_RUNNERS = (
-    "run_scalar_convergence", "run_drive_biased", "run_drive_unbiased",
-    "run_dme", "run_bsq_outliers", "run_bsq_transfer", "run_lemma_bottleneck",
-    "run_vq_decorrelation", "run_vq_universality", "run_adaptive_decisions",
-    "run_adaptive_soundness", "run_cd_expansion",
-)
-
-
-def test_report_calls_every_runner_once(monkeypatch, capsys):
-    """``report`` runs every runner once, in row order, and hands each the
-    master seed and thread count it takes."""
-    assert set(REPORT_RUNNERS) == {n for n in experiments.__all__
-                                   if n.startswith("run_")}
+def _stand_in_runners(monkeypatch):
+    """Replace the runner table's functions with stand-ins that keep each
+    runner's name and signature, record the arguments it is called with and
+    return one row named after it."""
     calls = []
 
-    def recorder(name):
-        signature = inspect.signature(getattr(experiments, name))
-
+    def stand_in(runner):
+        @functools.wraps(runner)
         def run(*args, **kwargs):
-            calls.append((name, signature.bind(*args, **kwargs).arguments))
-            return [VerifyReport(experiment=name, d=1, statistic=0.0,
+            arguments = inspect.signature(runner).bind(*args, **kwargs).arguments
+            calls.append((runner.__name__, dict(arguments)))
+            return [VerifyReport(experiment=runner.__name__, d=1, statistic=0.0,
                                  bound=0.0, slack=0.0, trials=1, std_err=0.0)]
         return run
 
-    for name in REPORT_RUNNERS:
-        monkeypatch.setattr(cli, name, recorder(name))
+    monkeypatch.setattr(experiments, "RUNNERS", tuple(
+        (command, stand_in(runner)) for command, runner in experiments.RUNNERS))
+    return calls
+
+
+def _seeded(name, arguments, master_seed, threads):
+    """``arguments`` plus the master seed and thread count, wherever the
+    runner ``name`` takes them."""
+    parameters = inspect.signature(getattr(experiments, name)).parameters
+    extra = {"master_seed": master_seed, "threads": threads}
+    return {**arguments, **{k: v for k, v in extra.items() if k in parameters}}
+
+
+def test_runner_table_holds_every_runner_once():
+    """Every runner once, in the report's row order, under its subcommand."""
+    table = [(command, runner.__name__)
+             for command, runner in experiments.RUNNERS]
+    assert table == [
+        ("verify-scalar", "run_scalar_convergence"),
+        ("verify-drive", "run_drive_biased"),
+        ("verify-drive", "run_drive_unbiased"),
+        ("dme", "run_dme"),
+        ("verify-bsq", "run_bsq_outliers"),
+        ("verify-bsq", "run_bsq_transfer"),
+        ("verify-vq", "run_lemma_bottleneck"),
+        ("verify-vq", "run_vq_decorrelation"),
+        ("verify-vq", "run_vq_universality"),
+        ("report", "run_adaptive_decisions"),
+        ("report", "run_adaptive_soundness"),
+        ("report", "run_cd_expansion"),
+    ]
+    assert sorted(name for _, name in table) == sorted(
+        n for n in experiments.__all__ if n.startswith("run_"))
+    assert all(runner is getattr(experiments, runner.__name__)
+               for _, runner in experiments.RUNNERS)
+
+
+def test_report_runs_the_whole_table_in_order(monkeypatch, capsys):
+    """``report`` calls every runner once, in table order, with only the
+    master seed and thread count, wherever the runner takes them."""
+    calls = _stand_in_runners(monkeypatch)
     assert cli.main(["report", "--format", "csv", "--master-seed", "5",
                      "--threads", "3"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert [r["experiment"] for r in rows] == list(REPORT_RUNNERS)
-    assert [name for name, _ in calls] == list(REPORT_RUNNERS)
-    threaded = []
-    for name, arguments in calls:
+    order = [runner.__name__ for _, runner in experiments.RUNNERS]
+    assert [r["experiment"] for r in rows] == order
+    assert calls == [(name, _seeded(name, {}, 5, 3)) for name in order]
+
+
+# Each verify-*/dme subcommand with a value other than its default for every
+# flag it has, and the calls those flags must make, in table order.
+ROUTES = {
+    "verify-scalar": (
+        ["--gen", "flat", "--dims", "32,64", "--draws", "500", "--layers", "3"],
+        [("run_scalar_convergence", {"kind": "flat", "dims": (32, 64),
+                                     "draws": 500, "layers": 3})]),
+    "verify-drive": (
+        ["--d", "64", "--trials", "30"],
+        [("run_drive_biased", {"d": 64, "trials": 30}),
+         ("run_drive_unbiased", {"d": 64, "trials": 30})]),
+    "dme": (
+        ["--d", "64", "--clients", "2,8", "--trials", "30"],
+        [("run_dme", {"d": 64, "n_clients": (2, 8), "trials": 30})]),
+    "verify-bsq": (
+        ["--dims", "32,64", "--draws", "500", "--transfer-d", "128",
+         "--bits", "3", "--tail-mass", "0.05", "--trials", "30"],
+        [("run_bsq_outliers", {"dims": (32, 64), "draws": 500}),
+         ("run_bsq_transfer", {"d": 128, "bits": 3, "tail": 0.05,
+                               "trials": 30})]),
+    "verify-vq": (
+        ["--dims", "16,32", "--trials", "30", "--cov-trials", "40",
+         "--train-seed", "7", "--skip-negative"],
+        [("run_lemma_bottleneck", {}),
+         ("run_vq_decorrelation", {"dims": (16, 32), "trials": 40}),
+         ("run_vq_universality", {"dims": (16, 32), "trials": 30,
+                                  "train_seed": 7, "include_negative": False})]),
+}
+
+
+@pytest.mark.parametrize("command", ROUTES)
+def test_each_subcommand_runs_its_group_with_every_flag(command, monkeypatch,
+                                                        capsys):
+    """Each flag value reaches the parameter it sets and no other: exactly
+    the subcommand's group of the table runs, in table order."""
+    flags, expected = ROUTES[command]
+    calls = _stand_in_runners(monkeypatch)
+    assert cli.main([command, *flags, "--master-seed", "5",
+                     "--threads", "3"]) == 0
+    config = _strict_json(capsys.readouterr().out)["config"]
+    # the table above gives every flag of the subcommand
+    given = {f[2:].replace("-", "_") for f in flags if f.startswith("--")}
+    assert set(config) - {"command", "master_seed", "threads"} == given
+    assert [name for name, _ in calls] == [
+        runner.__name__ for c, runner in experiments.RUNNERS if c == command]
+    assert calls == [(name, _seeded(name, arguments, 5, 3))
+                     for name, arguments in expected]
+
+
+@pytest.mark.parametrize("command", ROUTES)
+def test_flag_defaults_are_the_runner_defaults(command, monkeypatch, capsys):
+    """A bare subcommand hands each runner of its group the runner's own
+    defaults, so it runs at the same full-scale settings as ``report``."""
+    calls = _stand_in_runners(monkeypatch)
+    assert cli.main([command, "--format", "csv"]) == 0
+    capsys.readouterr()
+    _, expected = ROUTES[command]
+    assert [name for name, _ in calls] == [name for name, _ in expected]
+    for (name, arguments), (_, routed) in zip(calls, expected):
+        assert set(arguments) == set(_seeded(name, routed, None, None)), name
         parameters = inspect.signature(getattr(experiments, name)).parameters
-        if "master_seed" in parameters:
-            assert arguments.get("master_seed") == 5, name
-        if "threads" in parameters:
-            assert arguments.get("threads") == 3, name
-            threaded.append(name)
-    assert threaded == ["run_scalar_convergence", "run_drive_biased",
-                        "run_drive_unbiased", "run_dme", "run_bsq_outliers",
-                        "run_bsq_transfer", "run_vq_decorrelation",
-                        "run_vq_universality", "run_adaptive_soundness"]
+        for key, value in arguments.items():
+            assert value == parameters[key].default, (name, key)
 
 
-def test_cli_input_validation(tmp_path):
+def test_cli_input_validation(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli.main(["check", "--gen", "flat", "--in", "whatever.bin"])
     with pytest.raises(SystemExit):
@@ -557,6 +673,12 @@ def test_cli_input_validation(tmp_path):
         cli.main(["decode", "--in", str(vec)])
     with pytest.raises(SystemExit):
         cli.main(["verify-scalar", "--dims", "a,b"])
+    for argv in (["dme", "--d", "64", "--clients", "-3"],
+                 ["verify-bsq", "--dims", "64,0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
