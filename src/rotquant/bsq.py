@@ -14,6 +14,8 @@ The conditional expected squared rounding error at ``z`` is the closed form
 ``sum_cells w^2/2``, which converts Kolmogorov closeness of ``U`` to
 Gaussian into a bound on the achieved error gap: the measured mean of
 ``e(U)`` differs from ``int e dPhi`` by at most ``1.28 TV(e) / sqrt(d)``.
+:func:`verify_tv_transfer` samples that mean per rotation;
+``experiments.run_bsq_transfer`` reduces the samples to the report row.
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, inverse_rotation, map_trials, mean_se, rotate_many, rotate_normalized, unit_vector
-from .metrics import KOLMOGOROV_2LAYER_C, normal_quantile
-from .reporting import VerifyReport
+from .core import RotationSpec, inverse_rotation, map_trials, rotate_many, rotate_normalized, unit_vector
+from .metrics import normal_quantile
 from .rng import Xoshiro256pp
 
 __all__ = [
@@ -198,16 +199,11 @@ def bsq_decode(payload: BsqPayload) -> np.ndarray:
 
 
 def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
-                       master_seed: int = 0, threads: int = 1) -> VerifyReport:
-    """Monte Carlo check of the error-transfer bound.
-
-    Pools ``trials`` independently seeded rotations of ``x``, measures the
-    mean of ``e(U)`` over all coordinate draws, and compares against the
-    Gaussian expectation within ``1.28 TV(e)/sqrt(d)`` plus four standard
-    errors of the trial means, so it needs at least two trials and a finite,
-    non-zero ``x``.  ``layers=0`` turns the rotation off, which is the
-    adversarial (negative-control) configuration.
-    """
+                       master_seed: int = 0, threads: int = 1) -> np.ndarray:
+    """Per-trial means of ``e(U)`` over ``trials`` independently seeded
+    rotations of ``x``, in trial order.  Needs at least two trials and a
+    finite, non-zero ``x``; ``layers=0`` turns the rotation off (the
+    negative control)."""
     xu, _ = unit_vector(x)
     d = xu.size
 
@@ -215,30 +211,5 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
         u_rows = rotate_many(xu, layers, seeds) * math.sqrt(d)
         return cfg.error_function(u_rows).mean(axis=1)
 
-    measured, std_err = mean_se(np.concatenate(list(map_trials(
-        master_seed, trials, d, chunk, threads=threads))))
-    expected = expected_error_gaussian(cfg)
-    tv = tv_of_error_function(cfg)
-    bound = KOLMOGOROV_2LAYER_C * tv / math.sqrt(d)
-    slack = 4.0 * std_err
-    statistic = abs(measured - expected)
-    return VerifyReport(
-        experiment="bsq-transfer",
-        d=d,
-        statistic=statistic,
-        bound=bound,
-        slack=slack,
-        trials=trials,
-        std_err=std_err,
-        claim="quantization-error-transfer",
-        slack_kind="4sigma",
-        extra={
-            "measured_mean_error": measured,
-            "gaussian_mean_error": expected,
-            "total_variation": tv,
-            "layers": layers,
-            "sampling_error_small_enough": bool(std_err < bound / 3.0),
-            # at d=1 the 1/sqrt(d) bound is vacuous: flag rather than hide
-            "degenerate": bool(d == 1),
-        },
-    )
+    return np.concatenate(list(map_trials(master_seed, trials, d, chunk,
+                                          threads=threads)))

@@ -14,8 +14,10 @@ Decoding needs only the payload: the rotation is regenerated from the seed.
 The reconstruction always satisfies ``|xhat|_2 = scale * sqrt(d)``.
 
 The Monte Carlo estimators share one kernel: :func:`dme_simulate` averages
-the decodes of ``N`` clients per trial, and :func:`measure_drive_error` is
-its one-client case, with the same seeds and per-trial errors.
+the decodes of ``N`` clients per trial and returns the per-trial errors, and
+:func:`measure_drive_error` is its one-client case, with the same seeds.  It
+alone reduces (to a :class:`DriveErrorReport`): its bias and variance need the
+trial-mean reconstruction, which never leaves this module.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "drive_decode",
     "DriveErrorReport",
     "measure_drive_error",
-    "DmeReport",
     "dme_simulate",
 ]
 
@@ -239,28 +240,13 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
                             eq1_vnmse=eq1)
 
 
-@dataclass(frozen=True)
-class DmeReport:
-    """Distributed mean estimation summary: ``|mean xhat_c - mean x_c|^2``
-    over the mean client energy, averaged over trials."""
-
-    n_clients: int
-    trials: int
-    nmse: float
-    std_err: float
-    per_trial: np.ndarray
-
-
 def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials: int,
-                 threads: int = 1) -> DmeReport:
+                 threads: int = 1) -> np.ndarray:
     """Each client encodes with its own seed; the server averages decodes.
 
-    Client ``c`` of trial ``t`` uses seed ``mix64(master + t * N + c)`` where
-    ``master = spec_template.seed``, so ``N = 1`` reproduces the exact seed
-    stream and per-trial errors of :func:`measure_drive_error`.
+    Returns ``|mean xhat_c - mean x_c|^2`` over the mean client energy per
+    trial, in trial order.  Client ``c`` of trial ``t`` uses seed
+    ``mix64(master + t * N + c)`` where ``master = spec_template.seed``, so
+    ``N = 1`` reproduces the seeds and errors of :func:`measure_drive_error`.
     """
-    per_trial, _, _, _, sq = _simulate(client_vectors, spec_template, mode, trials,
-                                       threads)
-    nmse, std_err = mean_se(per_trial)
-    return DmeReport(n_clients=sq.size, trials=trials, nmse=nmse,
-                     std_err=std_err, per_trial=per_trial)
+    return _simulate(client_vectors, spec_template, mode, trials, threads)[0]

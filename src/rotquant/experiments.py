@@ -24,6 +24,12 @@ quantity is measured by one runner: the final-layer covariance only by
 :func:`run_vq_decorrelation`, the codebook distortion gap only by
 :func:`run_vq_universality`.
 
+The Monte Carlo estimators in ``bsq``, ``drive`` and ``vq`` return per-trial
+samples in trial order; only this module reduces them and builds
+:class:`~rotquant.reporting.VerifyReport` rows.  ``drive.measure_drive_error``
+alone returns a summary: its bias and variance need the trial-mean
+reconstruction, which no runner sees.
+
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
 The estimators share three rules from :mod:`rotquant.core`: ``map_trials``
@@ -42,7 +48,7 @@ import math
 import numpy as np
 
 from .adaptive import decide_layers, default_eta3
-from .bsq import BsqConfig, threshold_for_p, verify_tv_transfer
+from .bsq import BsqConfig, expected_error_gaussian, threshold_for_p, tv_of_error_function, verify_tv_transfer
 from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, mean_se, rotate_many, run_ordered, sum_sq, unit_vector
 from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
@@ -61,6 +67,7 @@ from .reporting import VerifyReport
 from .rng import derive_seed, derive_seeds
 from .vq import (
     conditional_cov_trials,
+    stein_diagnostic_constant,
     train_gaussian_codebook,
     verify_codebook_universality,
 )
@@ -271,14 +278,15 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
     rows = []
     nmse_by_n = {}
     for n in n_clients:
-        rep = dme_simulate(np.tile(x, (n, 1)), RotationSpec(d, 2, master_seed),
-                           "unbiased", trials, threads)
-        nmse_by_n[n] = rep.nmse
+        nmse, std_err = mean_se(dme_simulate(
+            np.tile(x, (n, 1)), RotationSpec(d, 2, master_seed), "unbiased",
+            trials, threads))
+        nmse_by_n[n] = nmse
         bound = LIMIT_VNMSE["unbiased"] / n + 0.05
         rows.append(VerifyReport(
-            experiment="dme", d=d, statistic=rep.nmse, bound=bound, slack=0.0,
+            experiment="dme", d=d, statistic=nmse, bound=bound, slack=0.0,
             trials=trials,
-            std_err=rep.std_err, claim="dme-nmse", slack_kind="exact",
+            std_err=std_err, claim="dme-nmse", slack_kind="exact",
             extra={"n_clients": n},
         ))
     if 1 in nmse_by_n and 16 in nmse_by_n:
@@ -320,20 +328,29 @@ def run_bsq_transfer(d: int = 1024, bits: int = 2, tail: float = 0.01,
                      trials: int = 1000,
                      master_seed: int = DEFAULT_MASTER_SEED,
                      threads: int = 1) -> list[VerifyReport]:
-    """Error-transfer bound on the rotated adversarial input, plus the
-    unrotated grid-midpoint input as a negative control that must violate
-    the same bound."""
+    """Error-transfer bound on the rotated adversarial input (``|mean e(U) -
+    int e dPhi| <= 1.28 TV(e)/sqrt(d)`` plus four standard errors), plus the
+    unrotated grid-midpoint input as a negative control that must violate it."""
     cfg = BsqConfig(bits=bits, tail_mass=tail)
-    positive = verify_tv_transfer(gen_adversarial("two_spike", d), cfg,
-                                  trials, layers=2, master_seed=master_seed,
-                                  threads=threads)
-    adversarial = gen_adversarial("grid_midpoints", d, tail_mass=tail,
-                                  bits=bits)
-    negative = verify_tv_transfer(adversarial, cfg, trials=16, layers=0,
-                                  master_seed=master_seed, threads=threads)
-    negative.negative_control = True
-    negative.claim = "quantization-error-transfer-unrotated"
-    return [positive, negative]
+    expected, tv = expected_error_gaussian(cfg), tv_of_error_function(cfg)
+    bound = KOLMOGOROV_2LAYER_C * tv / math.sqrt(d)
+    negative = gen_adversarial("grid_midpoints", d, tail_mass=tail, bits=bits)
+    rows = []
+    for x, n_trials, layers in ((gen_adversarial("two_spike", d), trials, 2),
+                                (negative, 16, 0)):
+        measured, std_err = mean_se(verify_tv_transfer(
+            x, cfg, n_trials, layers, master_seed, threads))
+        rows.append(VerifyReport(
+            experiment="bsq-transfer", d=d, statistic=abs(measured - expected),
+            bound=bound, slack=4.0 * std_err, trials=n_trials, std_err=std_err,
+            claim="quantization-error-transfer" + ("" if layers else "-unrotated"),
+            slack_kind="4sigma", negative_control=not layers,
+            extra={"measured_mean_error": measured, "gaussian_mean_error": expected,
+                   "total_variation": tv, "layers": layers,
+                   "sampling_error_small_enough": bool(std_err < bound / 3.0),
+                   # at d=1 the 1/sqrt(d) bound is vacuous: flag rather than hide
+                   "degenerate": bool(d == 1)}))
+    return rows
 
 
 def run_lemma_bottleneck(master_seed: int = DEFAULT_MASTER_SEED) -> list[VerifyReport]:
@@ -427,23 +444,29 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
                               experiment="vq-decorrelation")
 
 
-def _universality_rows(reports, label: str, negative: bool) -> list[VerifyReport]:
+def _universality_rows(dims, samples, label: str,
+                       negative: bool) -> list[VerifyReport]:
+    """Scaled-gap trend and final-gap rows from ``verify_codebook_universality``'s
+    samples; the loop leaves the last dimension's values for the final row."""
+    rht, gauss = samples
+    err_gauss, gauss_se = mean_se(gauss)
     scaled = []
-    for rep in reports:
-        f = math.sqrt(rep.d / math.log(rep.d))
-        scaled.append((rep.d, rep.gap * f, rep.gap_se * f, rep.trials))
+    for d, trial_errs in zip(dims, rht):
+        err_rht, rht_se = mean_se(trial_errs)
+        gap, gap_se = abs(err_rht - err_gauss), math.hypot(rht_se, gauss_se)
+        f = math.sqrt(d / math.log(d))
+        scaled.append((d, gap * f, gap_se * f, trial_errs.size))
     rows = _trend_rows(f"{label}-scaled-gap-trend", scaled, 4.0,
                        {"scale": "sqrt(d/log d)"}, experiment="vq-universality",
                        negative_control=negative)
-    last = reports[-1]
     rows.append(VerifyReport(
-        experiment="vq-universality", d=last.d, statistic=last.gap,
+        experiment="vq-universality", d=d, statistic=gap,
         bound=0.05, slack=0.0,  # pilot-calibrated final gap
-        trials=last.trials,
-        std_err=last.gap_se, claim=f"{label}-final-gap",
+        trials=trial_errs.size,
+        std_err=gap_se, claim=f"{label}-final-gap",
         slack_kind="pilot-calibrated", negative_control=negative,
-        extra={"err_rht": last.err_rht, "err_gauss": last.err_gauss,
-               "stein_bound": last.stein_bound},
+        extra={"err_rht": err_rht, "err_gauss": err_gauss,
+               "stein_bound": stein_diagnostic_constant(4)},
     ))
     return rows
 
@@ -463,12 +486,12 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     positive = verify_codebook_universality(
         pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
         threads=threads)
-    rows = _universality_rows(positive, "universality", negative=False)
+    rows = _universality_rows(dims, positive, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
             pattern, codebook, dims, trials, master_seed=master_seed,
             layers=2, threads=threads)
-        rows.extend(_universality_rows(negative, "two-layer-control",
+        rows.extend(_universality_rows(dims, negative, "two-layer-control",
                                        negative=True))
     return rows
 

@@ -8,10 +8,10 @@ measured distortion gap between rotated data and fresh Gaussian data decays
 like sqrt(log d / d).  With only 2 layers an adversarial input keeps a
 non-Gaussian block law and the gap stays put.
 
-Two measurements back this: ``conditional_cov_trials`` samples the
-final-layer pair covariance (summarized once, in
-``experiments.run_vq_decorrelation``), and ``verify_codebook_universality``
-samples the distortion gap.
+Two estimators back this, each returning per-trial samples in trial order
+that only ``experiments`` reduces to report rows: ``conditional_cov_trials``
+samples the final-layer pair covariance, ``verify_codebook_universality``
+the distortions on both sides of the gap.
 """
 
 from __future__ import annotations
@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, mean_se, rotate_many, rotate_normalized, sum_sq, unit_vector
+from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, rotate_many, rotate_normalized, sum_sq, unit_vector
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
     "Codebook",
-    "VqReport",
     "train_gaussian_codebook",
     "vq_encode",
     "vq_decode",
@@ -69,28 +68,6 @@ class Codebook:
         radius = float(np.sqrt(np.max(sum_sq(c))))
         return cls(block_dim=c.shape[1], centroids=c, train_seed=train_seed,
                    radius=radius)
-
-
-@dataclass
-class VqReport:
-    """Distortion comparison at one dimension: the same codebook applied to
-    rotated blocks and to fresh Gaussian blocks."""
-
-    d: int
-    err_rht: float    # measured E min_c |U_block - c|^2
-    err_gauss: float  # measured E min_c |Z - c|^2
-    gap_se: float
-    stein_bound: float  # smoothness-budget diagnostic, not a pass target
-    trials: int
-
-    def __post_init__(self):
-        if self.err_rht < 0.0 or self.err_gauss < 0.0:
-            raise ValueError("distortions must be non-negative")
-
-    @property
-    def gap(self) -> float:
-        """``|err_rht - err_gauss|``, derived so it cannot disagree."""
-        return abs(self.err_rht - self.err_gauss)
 
 
 # Rows per block of the nearest-centroid search: a (block, k) distance tile
@@ -208,9 +185,11 @@ def vq_encode(x, spec, codebook: Codebook):
 def vq_decode(indices, scale: float, spec, codebook: Codebook) -> np.ndarray:
     """Rebuild blocks from centroid indices and invert the rotation.
 
-    Raises ``ValueError`` unless the indices have an integer dtype and each
-    names a centroid of ``codebook``.
+    Raises ``ValueError`` unless ``scale`` is finite and non-negative, the
+    indices have an integer dtype and each names a centroid of ``codebook``.
     """
+    if not math.isfinite(scale) or scale < 0.0:
+        raise ValueError("scale must be finite and non-negative")
     idx = np.asarray(indices)
     if idx.dtype.kind not in "iu":
         raise ValueError("centroid indices must be integers")
@@ -273,26 +252,30 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
 def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
                                  master_seed: int = 0, layers: int = 3,
                                  gauss_trials: int = 100_000, threads: int = 1):
-    """Distortion-gap measurement for one shared codebook across dimensions.
+    """Distortion samples for one shared codebook across dimensions.
 
     The input's pattern is re-embedded (zero-padded, renormalized) at each
-    dimension.  For each ``d``: Monte Carlo ``E min_c |U_block - c|^2`` over
-    the FIRST block of rotated outputs across seeds, against the same
-    codebook on fresh Gaussian blocks.  Returns one ``VqReport`` per dim;
-    callers judge the trend of ``gap * sqrt(d / log d)``.
+    dimension.  Returns ``(rht, gauss)``: per dim, the per-trial distortion
+    ``min_c |U_block - c|^2`` of the FIRST block of the rotated output; and
+    the same codebook's distortions on ``gauss_trials`` fresh Gaussian blocks
+    (seeds from index ``trials``).  Every dim is checked before any trial.
     """
     if gauss_trials < 2:  # the Gaussian reference pass bypasses map_trials
         raise ValueError("need at least two trials")
     pattern, _ = unit_vector(x)
     k = codebook.block_dim
-
-    rht = []
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("need at least one dimension")
     for d in dims:
         check_dim(d)
         if d % k != 0:
             raise ValueError("dimension must be a multiple of the block size")
         if pattern.size > d:
             raise ValueError("input pattern longer than the target dimension")
+
+    rht = []
+    for d in dims:
         xu = np.zeros(d)
         xu[: pattern.size] = pattern
 
@@ -301,13 +284,9 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
             first = rotate_many(xu, layers, seeds)[:, :k] * math.sqrt(d)
             return _nearest_sq_dist(first, codebook.centroids)[0]
 
-        rht.append((d, mean_se(np.concatenate(list(map_trials(
-            master_seed, trials, d, chunk, threads=threads))))))
+        rht.append(np.concatenate(list(map_trials(master_seed, trials, d, chunk,
+                                                  threads=threads))))
 
     gkeys = derive_seeds(master_seed, trials, gauss_trials)
     gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)
-    gauss_mean, gauss_se = mean_se(_nearest_sq_dist(gauss_blocks, codebook.centroids)[0])
-    return [VqReport(d=d, err_rht=rht_mean, err_gauss=gauss_mean,
-                     gap_se=math.hypot(rht_se, gauss_se),
-                     stein_bound=stein_diagnostic_constant(k), trials=trials)
-            for d, (rht_mean, rht_se) in rht]
+    return rht, _nearest_sq_dist(gauss_blocks, codebook.centroids)[0]

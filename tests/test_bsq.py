@@ -15,7 +15,8 @@ from rotquant.bsq import (
     tv_of_error_function,
     verify_tv_transfer,
 )
-from rotquant.core import RotationSpec
+from rotquant.core import RotationSpec, mean_se
+from rotquant.metrics import KOLMOGOROV_2LAYER_C
 from rotquant.rng import Xoshiro256pp
 from _oracles import EXPECTED_ERROR_ORACLE, THRESHOLD_ORACLE
 
@@ -250,14 +251,22 @@ def test_payload_validation():
 
 def test_verify_tv_transfer_smoke():
     x = RNG.standard_normal(128)
-    rep = verify_tv_transfer(x, BsqConfig(bits=2, tail_mass=0.05), trials=64, layers=2,
-                             master_seed=3)
-    assert rep.passed
-    assert rep.extra["degenerate"] is False
-    assert rep.bound > 0.0 and math.isfinite(rep.statistic)
+    cfg = BsqConfig(bits=2, tail_mass=0.05)
+    samples = verify_tv_transfer(x, cfg, trials=64, layers=2, master_seed=3)
+    assert samples.shape == (64,)
+    # each sample is a mean of e, which peaks at w^2/4 mid-cell
+    assert np.all((samples >= 0.0) & (samples <= cfg.cell_width ** 2 / 4.0))
+    measured, std_err = mean_se(samples)
+    bound = KOLMOGOROV_2LAYER_C * tv_of_error_function(cfg) / math.sqrt(128)
+    assert abs(measured - expected_error_gaussian(cfg)) <= bound + 4.0 * std_err
 
 
 def test_verify_tv_transfer_degenerate_d1():
-    rep = verify_tv_transfer(np.array([1.0]), BsqConfig(bits=2, tail_mass=0.01), trials=4)
-    assert rep.extra["degenerate"] is True
-    assert rep.passed  # bound is 1.28 * TV(e), vacuously wide
+    # at d=1 every rotation is a sign flip, so each sample is e(1) or e(-1)
+    cfg = BsqConfig(bits=2, tail_mass=0.01)
+    samples = verify_tv_transfer(np.array([1.0]), cfg, trials=4)
+    assert samples.shape == (4,)
+    assert set(samples.tolist()) <= {float(cfg.error_function(z)) for z in (1.0, -1.0)}
+    # the bound 1.28 TV(e) is vacuously wide
+    gap = abs(samples.mean() - expected_error_gaussian(cfg))
+    assert gap <= KOLMOGOROV_2LAYER_C * tv_of_error_function(cfg)

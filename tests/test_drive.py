@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rotquant import core
-from rotquant.core import RotationSpec, apply_rotation
+from rotquant.core import RotationSpec, apply_rotation, mean_se
 from rotquant.drive import (
     cd_values,
     dme_simulate,
@@ -187,8 +187,8 @@ def test_dme_single_client_equals_drive_error():
     spec = RotationSpec(dim=4096, layers=2, seed=2024)
     drive = measure_drive_error(x, spec, mode="unbiased", trials=40)
     dme = dme_simulate([x], spec, mode="unbiased", trials=40)
-    assert dme.nmse == drive.vnmse
-    assert dme.std_err == drive.std_err
+    assert dme.shape == (40,)
+    assert mean_se(dme) == (drive.vnmse, drive.std_err)
 
 
 @pytest.mark.parametrize("estimate", [
@@ -211,8 +211,9 @@ def test_drive_estimators_keep_few_chunk_sized_arrays(estimate):
 
 def test_dme_zero_error_scalar_clients():
     xs = [np.array([1.5]), np.array([1.5]), np.array([1.5])]
-    rep = dme_simulate(xs, RotationSpec(dim=1, layers=2, seed=4), mode="biased", trials=20)
-    assert rep.nmse == 0.0
+    per_trial = dme_simulate(xs, RotationSpec(dim=1, layers=2, seed=4), mode="biased",
+                             trials=20)
+    assert per_trial.shape == (20,) and not per_trial.any()
 
 
 def test_dme_averaging_shrinks_error():
@@ -221,4 +222,4 @@ def test_dme_averaging_shrinks_error():
     spec = RotationSpec(dim=256, layers=2, seed=11)
     one = dme_simulate([x], spec, mode="unbiased", trials=150)
     many = dme_simulate([x] * 8, spec, mode="unbiased", trials=150)
-    assert many.nmse < one.nmse / 4.0
+    assert mean_se(many)[0] < mean_se(one)[0] / 4.0

@@ -226,10 +226,9 @@ def _chunked_results(threads: int = 1):
         "drive": measure_drive_error(x, spec, "biased", 300, threads),
         # a last trial block that is not full
         "drive_unbiased": measure_drive_error(x, spec, "unbiased", 301, threads),
-        "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60,
-                            threads).per_trial,
+        "dme": dme_simulate(np.tile(x, (4, 1)), spec, "unbiased", 60, threads),
         "tv": verify_tv_transfer(x, BsqConfig(2, 0.01), 200, master_seed=3,
-                                 threads=threads).to_row(),
+                                 threads=threads),
         "cov2": conditional_cov_trials(x, 0, 2, 2, 150, 4, threads),
         "cov3": conditional_cov_trials(x, 0, 2, 3, 150, 4, threads),
         "vq": verify_codebook_universality(
@@ -250,12 +249,13 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
         got = _chunked_results(threads=2)
         assert got["drive"] == ref["drive"]
         assert got["drive_unbiased"] == ref["drive_unbiased"]
-        assert np.array_equal(got["dme"], ref["dme"])
-        assert got["tv"] == ref["tv"]
+        for key in ("dme", "tv", "pooled"):
+            assert np.array_equal(got[key], ref[key])
         for key in ("cov2", "cov3"):
             assert all(np.array_equal(g, r) for g, r in zip(got[key], ref[key]))
-        assert got["vq"] == ref["vq"]
-        assert np.array_equal(got["pooled"], ref["pooled"])
+        (got_rht, got_gauss), (ref_rht, ref_gauss) = got["vq"], ref["vq"]
+        assert all(np.array_equal(g, r) for g, r in zip(got_rht, ref_rht))
+        assert np.array_equal(got_gauss, ref_gauss)
 
 
 # Every runner that uses map_trials, with keyword arguments at sizes that
@@ -359,6 +359,34 @@ def test_estimators_share_the_trial_and_input_rules(name):
                 np.where(x > 0, np.inf, 0.0), x * 1e200):
         with pytest.raises(ValueError, match="input must be finite and non-zero"):
             run(bad, 100)
+
+
+def _per_trial_outputs(name, result):
+    """The outputs of an estimator's ``result`` that are indexed by trial.
+    The Gaussian reference of ``verify_codebook_universality`` is left out:
+    its seeds start at index ``trials``."""
+    if name == "conditional_cov_trials":
+        return list(result)
+    if name == "verify_codebook_universality":
+        return result[0]
+    return [result]
+
+
+@pytest.mark.parametrize("name", [n for n in ESTIMATORS if n != "measure_drive_error"])
+def test_estimators_return_samples_in_trial_order(name):
+    """Every estimator but ``measure_drive_error`` returns its samples, per
+    trial and in trial order: ``trials`` values per output (``trials * d``
+    pooled coordinates), and, since seeds are indexed by trial, the samples
+    of a shorter run are the first samples of a longer one."""
+    run = ESTIMATORS[name]
+    x = gen_adversarial("two_spike", 16)
+    per_trial = 16 if name == "_pooled_coordinates" else 1
+    short = _per_trial_outputs(name, run(x, 6))
+    long = _per_trial_outputs(name, run(x, 9))
+    assert len(short) == len(long) >= 1
+    for s, lg in zip(short, long):
+        assert s.shape == (6 * per_trial,) and lg.shape == (9 * per_trial,)
+        assert np.array_equal(s, lg[: s.size])
 
 
 def test_runs_are_reproducible():

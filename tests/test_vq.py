@@ -9,7 +9,6 @@ from rotquant.rng import Xoshiro256pp, derive_seeds
 from rotquant.vq import (
     NEAREST_BLOCK_ROWS,
     Codebook,
-    VqReport,
     conditional_cov_trials,
     stein_diagnostic_constant,
     train_gaussian_codebook,
@@ -17,6 +16,7 @@ from rotquant.vq import (
     vq_decode,
     vq_encode,
 )
+from rotquant import vq
 from rotquant.vq import _nearest_sq_dist
 from _oracles import STEIN_A4, reference_nearest_sq_dist, reference_train_gaussian_codebook
 
@@ -58,20 +58,6 @@ def test_codebook_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         Codebook.from_centroids(bad, train_seed=3)
-
-
-def test_report_validation():
-    rep = VqReport(d=8, err_rht=0.75, err_gauss=1.0, gap_se=0.01,
-                   stein_bound=58.0, trials=10)
-    assert rep.gap == 0.25
-    rep.err_rht = 1.5
-    assert rep.gap == 0.5  # derived, so it follows its distortions
-    with pytest.raises(TypeError):
-        VqReport(d=8, err_rht=1.0, err_gauss=0.75, gap=0.25, gap_se=0.01,
-                 stein_bound=58.0, trials=10)
-    with pytest.raises(ValueError):
-        VqReport(d=8, err_rht=-1.0, err_gauss=0.75, gap_se=0.01,
-                 stein_bound=58.0, trials=10)
 
 
 # --- training -----------------------------------------------------------------
@@ -255,6 +241,9 @@ def test_decode_validation():
     for bad in ([1.7, 0.2] * 4, np.zeros(8)):
         with pytest.raises(ValueError, match="must be integers"):
             vq_decode(bad, 1.0, spec, cb)
+    for scale in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="scale must be finite and non-negative"):
+            vq_decode(np.zeros(8, dtype=np.uint32), scale, spec, cb)
     assert np.array_equal(vq_decode([1, 0] * 4, 1.0, spec, cb),
                           vq_decode(np.array([1, 0] * 4, dtype=np.uint32),
                                     1.0, spec, cb))
@@ -313,25 +302,32 @@ def test_rms_covariance_validation():
 
 def test_universality_reports_shape_and_fields():
     cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=4000)
-    reports = verify_codebook_universality(two_spike(16), cb, dims=(16, 32),
-                                           trials=400, gauss_trials=2000)
-    assert [r.d for r in reports] == [16, 32]
-    for r in reports:
-        assert r.gap == abs(r.err_rht - r.err_gauss)
-        assert r.err_gauss == reports[0].err_gauss  # shared Gaussian baseline
-        assert r.stein_bound == stein_diagnostic_constant(4)
-        assert r.trials == 400
-        assert 0.0 < r.err_rht < 4.0
+    rht, gauss = verify_codebook_universality(two_spike(16), cb, dims=(16, 32),
+                                              trials=400, gauss_trials=2000)
+    assert [r.shape for r in rht] == [(400,), (400,)]
+    assert gauss.shape == (2000,)  # one Gaussian baseline for every dim
+    for errs in (*rht, gauss):
+        assert errs.dtype == np.float64 and np.all(errs >= 0.0)
+    assert all(0.0 < errs.mean() < 4.0 for errs in rht)
 
 
-def test_universality_validation():
+def test_universality_validation(monkeypatch):
     cb = train_gaussian_codebook(4, 8, train_seed=1, n_samples=2000)
-    with pytest.raises(ValueError):
-        verify_codebook_universality(np.zeros(16), cb, dims=(16,), trials=100)
-    with pytest.raises(ValueError):
-        verify_codebook_universality(two_spike(16), cb, dims=(20,), trials=100)
-    with pytest.raises(ValueError):
-        verify_codebook_universality(two_spike(32), cb, dims=(16,), trials=100)
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before every argument was checked")
+
+    # every argument, each dim of the list included, is checked before any trial
+    monkeypatch.setattr(vq, "map_trials", no_trials)
+    for x, dims, message in [
+        (np.zeros(16), (16,), "input must be finite and non-zero"),
+        (two_spike(16), (), "need at least one dimension"),
+        (two_spike(16), (16, 20), "power of two"),
+        (two_spike(2), (16, 2), "multiple of the block size"),
+        (two_spike(16), (32, 8), "longer than the target dimension"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            verify_codebook_universality(x, cb, dims=dims, trials=100)
     # the Gaussian reference pass checks its own count; the rotated trials
     # follow the shared estimator contract in test_harness.py
     for gauss_trials in (0, 1):
