@@ -8,24 +8,23 @@ little-endian within bytes (coordinate 0 is bit 0 of byte 0).
 
 Header (16 bytes): magic ``RQ01`` | kind u8 | version u8 | flags u16 |
 key u64.  The key is the rotation seed for payload kinds, the training seed
-for codebooks, and the length for raw vectors.  Flag bit 0 marks a payload
-whose seed travels out of band (key written as zero); bits 1-6 carry
-log2(d) and bits 7-8 the layer count for payload kinds; the remaining bits
-are kind-specific (kind 1: bit 9 = unbiased mode; kind 2: bits 9-13 =
-quantizer bits - 1).  Undefined bits, including the padding after packed
-signs or codes, must be zero, so any bytes that parse re-serialize to
-themselves.
+for codebooks, and the length for raw vectors.  For payload kinds flag
+bit 0 is reserved, bits 1-6 carry log2(d) and bits 7-8 the layer count; the
+remaining bits are kind-specific (kind 1: bit 9 = unbiased mode; kind 2:
+bits 9-13 = quantizer bits - 1).  Reserved bits, the padding after packed
+signs or codes, and a codebook radius other than the one its centroids
+give, are all rejected, so each object has exactly one encoding and any
+bytes that parse re-serialize to themselves.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 
 import numpy as np
 
 from .bsq import BsqConfig, BsqPayload
-from .core import MAX_LAYERS, RotationSpec, sum_sq
+from .core import MAX_LAYERS, RotationSpec
 from .drive import DrivePayload
 from .vq import Codebook
 
@@ -51,9 +50,8 @@ KIND_VECTOR = 4
 _HEADER = struct.Struct("<4sBBHQ")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
-_OUTLIER = struct.Struct("<Id")
-
-_FLAG_SEED_EXTERNAL = 0x0001
+# one outlier record: coordinate index, then its unquantized value
+_OUTLIER = np.dtype([("idx", "<u4"), ("val", "<f8")])
 
 
 class FormatError(ValueError):
@@ -69,12 +67,8 @@ def _require(cond: bool, field: str, message: str):
         raise FormatError(field, message)
 
 
-def _spec_flags(spec: RotationSpec, seed_external: bool) -> int:
-    log2d = spec.dim.bit_length() - 1
-    flags = (log2d << 1) | (spec.layers << 7)
-    if seed_external:
-        flags |= _FLAG_SEED_EXTERNAL
-    return flags
+def _spec_flags(spec: RotationSpec) -> int:
+    return ((spec.dim.bit_length() - 1) << 1) | (spec.layers << 7)
 
 
 def _require_zero_padding(raw: bytes, n_bits: int, field: str):
@@ -90,11 +84,8 @@ def _read_spec(flags: int, key: int, kind_bits: int) -> tuple[RotationSpec, int]
     log2d = (flags >> 1) & 0x3F
     layers = (flags >> 7) & 0x3
     _require(layers <= MAX_LAYERS, "flags", f"layer count {layers} out of range")
-    seed_external = bool(flags & _FLAG_SEED_EXTERNAL)
-    _require(not seed_external or key == 0, "key",
-             "an out-of-band seed must be written as zero")
-    seed = 0 if seed_external else key
-    spec = RotationSpec(dim=1 << log2d, layers=layers, seed=seed)
+    _require(flags & 1 == 0, "flags", "reserved flag bit 0 set")
+    spec = RotationSpec(dim=1 << log2d, layers=layers, seed=key)
     return spec, flags >> (9 + kind_bits)
 
 
@@ -109,20 +100,20 @@ def _pack_codes(codes: np.ndarray, bits: int) -> bytes:
 
 
 def _unpack_codes(raw: bytes, count: int, bits: int) -> np.ndarray:
-    if count == 0:
-        return np.zeros(0, dtype=np.uint32)
     flat = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little", count=count * bits)
-    weights = (np.uint32(1) << np.arange(bits, dtype=np.uint32))
-    return flat.reshape(count, bits).astype(np.uint32) @ weights
+    rows = flat.reshape(count, bits)
+    codes = rows[:, 0].astype(np.uint32)
+    for b in range(1, bits):  # a loop over the few bit columns, not the codes
+        codes |= rows[:, b].astype(np.uint32) << np.uint32(b)
+    return codes
 
 
-def _serialize_drive(p: DrivePayload, seed_external: bool) -> bytes:
-    flags = _spec_flags(p.spec, seed_external)
+def _serialize_drive(p: DrivePayload) -> bytes:
+    flags = _spec_flags(p.spec)
     if p.mode == "unbiased":
         flags |= 1 << 9
-    key = 0 if seed_external else p.spec.seed
-    return (_HEADER.pack(MAGIC, KIND_DRIVE, WIRE_VERSION, flags, key)
+    return (_HEADER.pack(MAGIC, KIND_DRIVE, WIRE_VERSION, flags, p.spec.seed)
             + _F64.pack(p.scale) + p.sign_bits)
 
 
@@ -142,19 +133,19 @@ def _deserialize_drive(flags: int, key: int, body: bytes) -> DrivePayload:
         raise FormatError("payload", str(e)) from e
 
 
-def _serialize_bsq(p: BsqPayload, seed_external: bool) -> bytes:
-    flags = _spec_flags(p.spec, seed_external) | ((p.config.bits - 1) << 9)
-    key = 0 if seed_external else p.spec.seed
-    parts = [
-        _HEADER.pack(MAGIC, KIND_BSQ, WIRE_VERSION, flags, key),
+def _serialize_bsq(p: BsqPayload) -> bytes:
+    flags = _spec_flags(p.spec) | ((p.config.bits - 1) << 9)
+    outliers = np.empty(p.outlier_idx.size, dtype=_OUTLIER)
+    outliers["idx"] = p.outlier_idx
+    outliers["val"] = p.outlier_val
+    return b"".join([
+        _HEADER.pack(MAGIC, KIND_BSQ, WIRE_VERSION, flags, p.spec.seed),
         _F64.pack(p.config.tail_mass),
         _F64.pack(p.scale),
         _U32.pack(p.outlier_idx.size),
         _pack_codes(p.codes, p.config.bits),
-    ]
-    for idx, val in zip(p.outlier_idx.tolist(), p.outlier_val.tolist()):
-        parts.append(_OUTLIER.pack(idx, val))
-    return b"".join(parts)
+        outliers.tobytes(),
+    ])
 
 
 def _deserialize_bsq(flags: int, key: int, body: bytes) -> BsqPayload:
@@ -170,7 +161,7 @@ def _deserialize_bsq(flags: int, key: int, body: bytes) -> BsqPayload:
              f"{n_out} outliers exceed dimension {spec.dim}")
     n_codes = spec.dim - n_out
     code_bytes = (n_codes * bits + 7) // 8
-    expected = fixed + code_bytes + n_out * _OUTLIER.size
+    expected = fixed + code_bytes + n_out * _OUTLIER.itemsize
     _require(len(body) == expected, "length",
              f"body is {len(body)} bytes, expected {expected}")
     try:
@@ -180,14 +171,12 @@ def _deserialize_bsq(flags: int, key: int, body: bytes) -> BsqPayload:
     raw_codes = body[fixed:fixed + code_bytes]
     _require_zero_padding(raw_codes, n_codes * bits, "codes")
     codes = _unpack_codes(raw_codes, n_codes, bits)
-    tail = body[fixed + code_bytes:]
-    out_idx = np.zeros(n_out, dtype=np.uint32)
-    out_val = np.zeros(n_out, dtype=np.float64)
-    for t in range(n_out):
-        out_idx[t], out_val[t] = _OUTLIER.unpack_from(tail, t * _OUTLIER.size)
+    outliers = np.frombuffer(body, dtype=_OUTLIER, count=n_out,
+                             offset=fixed + code_bytes)
     try:
         return BsqPayload(spec=spec, config=cfg, scale=scale, codes=codes,
-                          outlier_idx=out_idx, outlier_val=out_val)
+                          outlier_idx=outliers["idx"].copy(),
+                          outlier_val=outliers["val"].copy())
     except ValueError as e:
         raise FormatError("payload", str(e)) from e
 
@@ -205,7 +194,6 @@ def _deserialize_codebook(flags: int, key: int, body: bytes) -> Codebook:
     _require(len(body) >= fixed, "length", "body too short for codebook fields")
     (k_blk,) = _U32.unpack_from(body, 0)
     (m,) = _U32.unpack_from(body, _U32.size)
-    (radius,) = _F64.unpack_from(body, 2 * _U32.size)
     _require(k_blk >= 1, "block_dim", "block dimension must be positive")
     _require(m >= 1, "n_centroids", "need at least one centroid")
     expected = fixed + 8 * k_blk * m
@@ -213,16 +201,14 @@ def _deserialize_codebook(flags: int, key: int, body: bytes) -> Codebook:
              f"body is {len(body)} bytes, expected {expected}")
     cents = np.frombuffer(body, dtype="<f8", count=k_blk * m,
                           offset=fixed).reshape(m, k_blk)
-    _require(bool(np.all(np.isfinite(cents))), "centroids",
-             "centroids must be finite")
-    with np.errstate(over="ignore"):  # corrupt bytes may square to inf
-        recomputed = float(np.sqrt(np.max(sum_sq(cents))))
-    _require(math.isfinite(recomputed), "radius", "centroid norms overflow")
-    _require(math.isclose(radius, recomputed, rel_tol=1e-9, abs_tol=1e-12),
-             "radius", "stored radius does not match the centroids")
-    # keep the stored radius (not the recomputed one) so it re-serializes as read
-    return Codebook(block_dim=int(k_blk), centroids=cents.astype(np.float64),
-                    train_seed=int(key), radius=radius)
+    try:
+        cb = Codebook(centroids=cents, train_seed=key)
+    except ValueError as e:
+        raise FormatError("centroids", str(e)) from e
+    # compared as bytes: -0.0 == 0.0, but it would re-serialize differently
+    _require(body[2 * _U32.size:fixed] == _F64.pack(cb.radius), "radius",
+             "stored radius is not the largest centroid norm")
+    return cb
 
 
 def _serialize_vector(x: np.ndarray) -> bytes:
@@ -245,17 +231,12 @@ def _deserialize_vector(flags: int, key: int, body: bytes) -> np.ndarray:
     return v
 
 
-def serialize(obj, *, seed_external: bool = False) -> bytes:
-    """Encode a payload, codebook, or raw vector to its wire bytes.
-
-    ``seed_external`` zeroes the header seed and sets flag bit 0 for
-    deployments that derive seeds from a session key; such a stream
-    deserializes with seed 0.
-    """
+def serialize(obj) -> bytes:
+    """Encode a payload, codebook, or raw vector to its wire bytes."""
     if isinstance(obj, DrivePayload):
-        return _serialize_drive(obj, seed_external)
+        return _serialize_drive(obj)
     if isinstance(obj, BsqPayload):
-        return _serialize_bsq(obj, seed_external)
+        return _serialize_bsq(obj)
     if isinstance(obj, Codebook):
         return _serialize_codebook(obj)
     if isinstance(obj, np.ndarray):

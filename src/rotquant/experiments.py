@@ -69,6 +69,7 @@ from .vq import (
     conditional_cov_trials,
     stein_diagnostic_constant,
     train_gaussian_codebook,
+    universality_dims,
     verify_codebook_universality,
 )
 
@@ -347,9 +348,7 @@ def run_bsq_transfer(d: int = 1024, bits: int = 2, tail: float = 0.01,
             slack_kind="4sigma", negative_control=not layers,
             extra={"measured_mean_error": measured, "gaussian_mean_error": expected,
                    "total_variation": tv, "layers": layers,
-                   "sampling_error_small_enough": bool(std_err < bound / 3.0),
-                   # at d=1 the 1/sqrt(d) bound is vacuous: flag rather than hide
-                   "degenerate": bool(d == 1)}))
+                   "sampling_error_small_enough": bool(std_err < bound / 3.0)}))
     return rows
 
 
@@ -481,8 +480,9 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     ``sqrt(log d / d)`` under 3 rotation layers (trend of the scaled gap,
     plus a pilot-calibrated final absolute gap under 0.05); with
     2 layers the two-spike input must keep a non-decaying gap."""
-    codebook = train_gaussian_codebook(4, 16, train_seed)
     pattern = gen_adversarial("two_spike", 4)
+    dims = universality_dims(dims, 4, pattern.size)  # before the ~1 s of training
+    codebook = train_gaussian_codebook(4, 16, train_seed)
     positive = verify_codebook_universality(
         pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
         threads=threads)

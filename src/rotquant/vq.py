@@ -31,43 +31,45 @@ __all__ = [
     "vq_decode",
     "stein_diagnostic_constant",
     "conditional_cov_trials",
+    "universality_dims",
     "verify_codebook_universality",
 ]
 
 
 @dataclass(frozen=True)
 class Codebook:
-    """Trained centroids for one block size, plus the training provenance
-    needed to reproduce them bit for bit."""
+    """Trained centroids for one block size, plus the training seed that
+    reproduces them bit for bit; the block size, centroid count and radius
+    are read off the centroids, so they cannot disagree with them."""
 
-    block_dim: int
-    centroids: np.ndarray  # (n_centroids, block_dim) float64
+    centroids: np.ndarray  # (n_centroids, block_dim) float64, read-only
     train_seed: int
-    radius: float          # max centroid norm; revalidated when deserialized
 
     def __post_init__(self):
-        c = np.ascontiguousarray(np.asarray(self.centroids, dtype=np.float64))
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] != self.block_dim:
-            raise ValueError("centroids must be (n_centroids, block_dim)")
+        c = np.array(self.centroids, dtype=np.float64)
+        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
+            raise ValueError("centroids must be a non-empty 2-d array")
         if not np.all(np.isfinite(c)):
             raise ValueError("centroids must be finite")
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
-        with np.errstate(over="ignore"):
-            r = float(np.sqrt(np.max(sum_sq(c))))
-        if not math.isclose(self.radius, r, rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("stored radius does not match the centroids")
+        if not math.isfinite(self.radius):
+            raise ValueError("centroid norms overflow")
+
+    @property
+    def block_dim(self) -> int:
+        return self.centroids.shape[1]
 
     @property
     def n_centroids(self) -> int:
         return self.centroids.shape[0]
 
-    @classmethod
-    def from_centroids(cls, centroids, train_seed: int) -> "Codebook":
-        c = np.asarray(centroids, dtype=np.float64)
-        radius = float(np.sqrt(np.max(sum_sq(c))))
-        return cls(block_dim=c.shape[1], centroids=c, train_seed=train_seed,
-                   radius=radius)
+    @property
+    def radius(self) -> float:
+        """Largest centroid norm, through ``core.sum_sq`` (the same bits
+        under any BLAS)."""
+        with np.errstate(over="ignore"):
+            return float(np.sqrt(np.max(sum_sq(self.centroids))))
 
 
 # Rows per block of the nearest-centroid search: a (block, k) distance tile
@@ -167,7 +169,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
         if prev_inertia - inertia < 1e-6 * max(prev_inertia, 1e-300):
             break
         prev_inertia = inertia
-    return Codebook.from_centroids(centroids, train_seed)
+    return Codebook(centroids, train_seed)
 
 
 def vq_encode(x, spec, codebook: Codebook):
@@ -249,30 +251,40 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     return np.concatenate(covs), np.concatenate(linf_sq)
 
 
-def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
-                                 master_seed: int = 0, layers: int = 3,
-                                 gauss_trials: int = 100_000, threads: int = 1):
-    """Distortion samples for one shared codebook across dimensions.
+# Fresh Gaussian blocks in the reference pass of ``verify_codebook_universality``.
+GAUSS_TRIALS = 100_000
 
-    The input's pattern is re-embedded (zero-padded, renormalized) at each
-    dimension.  Returns ``(rht, gauss)``: per dim, the per-trial distortion
-    ``min_c |U_block - c|^2`` of the FIRST block of the rotated output; and
-    the same codebook's distortions on ``gauss_trials`` fresh Gaussian blocks
-    (seeds from index ``trials``).  Every dim is checked before any trial.
-    """
-    if gauss_trials < 2:  # the Gaussian reference pass bypasses map_trials
-        raise ValueError("need at least two trials")
-    pattern, _ = unit_vector(x)
-    k = codebook.block_dim
+
+def universality_dims(dims, block_dim: int, pattern_size: int) -> tuple:
+    """``dims`` as a tuple, once each is checked: a power of two, a multiple
+    of ``block_dim``, and no shorter than the input pattern.  A runner calls
+    it before its codebook is trained."""
     dims = tuple(dims)
     if not dims:
         raise ValueError("need at least one dimension")
     for d in dims:
         check_dim(d)
-        if d % k != 0:
+        if d % block_dim != 0:
             raise ValueError("dimension must be a multiple of the block size")
-        if pattern.size > d:
+        if pattern_size > d:
             raise ValueError("input pattern longer than the target dimension")
+    return dims
+
+
+def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
+                                 master_seed: int = 0, layers: int = 3,
+                                 threads: int = 1):
+    """Distortion samples for one shared codebook across dimensions.
+
+    The input's pattern is re-embedded (zero-padded, renormalized) at each
+    dimension.  Returns ``(rht, gauss)``: per dim, the per-trial distortion
+    ``min_c |U_block - c|^2`` of the FIRST block of the rotated output; and
+    the same codebook's distortions on ``GAUSS_TRIALS`` fresh Gaussian blocks
+    (seeds from index ``trials``).  Every dim is checked before any trial.
+    """
+    pattern, _ = unit_vector(x)
+    k = codebook.block_dim
+    dims = universality_dims(dims, k, pattern.size)
 
     rht = []
     for d in dims:
@@ -287,6 +299,6 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
         rht.append(np.concatenate(list(map_trials(master_seed, trials, d, chunk,
                                                   threads=threads))))
 
-    gkeys = derive_seeds(master_seed, trials, gauss_trials)
+    gkeys = derive_seeds(master_seed, trials, GAUSS_TRIALS)
     gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)
     return rht, _nearest_sq_dist(gauss_blocks, codebook.centroids)[0]

@@ -77,10 +77,10 @@ def test_bytes_and_rows_do_not_depend_on_the_blas_kernel():
     assert [k for k in default if default[k] != prescott[k]] == []
 
 
-# Names whose use calls BLAS or LAPACK, and the functions allowed a ``@``:
-# the VQ cross term (see ``vq._nearest_sq_dist``) and an integer product.
+# Names whose use calls BLAS or LAPACK, and the one function allowed a ``@``:
+# the VQ cross term (see ``vq._nearest_sq_dist``).
 BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "polyfit", "lstsq"}
-MATMUL_ALLOWED = {("vq.py", "_nearest_sq_dist"), ("codec.py", "_unpack_codes")}
+MATMUL_ALLOWED = {("vq.py", "_nearest_sq_dist")}
 
 
 def _blas_uses(path):

@@ -107,18 +107,6 @@ def test_vector_roundtrip_bit_exact():
         serialize(3.14)
 
 
-def test_external_seed_travels_out_of_band():
-    pay = drive_payload(seed=987654321)
-    wire = serialize(pay, seed_external=True)
-    assert wire[6] & 1 == 1
-    assert struct.unpack_from("<Q", wire, 8)[0] == 0
-    back = deserialize(wire)
-    assert back.spec.seed == 0
-    assert back.spec.dim == pay.spec.dim and back.spec.layers == pay.spec.layers
-    assert back.sign_bits == pay.sign_bits
-    assert len(wire) == len(serialize(pay))
-
-
 # --- failure taxonomy ---------------------------------------------------------
 
 def _expect_field(wire: bytes, field: str):
@@ -201,8 +189,7 @@ def run_mutation_fuzz(n_trials: int, seed: int = 0) -> int:
             continue
         parsed += 1
         # canonical: whatever parses re-serializes to the very same bytes
-        external = bool(struct.unpack_from("<H", wire, 6)[0] & 1)
-        assert serialize(obj, seed_external=external) == bytes(wire)
+        assert serialize(obj) == bytes(wire)
     return parsed
 
 
@@ -229,14 +216,34 @@ def test_bsq_code_padding_must_be_zero():
     assert err.value.field == "codes"
 
 
-def test_external_seed_key_must_be_zero():
-    wire = serialize(drive_payload(), seed_external=True)
-    assert deserialize(wire).spec.seed == 0
-    bad = bytearray(wire)
-    bad[8] = 1
-    with pytest.raises(FormatError) as err:
-        deserialize(bytes(bad))
-    assert err.value.field == "key"
+def test_flag_bit_0_is_reserved_for_every_payload_kind():
+    for pay in (drive_payload(), bsq_payload()):
+        wire = bytearray(serialize(pay))
+        assert wire[6] & 1 == 0
+        wire[6] |= 1
+        _expect_field(bytes(wire), "flags")
+
+
+def test_codebook_radius_must_match_bit_for_bit():
+    cb = train_gaussian_codebook(2, 4, train_seed=1, n_samples=1000)
+    wire = serialize(cb)
+    assert struct.unpack_from("<d", wire, 24)[0] == cb.radius
+    for off_by_one_ulp in (np.nextafter(cb.radius, np.inf),
+                           np.nextafter(cb.radius, 0.0)):
+        cw = bytearray(wire)
+        struct.pack_into("<d", cw, 24, off_by_one_ulp)
+        _expect_field(bytes(cw), "radius")
+    # an all-zero codebook has radius +0.0; -0.0 equals it but is other bytes
+    zero = bytearray(serialize(Codebook(np.zeros((1, 2)), train_seed=0)))
+    assert deserialize(bytes(zero)).radius == 0.0
+    struct.pack_into("<d", zero, 24, -0.0)
+    _expect_field(bytes(zero), "radius")
+
+
+def test_codebook_norms_that_overflow_are_rejected():
+    cw = bytearray(serialize(Codebook(np.ones((2, 4)), train_seed=0)))
+    struct.pack_into("<4d", cw, 32, *[1e200] * 4)  # first centroid's entries
+    _expect_field(bytes(cw), "centroids")
 
 
 def test_mutation_fuzz_never_escapes_format_error():
@@ -248,19 +255,13 @@ def test_mutation_fuzz_never_escapes_format_error():
 
 @settings(max_examples=40, deadline=None)
 @given(log2d=st.integers(0, 7), layers=st.integers(0, 3),
-       seed=st.integers(0, 2**64 - 1), unbiased=st.booleans(),
-       external=st.booleans())
-def test_drive_roundtrip_property(log2d, layers, seed, unbiased, external):
+       seed=st.integers(0, 2**64 - 1), unbiased=st.booleans())
+def test_drive_roundtrip_property(log2d, layers, seed, unbiased):
     d = 1 << log2d
     x = np.random.default_rng(seed % 2**32).standard_normal(d)
     pay = drive_encode(x, RotationSpec(dim=d, layers=layers, seed=seed),
                        mode="unbiased" if unbiased else "biased")
-    back = deserialize(serialize(pay, seed_external=external))
-    if external:
-        assert back.spec.seed == 0
-        assert back.sign_bits == pay.sign_bits and back.scale == pay.scale
-    else:
-        assert back == pay
+    assert deserialize(serialize(pay)) == pay
 
 
 @settings(max_examples=40, deadline=None)

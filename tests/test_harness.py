@@ -232,8 +232,7 @@ def _chunked_results(threads: int = 1):
         "cov2": conditional_cov_trials(x, 0, 2, 2, 150, 4, threads),
         "cov3": conditional_cov_trials(x, 0, 2, 3, 150, 4, threads),
         "vq": verify_codebook_universality(
-            x[:8], codebook, (64, 256), 300, master_seed=5,
-            gauss_trials=2000, threads=threads),
+            x[:8], codebook, (64, 256), 300, master_seed=5, threads=threads),
         "pooled": _pooled_coordinates(x, 2, 300, 6, threads=threads),
     }
 
@@ -341,7 +340,7 @@ ESTIMATORS = {
     "conditional_cov_trials": lambda x, trials: conditional_cov_trials(
         x, 0, 2, 3, trials),
     "verify_codebook_universality": lambda x, trials: verify_codebook_universality(
-        x, _small_codebook(), (16,), trials, gauss_trials=100),
+        x, _small_codebook(), (16,), trials),
     "_pooled_coordinates": lambda x, trials: _pooled_coordinates(x, 2, trials, 0),
 }
 
@@ -559,6 +558,20 @@ def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
               "--cov-trials", "100", "--skip-negative"])
     capsys.readouterr()
     assert passes == [100, 100]
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((), "need at least one dimension"),
+    ((256, 1000), "power of two"),
+    ((2,), "multiple of the block size"),
+])
+def test_vq_universality_checks_dims_before_training(dims, message, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the codebook was trained before dims were checked")
+
+    monkeypatch.setattr(experiments, "train_gaussian_codebook", no_training)
+    with pytest.raises(ValueError, match=message):
+        experiments.run_vq_universality(dims=dims, trials=10)
 
 
 def _stand_in_runners(monkeypatch):

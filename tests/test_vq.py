@@ -47,17 +47,22 @@ def test_stein_constant_monotone():
 
 def test_codebook_validation():
     c = RNG.standard_normal((8, 4))
-    cb = Codebook.from_centroids(c, train_seed=3)
-    assert cb.n_centroids == 8
+    cb = Codebook(c, train_seed=3)
+    assert (cb.n_centroids, cb.block_dim) == (8, 4)
+    assert cb.radius == math.sqrt(max(float(np.sum(row * row)) for row in c))
     assert not cb.centroids.flags.writeable
-    with pytest.raises(ValueError):
-        Codebook(block_dim=4, centroids=c, train_seed=3, radius=cb.radius + 1.0)
-    with pytest.raises(ValueError):
-        Codebook(block_dim=5, centroids=c, train_seed=3, radius=cb.radius)
+    assert c.flags.writeable  # the caller's array is copied, not frozen
     bad = c.copy()
     bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Codebook.from_centroids(bad, train_seed=3)
+    for centroids, message in [
+        (bad, "finite"),
+        (np.full((2, 4), 1e200), "overflow"),  # finite, but |c|^2 is inf
+        (c[0], "non-empty 2-d"),
+        (np.zeros((0, 4)), "non-empty 2-d"),
+        (np.zeros((3, 0)), "non-empty 2-d"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Codebook(centroids, train_seed=3)
 
 
 # --- training -----------------------------------------------------------------
@@ -113,7 +118,7 @@ def test_block_sampler_second_moment():
 def test_nearest_ties_break_to_lowest_index():
     row = np.array([0.5, 0.3])
     cents = np.array([[0.0, 0.0], [1.0, 0.0], row, [2.0, 2.0], [3.0, 3.0], row])
-    cb = Codebook.from_centroids(cents, train_seed=0)
+    cb = Codebook(cents, train_seed=0)
     dist, j = _nearest_sq_dist(row[None, :], cb.centroids)
     assert j[0] == 2
     assert dist[0] == 0.0
@@ -188,7 +193,7 @@ def test_codebook_of_realized_blocks_gives_zero_error():
     y = apply_rotation(x, spec)
     scale = float(np.linalg.norm(y)) / math.sqrt(d)
     blocks = (y / scale).reshape(-1, k)
-    cb = Codebook.from_centroids(blocks, train_seed=0)
+    cb = Codebook(blocks, train_seed=0)
     idx, s = vq_encode(x, spec, cb)
     assert idx.tolist() == list(range(d // k))
     back = vq_decode(idx, s, spec, cb)
@@ -196,7 +201,7 @@ def test_codebook_of_realized_blocks_gives_zero_error():
 
 
 def test_zero_centroid_decodes_to_zero():
-    cb = Codebook.from_centroids(np.zeros((1, 4)), train_seed=0)
+    cb = Codebook(np.zeros((1, 4)), train_seed=0)
     out = vq_decode(np.zeros(8, dtype=np.uint32), 3.7,
                     RotationSpec(dim=32, layers=2, seed=4), cb)
     assert np.array_equal(out, np.zeros(32))
@@ -303,9 +308,9 @@ def test_rms_covariance_validation():
 def test_universality_reports_shape_and_fields():
     cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=4000)
     rht, gauss = verify_codebook_universality(two_spike(16), cb, dims=(16, 32),
-                                              trials=400, gauss_trials=2000)
+                                              trials=400)
     assert [r.shape for r in rht] == [(400,), (400,)]
-    assert gauss.shape == (2000,)  # one Gaussian baseline for every dim
+    assert gauss.shape == (vq.GAUSS_TRIALS,)  # one Gaussian baseline for every dim
     for errs in (*rht, gauss):
         assert errs.dtype == np.float64 and np.all(errs >= 0.0)
     assert all(0.0 < errs.mean() < 4.0 for errs in rht)
@@ -328,9 +333,3 @@ def test_universality_validation(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=message):
             verify_codebook_universality(x, cb, dims=dims, trials=100)
-    # the Gaussian reference pass checks its own count; the rotated trials
-    # follow the shared estimator contract in test_harness.py
-    for gauss_trials in (0, 1):
-        with pytest.raises(ValueError, match="need at least two trials"):
-            verify_codebook_universality(two_spike(16), cb, dims=(16,),
-                                         trials=100, gauss_trials=gauss_trials)
