@@ -154,6 +154,15 @@ class BsqPayload:
             if not np.all(np.abs(val) > self.config.threshold):
                 raise ValueError("outlier values must exceed the threshold")
 
+    def __eq__(self, other):
+        """Field by field, the arrays by ``np.array_equal``."""
+        if not isinstance(other, BsqPayload):
+            return NotImplemented
+        return ((self.spec, self.config, self.scale) == (other.spec, other.config, other.scale)
+                and np.array_equal(self.codes, other.codes)
+                and np.array_equal(self.outlier_idx, other.outlier_idx)
+                and np.array_equal(self.outlier_val, other.outlier_val))
+
     @property
     def sent_fraction(self) -> float:
         """Fraction of coordinates escaping the grid (sent exactly)."""

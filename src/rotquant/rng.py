@@ -16,18 +16,31 @@ Stream layout conventions (fixed; changing them changes every measurement):
 * Uniform doubles use the top 53 bits of a word: ``(w >> 11) * 2**-53``.
 * Gaussians are Box-Muller pairs; consecutive words feed one pair.
 
-``Xoshiro256pp`` has two kernels that produce the same words.  A single
-stream (every encode and decode) steps the recurrence on Python ints and
-writes into an ``array('Q')``.  A batch of streams (the trial harness) keeps
-its state as four contiguous ``uint64`` lanes and updates them in place with
-numpy ufuncs, one word of every stream per step.  A stream's words therefore
-do not depend on how many streams share its batch, nor on how they are split
-across calls.
+``Xoshiro256pp`` draws words along three paths that give the same words.
+
+* Loop: a single stream's request of fewer than ``_LANES_MIN_WORDS`` words
+  steps the recurrence on Python ints and writes into an ``array('Q')``.
+* Batch: a batch of streams (the trial harness) keeps its state as four
+  contiguous ``uint64`` rows and updates them in place with numpy ufuncs,
+  one word of every stream per step.
+* Lanes: a longer single-stream request (such as BSQ rounding noise) splits
+  the stream into lanes of ``span`` words that the batch kernel steps
+  together, and reads their words lane-major.
+
+The xoshiro256 state update ``T`` is linear over GF(2)^256 (only the ``++``
+output scrambler is not), so lane ``i`` starts exactly at ``T^(i * span)``
+of the stream's state, reached through cached tables for ``T^(2^k)``
+(Blackman and Vigna, "Scrambled linear pseudorandom number generators", ACM
+TOMS 47(4), 2021; Haramoto et al., "Efficient jump ahead for F2-linear random
+number generators", INFORMS J. Comput. 20(3), 2008).  A stream's words
+therefore do not depend on the path that draws them, on how many streams
+share its batch, or on how they are split across calls.
 """
 
 from __future__ import annotations
 
 import operator
+import threading
 from array import array
 
 import numpy as np
@@ -123,6 +136,77 @@ def as_keys(keys, name: str = "keys") -> np.ndarray:
         raise error from None
 
 
+# Single-stream requests of at least this many words are drawn by the lanes
+# kernel, shorter ones by the Python-int loop.  The two cost the same at
+# about 320-380 words on a 2-vCPU Xeon; at 512 the lanes are ~1.6x faster.
+_LANES_MIN_WORDS = 512
+
+# _JUMPS[k] is T^(2^k), T the linear xoshiro256 state update, as 64 nibble
+# tables of 16 states (the method of four Russians), flattened to shape
+# (64 * 16, 4): row 16 * c + v is the image of the state whose nibble c is v
+# and whose other bits are 0.  Nibble c holds bits 4c .. 4c + 3 of the state
+# read as one 256-bit little-endian integer (s0 lowest).  Built on first use
+# by squaring; appended under the lock, since a racing double append would
+# shift every later power.
+_JUMPS: list[np.ndarray] = []
+_JUMPS_LOCK = threading.Lock()
+_NIBBLE_ROWS = np.arange(0, 64 * 16, 16)
+_BIT_ROWS = (_NIBBLE_ROWS[:, None] + (1 << np.arange(4))).ravel()
+
+
+def _jump(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Apply one jump ``table`` to ``states`` of shape ``(n, 4)``: the XOR of
+    the images of their 64 nibbles."""
+    b = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T
+    rows = np.empty((32, 2, len(states)), dtype=np.intp)
+    np.bitwise_and(b, 15, out=rows[:, 0])
+    np.right_shift(b, 4, out=rows[:, 1])
+    rows = rows.reshape(64, -1)
+    rows += _NIBBLE_ROWS[:, None]
+    # Nibble-major, so that each XOR below runs over whole blocks of states.
+    images = table.take(rows, axis=0)
+    half = 32
+    while half:
+        np.bitwise_xor(images[:half], images[half:2 * half], out=images[:half])
+        half //= 2
+    return images[0]
+
+
+def _nibble_tables(bit_images: np.ndarray) -> np.ndarray:
+    """A jump table from the images of the 256 one-bit states (bit ``i`` of
+    nibble ``c`` in row ``4 * c + i``): each nibble value's image is the XOR
+    of its bits' images."""
+    bits = bit_images.reshape(64, 4, 1, 4)
+    table = np.zeros((64, 16, 4), dtype=np.uint64)
+    for i in range(4):
+        np.bitwise_xor(table[:, :1 << i], bits[:, i], out=table[:, 1 << i:2 << i])
+    return table.reshape(-1, 4)
+
+
+def _jump_tables(top: int) -> list[np.ndarray]:
+    """``[T^(2^0), ..., T^(2^top)]`` as jump tables."""
+    with _JUMPS_LOCK:
+        if not _JUMPS:
+            # T itself: one batch-kernel step of each one-bit state.
+            bit = np.arange(256)
+            states = np.zeros((4, 256), dtype=np.uint64)
+            states[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+            gen = Xoshiro256pp._from_state(states)
+            gen._batch(1)
+            _JUMPS.append(_nibble_tables(gen._state.T))
+        while len(_JUMPS) <= top:
+            half = _JUMPS[-1]
+            _JUMPS.append(_nibble_tables(_jump(half, half[_BIT_ROWS])))
+        return _JUMPS[:top + 1]
+
+
+def _lane_span(count: int) -> int:
+    """Words per lane for a ``count``-word request: a power of two near
+    ``sqrt(count) / 4``, which balances the fixed cost of a batch-kernel step
+    against the per-lane cost of the lane starts."""
+    return 1 << (count.bit_length() - 4) // 2
+
+
 class Xoshiro256pp:
     """A batch of independent xoshiro256++ streams, one per key.
 
@@ -137,7 +221,14 @@ class Xoshiro256pp:
         keys = as_keys(keys)
         if keys.ndim != 1 or keys.size == 0:
             raise ValueError("keys must be a non-empty 1-d sequence")
-        # Four contiguous lanes: self._state[i] holds state word s_i of every stream.
+        # Four contiguous rows: self._state[i] holds state word s_i of every stream.
+        if keys.size == 1:  # one stream: the Python-int fill costs less
+            sm, fill = int(keys[0]), []
+            for _ in range(4):
+                sm, word = splitmix64(sm)
+                fill.append(word)
+            self._state = np.array(fill, dtype=np.uint64).reshape(4, 1)
+            return
         state = np.empty((4, keys.size), dtype=np.uint64)
         sm = keys.copy()
         with np.errstate(over="ignore"):
@@ -145,16 +236,29 @@ class Xoshiro256pp:
                 sm, lane[:] = _splitmix_step_vec(sm)
         self._state = state
 
+    @classmethod
+    def _from_state(cls, state: np.ndarray) -> "Xoshiro256pp":
+        """Streams resuming from ``state``, shape ``(4, n_streams)``."""
+        gen = cls.__new__(cls)
+        gen._state = np.array(state, dtype=np.uint64, order="C")
+        return gen
+
     @property
     def n_streams(self) -> int:
         return self._state.shape[1]
 
     def words(self, count: int) -> np.ndarray:
         """``count`` successive words per stream, shape ``(n_streams, count)``."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if self.n_streams == 1:
-            return np.frombuffer(self._one_stream(count), dtype=np.uint64).reshape(1, count)
+        count = _non_negative_int(count, "count must be a non-negative integer")
+        if self.n_streams > 1:
+            return self._batch(count)
+        if count >= _LANES_MIN_WORDS:
+            return self._lanes(count).reshape(1, count)
+        return np.frombuffer(self._one_stream(count), dtype=np.uint64).reshape(1, count)
+
+    def _batch(self, count: int) -> np.ndarray:
+        """The batch kernel: every stream steps together, one ufunc per
+        operation over the four state rows."""
         s0, s1, s2, s3 = self._state
         t = np.empty_like(s0)
         out = np.empty((count, self.n_streams), dtype=np.uint64)
@@ -192,6 +296,27 @@ class Xoshiro256pp:
             s3 = ((s3 << 45) | (s3 >> 19)) & mask
         self._state[:, 0] = (s0, s1, s2, s3)
         return out
+
+    def _lanes(self, count: int) -> np.ndarray:
+        """The lanes kernel for one stream: lane ``i`` starts at
+        ``T^(i * span)`` of the state and the batch kernel steps every lane
+        ``span`` times; the words are read lane-major and the stream is left
+        at ``T^count`` of its state."""
+        span = _lane_span(count)
+        n_lanes = -(-count // span)
+        first = span.bit_length() - 1
+        tables = _jump_tables(first + (n_lanes - 1).bit_length() - 1)
+        starts = self._state.T.copy()
+        for table in tables[first:]:
+            starts = np.concatenate([starts, _jump(table, starts[:n_lanes - len(starts)])])
+        lanes = Xoshiro256pp._from_state(starts.T)
+        last = count - (n_lanes - 1) * span  # words from the last lane, 1 .. span
+        out = np.empty((n_lanes, span), dtype=np.uint64)
+        out[:, :last] = lanes._batch(last)
+        self._state[:] = lanes._state[:, -1:]
+        if last < span:
+            out[:, last:] = lanes._batch(span - last)
+        return out.reshape(-1)[:count]
 
     def sign_values(self, count: int) -> np.ndarray:
         """``count`` signs per stream as float64 +/-1, MSB-first per word."""

@@ -56,6 +56,13 @@ class Codebook:
         if not math.isfinite(self.radius):
             raise ValueError("centroid norms overflow")
 
+    def __eq__(self, other):
+        """Field by field, the centroids by ``np.array_equal``."""
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (self.train_seed == other.train_seed
+                and np.array_equal(self.centroids, other.centroids))
+
     @property
     def block_dim(self) -> int:
         return self.centroids.shape[1]

@@ -77,12 +77,7 @@ def test_drive_roundtrip_bit_exact():
 def test_bsq_roundtrip_bit_exact():
     pay = bsq_payload()
     back = deserialize(serialize(pay))
-    assert back.spec == pay.spec
-    assert back.config == pay.config
-    assert back.scale == pay.scale
-    assert np.array_equal(back.codes, pay.codes)
-    assert np.array_equal(back.outlier_idx, pay.outlier_idx)
-    assert np.array_equal(back.outlier_val, pay.outlier_val)
+    assert back == pay
     assert np.array_equal(bsq_decode(back), bsq_decode(pay))
 
 
@@ -93,7 +88,25 @@ def test_codebook_roundtrip_bit_exact():
     assert back.block_dim == cb.block_dim
     assert back.train_seed == cb.train_seed
     assert back.radius == cb.radius
-    assert np.array_equal(back.centroids, cb.centroids)
+    assert back == cb
+
+
+def test_payload_equality_compares_every_field():
+    pay = bsq_payload()
+    assert pay == bsq_payload() and pay != "payload"
+    for other in (bsq_payload(noise_seed=12), bsq_payload(bits=4), bsq_payload(seed=6)):
+        assert pay != other
+    codes = pay.codes.copy()
+    codes[0] ^= 1
+    assert pay != BsqPayload(pay.spec, pay.config, pay.scale, codes,
+                             pay.outlier_idx, pay.outlier_val)
+    assert pay != BsqPayload(pay.spec, pay.config, 2.0 * pay.scale, pay.codes,
+                             pay.outlier_idx, pay.outlier_val)
+    cb = Codebook(np.eye(3), train_seed=5)
+    assert cb == Codebook(np.eye(3), train_seed=5) and cb != "codebook"
+    assert cb != Codebook(np.eye(3), train_seed=6)
+    assert cb != Codebook(-np.eye(3), train_seed=5)
+    assert cb != Codebook(np.eye(3)[:2], train_seed=5)
 
 
 def test_vector_roundtrip_bit_exact():
@@ -269,11 +282,7 @@ def test_drive_roundtrip_property(log2d, layers, seed, unbiased):
        tail=st.floats(0.01, 0.5), noise=st.integers(0, 2**32))
 def test_bsq_roundtrip_property(log2d, bits, tail, noise):
     pay = bsq_payload(d=1 << log2d, bits=bits, tail_mass=tail, noise_seed=noise)
-    back = deserialize(serialize(pay))
-    assert back.config == pay.config and back.scale == pay.scale
-    assert np.array_equal(back.codes, pay.codes)
-    assert np.array_equal(back.outlier_idx, pay.outlier_idx)
-    assert np.array_equal(back.outlier_val, pay.outlier_val)
+    assert deserialize(serialize(pay)) == pay
 
 
 @settings(max_examples=40, deadline=None)

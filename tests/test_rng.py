@@ -1,8 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rotquant import rng
 from rotquant.rng import MASK64, Xoshiro256pp, derive_seed, derive_seeds, mix64, splitmix64
 
 # First four outputs of the SplitMix64 sequence for state 0 (published
@@ -22,6 +27,11 @@ def _rotl(x, k):
 def _reference_xoshiro_stream(key, n):
     """Scalar xoshiro256++ transcribed independently from the published
     algorithm; seeds from SplitMix64 like the library contract says."""
+    return _reference_xoshiro(key, n)[0]
+
+
+def _reference_xoshiro(key, n):
+    """The first ``n`` words of stream ``key`` and the state after them."""
     s = []
     state = key & MASK64
     for _ in range(4):
@@ -37,7 +47,7 @@ def _reference_xoshiro_stream(key, n):
         s[0] ^= s[3]
         s[2] ^= t
         s[3] = _rotl(s[3], 45)
-    return outs
+    return outs, s
 
 
 def test_splitmix64_reference_vector():
@@ -215,3 +225,100 @@ def test_bad_constructor_args():
             Xoshiro256pp(bad)
     with pytest.raises(ValueError):
         Xoshiro256pp([1]).words(-1)
+
+
+@pytest.mark.parametrize("count", [2.5, np.float64(3.0), "3", None, -1])
+@pytest.mark.parametrize("keys", [[1], [1, 2]])
+def test_words_rejects_counts_that_are_not_non_negative_integers(keys, count):
+    with pytest.raises(ValueError, match="count"):
+        Xoshiro256pp(keys).words(count)
+
+
+def test_words_accepts_numpy_integer_counts():
+    assert np.array_equal(Xoshiro256pp([5]).words(np.int64(700)), Xoshiro256pp([5]).words(700))
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63 + 11, MASK64])
+def test_one_key_fill_matches_the_batch_fill(key):
+    one = Xoshiro256pp([key])._state
+    assert one.shape == (4, 1) and one.dtype == np.uint64 and one.flags.c_contiguous
+    assert np.array_equal(one[:, 0], Xoshiro256pp([key, 12345])._state[:, 0])
+    keys = [int(k) for k in derive_seeds(9, 0, 50)] + [key]
+    assert np.array_equal(one[:, 0], Xoshiro256pp(keys)._state[:, -1])
+    assert np.array_equal(one, Xoshiro256pp(key)._state)
+    assert np.array_equal(one, Xoshiro256pp(np.array([key], dtype=np.uint64))._state)
+
+
+# --- the lanes path for long single streams -----------------------------------
+
+LANES = rng._LANES_MIN_WORDS
+
+
+def test_long_single_requests_take_the_lanes_path(monkeypatch):
+    """Below the crossover the loop draws the words, from it on the lanes."""
+    loop_counts = []
+    loop = Xoshiro256pp._one_stream
+    monkeypatch.setattr(Xoshiro256pp, "_one_stream",
+                        lambda self, count: loop_counts.append(count) or loop(self, count))
+    gen = Xoshiro256pp([3])
+    gen.words(LANES - 1)
+    gen.words(LANES)
+    gen.words(3 * LANES + 5)
+    assert loop_counts == [LANES - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.integers(0, MASK64),
+       counts=st.lists(st.one_of(
+           st.sampled_from([0, 1, LANES - 1, LANES, LANES + 1, 2 * LANES, 3 * LANES]),
+           st.integers(0, 3 * LANES)), min_size=1, max_size=5))
+def test_split_calls_across_both_paths_match_the_reference(key, counts):
+    gen = Xoshiro256pp([key])
+    got = np.concatenate([gen.words(c)[0] for c in counts])
+    want, state = _reference_xoshiro(key, sum(counts))
+    assert [int(w) for w in got] == want
+    assert gen._state[:, 0].tolist() == state
+
+
+def test_lanes_match_the_loop_on_a_long_stream():
+    n = 1 << 17
+    lanes, loop = Xoshiro256pp([2024]), Xoshiro256pp([2024])
+    assert np.array_equal(lanes.words(n)[0], np.frombuffer(loop._one_stream(n), dtype=np.uint64))
+    assert np.array_equal(lanes._state, loop._state)
+    assert np.array_equal(lanes.words(3), loop.words(3))
+
+
+def test_threads_building_the_jump_tables_get_the_loop_words(monkeypatch):
+    """Threads that race to build the jump tables from an empty cache (a lost
+    or doubled power would change their words) still draw the loop's words."""
+    monkeypatch.setattr(rng, "_JUMPS", [])
+    keys = [11, 12, 13, 14]
+    want = [np.frombuffer(Xoshiro256pp([k])._one_stream(4096), dtype=np.uint64) for k in keys]
+    got = [None] * len(keys)
+    barrier = threading.Barrier(len(keys), timeout=60)
+
+    def draw(i):
+        barrier.wait()
+        got[i] = Xoshiro256pp([keys[i]]).words(4096)[0]
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(len(keys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(g, w)
+    # Each cached power is the square of the one before it.
+    states = np.array([[int(k) for k in derive_seeds(4, 4 * i, 4)] for i in range(8)],
+                      dtype=np.uint64)
+    tables = rng._JUMPS
+    assert len(tables) >= 8
+    for lower, upper in zip(tables, tables[1:]):
+        assert np.array_equal(rng._jump(upper, states),
+                              rng._jump(lower, rng._jump(lower, states)))
