@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -91,11 +92,12 @@ def _load_input(args) -> np.ndarray:
     raise SystemExit("an input is required: --in FILE or --gen KIND")
 
 
-def _emit(rows, args) -> int:
-    """Print or write the rows, echoing the parsed arguments as the config."""
+def _emit(rows, args, timings: dict) -> int:
+    """Print or write the rows, echoing the parsed arguments as the config
+    and, in the JSON form, the wall seconds per runner."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("fn", "format", "out")}
-    text = render_rows(rows, config, fmt=args.format)
+    text = render_rows(rows, config, fmt=args.format, timings=timings)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         summary = "all checks healthy" if all_ok(rows) else "CHECK FAILED"
@@ -201,19 +203,22 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     """Run the runners of ``args.command`` in table order (all of them for
-    ``report``), each given the parsed flags that set its parameters."""
+    ``report``), each given the parsed flags that set its parameters, and
+    time each one."""
     flags = vars(args)
     if "skip_negative" in flags:
         flags = dict(flags, include_negative=not args.skip_negative)
-    rows = []
+    rows, timings = [], {}
     for command, runner in experiments.RUNNERS:
         if args.command in (command, "report"):
             renamed = FLAG_FOR.get(runner.__name__, {})
             flag_of = {name: renamed.get(name, name)
                        for name in inspect.signature(runner).parameters}
+            start = time.perf_counter()
             rows += runner(**{name: flags[flag]
                               for name, flag in flag_of.items() if flag in flags})
-    return _emit(rows, args)
+            timings[runner.__name__] = time.perf_counter() - start
+    return _emit(rows, args, timings)
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +295,8 @@ def run_ordered(jobs, fn, threads: int = 1):
     if threads <= 1:
         yield from map(fn, jobs)
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for job in jobs:

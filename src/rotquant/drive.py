@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, sum_sq, unpack_sign_bits
 
@@ -89,6 +88,8 @@ def cd_values(dims: np.ndarray) -> np.ndarray:
     small = d <= _CD_SERIES_CUTOFF
     out = _ROOT_2_OVER_PI * np.exp(_cd_series_exponent(np.maximum(d, 2.0)))
     if small.any():
+        from scipy.special import gammaln
+
         ds = d[small]
         out[small] = np.exp(0.5 * np.log(ds / math.pi)
                             + gammaln(ds / 2.0) - gammaln((ds + 1.0) / 2.0))
@@ -162,15 +163,16 @@ class DriveErrorReport:
 
 
 def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
-              threads: int = 1):
+              threads: int = 1, trial_mean: bool = False):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
     trials, seeded as in :func:`dme_simulate`; a chunk tiles its clients
     into one buffer, then rotates, signs, rotates back and scales it in place.
 
     Returns per trial the squared error of the decoded client mean over the
-    mean client energy; per encoded row the scale and rotated l1 norm; the
-    trial mean of the decoded client means, summed per ``TRIAL_BLOCK``
-    trials in trial order; and the squared client norms.
+    mean client energy; per encoded row the scale and rotated l1 norm; with
+    ``trial_mean``, the trial mean of the decoded client means, summed per
+    ``TRIAL_BLOCK`` trials in trial order (else ``None``); and the squared
+    client norms.
     """
     _check_mode(mode)
     xs = np.asarray(xs, dtype=np.float64)
@@ -183,7 +185,7 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         raise ValueError("input must be finite and non-zero")
     n, d = xs.shape
     layers = spec_template.layers
-    x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
+    x_avg, denom = xs.mean(axis=0), float(np.mean(sq))
 
     def chunk(lo, hi, seeds):
         n_t = hi - lo
@@ -199,20 +201,22 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         _rotate_rows(y, layers, seeds, inverse=True)
         y *= scales[:, None]
         avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
-        blocks = avg[::TRIAL_BLOCK].copy()
-        for j in range(1, TRIAL_BLOCK):
-            blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
+        blocks = ()
+        if trial_mean:
+            blocks = avg[::TRIAL_BLOCK].copy()
+            for j in range(1, TRIAL_BLOCK):
+                blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
         avg -= x_avg
         return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1, blocks
 
-    parts = []
+    parts, mean_acc = [], np.zeros(d)
     for err, scales, l1, blocks in map_trials(spec_template.seed, trials, n * d, chunk,
                                               seeds_per_trial=n, threads=threads):
         for block in blocks:  # chunks arrive in trial order
             np.add(mean_acc, block, out=mean_acc)
         parts.append((err, scales, l1))
     err, scales, l1 = (np.concatenate(p) for p in zip(*parts))
-    return err, scales, l1, mean_acc / trials, sq
+    return err, scales, l1, mean_acc / trials if trial_mean else None, sq
 
 
 def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
@@ -226,7 +230,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
     """
     x = np.asarray(x, dtype=np.float64)
     vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode,
-                                                        trials, threads)
+                                                        trials, threads, trial_mean=True)
     d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
     bias_sq_norm = float(sum_sq(mean_hat - x) / norm_sq)

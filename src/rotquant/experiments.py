@@ -228,7 +228,7 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
 
 def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
                        bias_dims=(64, 256, 1024, 4096),
-                       bias_trials=(10_000, 20_000, 40_000, 60_000),
+                       bias_trials=None,
                        master_seed: int = DEFAULT_MASTER_SEED,
                        threads: int = 1) -> list[VerifyReport]:
     """Unbiased sign-quantizer: variance share in the ``pi/2 - 1`` band and
@@ -236,8 +236,11 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
 
     The plug-in squared-bias estimator carries a sampling floor of
     ``variance/trials``, so the trial counts grow with dimension to keep the
-    floor from masking the decay being measured.
+    floor from masking the decay being measured: ``bias_trials`` defaults to
+    ``(1, 2, 4, 6) * trials`` (10,000 to 60,000 at the default ``trials``).
     """
+    if bias_trials is None:
+        bias_trials = tuple(m * trials for m in (1, 2, 4, 6))
     rep = measure_drive_error(gen_adversarial("one_hot", d),
                               RotationSpec(d, 2, master_seed),
                               "unbiased", trials, threads)

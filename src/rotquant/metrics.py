@@ -12,6 +12,9 @@ Closed-form constants used by the guarantees:
 
 The empirical statistics are exact order-statistic formulas, not binned
 approximations, so the acceptance checks compare like for like.
+
+``scipy.special`` is imported by the functions that call it, not by this
+module, so ``import rotquant`` loads numpy and nothing heavier.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .core import check_dim
 
@@ -80,6 +82,8 @@ def moment_scan(x) -> FlatnessStats:
 
 def normal_cdf(t):
     """Standard normal CDF, vectorized, absolute error below 1e-14."""
+    from scipy.special import ndtr
+
     return ndtr(np.asarray(t, dtype=np.float64))
 
 
@@ -88,6 +92,8 @@ def normal_quantile(q):
     q = np.asarray(q, dtype=np.float64)
     if np.any(q <= 0.0) or np.any(q >= 1.0):
         raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    from scipy.special import ndtri
+
     out = ndtri(q)
     if out.ndim == 0:
         return float(out)
@@ -119,6 +125,8 @@ def empirical_kolmogorov(sample: EmpiricalSample) -> float:
     For sorted values this is ``max_i max(i/n - F(v_i), F(v_i) - (i-1)/n)``,
     the true supremum over all of R (no grid approximation).
     """
+    from scipy.special import ndtr
+
     v = sample.values
     n = sample.n
     f = ndtr(v)
@@ -133,6 +141,8 @@ def empirical_w1(sample: EmpiricalSample) -> float:
     Couples the i-th order statistic to the plotting-position quantile
     ``ndtri((i - 0.5) / n)`` and averages the absolute gaps.
     """
+    from scipy.special import ndtri
+
     v = sample.values
     n = sample.n
     q = ndtri((np.arange(1, n + 1) - 0.5) / n)

@@ -10,7 +10,8 @@ also gives ``headroom_se``, the headroom in standard errors (``null`` for a
 row without a standard error); the CSV keeps its fixed columns.
 Negative-control rows are *expected* to fail, and the run as a whole is
 healthy when every row behaves as expected.  The JSON form also records the
-environment that produced the rows (see ``_environment``), and is strict: a
+environment that produced the rows (see ``_environment``) and, when given,
+the wall seconds each runner took, and is strict: a
 value that is not finite is written as its ``repr`` string (``"nan"``,
 ``"inf"``), never as ``NaN`` or ``Infinity``.
 """
@@ -26,7 +27,6 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 VERSION = "0.1.0"
 
@@ -134,6 +134,8 @@ def _environment(threads: int | None = None) -> dict:
     """The software and machine behind a report: rotquant, numpy and scipy
     versions, the BLAS numpy was built against, the CPU count, and the
     ``--threads`` value (``None`` when the config has none)."""
+    import scipy
+
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     return {
         "rotquant": VERSION,
@@ -145,14 +147,16 @@ def _environment(threads: int | None = None) -> dict:
     }
 
 
-def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
+def render_rows(rows, config: dict | None = None, fmt: str = "json",
+                timings: dict | None = None) -> str:
     """Serialize report rows; ``fmt`` is ``json`` or ``csv``.
 
     The JSON form echoes ``config`` (the arguments that produced the rows),
-    names the experiment by its ``command`` entry and adds an ``env`` block
-    whose ``threads`` is ``config["threads"]``.  The CSV form is the
-    fixed-schema flat table (no config echo, no environment, no timestamp)
-    so two runs of the same experiment compare bytewise.
+    names the experiment by its ``command`` entry, adds an ``env`` block
+    whose ``threads`` is ``config["threads"]`` and, when ``timings`` is
+    given, a ``timings`` block (wall seconds by runner name).  The CSV form is
+    the fixed-schema flat table (no config echo, no environment, no timings,
+    no timestamp) so two runs of the same experiment compare bytewise.
     """
     if fmt == "json":
         config = config or {}
@@ -165,6 +169,8 @@ def render_rows(rows, config: dict | None = None, fmt: str = "json") -> str:
             "all_ok": all_ok(rows),
             "generated_at": datetime.now(timezone.utc).isoformat(),
         }
+        if timings is not None:
+            doc["timings"] = _jsonable(timings)
         return json.dumps(doc, indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     if fmt == "csv":

@@ -533,14 +533,32 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     ["verify-vq", "--dims", "16", "--trials", "50", "--cov-trials", "20",
      "--skip-negative"],
     ["dme", "--d", "64", "--clients", "1,16", "--trials", "20"],
+    ["verify-drive", "--d", "64", "--trials", "20"],
 ])
 def test_cli_report_json_is_strict(argv, capsys):
-    # verify-drive is left out: its bias sweep runs at full scale whatever
-    # the flags, which takes tens of seconds
     code = cli.main(argv)
     doc = _undated(capsys.readouterr().out)
     assert doc["experiment"] == argv[0]
     assert doc["rows"] and code == (0 if doc["all_ok"] else 1)
+    _assert_timings(doc, [runner.__name__ for command, runner in experiments.RUNNERS
+                          if command == argv[0]])
+
+
+def _assert_timings(doc, names):
+    """The JSON ``timings`` block holds a finite, non-negative wall time for
+    each runner that ran, and for no other."""
+    assert sorted(doc["timings"]) == sorted(names)
+    assert all(isinstance(s, float) and 0.0 <= s < math.inf
+               for s in doc["timings"].values())
+
+
+def test_report_json_times_every_runner_and_csv_does_not(monkeypatch, capsys):
+    _stand_in_runners(monkeypatch)
+    assert cli.main(["report"]) == 0
+    _assert_timings(_undated(capsys.readouterr().out),
+                    [runner.__name__ for _, runner in experiments.RUNNERS])
+    assert cli.main(["report", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[0] == ",".join(CSV_FIELDS)
 
 
 def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
