@@ -163,16 +163,15 @@ class DriveErrorReport:
 
 
 def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
-              threads: int = 1, trial_mean: bool = False):
+              threads: int = 1):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
     trials, seeded as in :func:`dme_simulate`; a chunk tiles its clients
     into one buffer, then rotates, signs, rotates back and scales it in place.
 
     Returns per trial the squared error of the decoded client mean over the
-    mean client energy; per encoded row the scale and rotated l1 norm; with
-    ``trial_mean``, the trial mean of the decoded client means, summed per
-    ``TRIAL_BLOCK`` trials in trial order (else ``None``); and the squared
-    client norms.
+    mean client energy; per encoded row the scale and rotated l1 norm; the
+    trial mean of the decoded client means, summed per ``TRIAL_BLOCK``
+    trials in trial order; and the squared client norms.
     """
     _check_mode(mode)
     xs = np.asarray(xs, dtype=np.float64)
@@ -185,7 +184,7 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         raise ValueError("input must be finite and non-zero")
     n, d = xs.shape
     layers = spec_template.layers
-    x_avg, denom = xs.mean(axis=0), float(np.mean(sq))
+    x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
 
     def chunk(lo, hi, seeds):
         n_t = hi - lo
@@ -201,22 +200,20 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         _rotate_rows(y, layers, seeds, inverse=True)
         y *= scales[:, None]
         avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
-        blocks = ()
-        if trial_mean:
-            blocks = avg[::TRIAL_BLOCK].copy()
-            for j in range(1, TRIAL_BLOCK):
-                blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
+        blocks = avg[::TRIAL_BLOCK].copy()
+        for j in range(1, TRIAL_BLOCK):
+            blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
         avg -= x_avg
         return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1, blocks
 
-    parts, mean_acc = [], np.zeros(d)
+    parts = []
     for err, scales, l1, blocks in map_trials(spec_template.seed, trials, n * d, chunk,
                                               seeds_per_trial=n, threads=threads):
         for block in blocks:  # chunks arrive in trial order
             np.add(mean_acc, block, out=mean_acc)
         parts.append((err, scales, l1))
     err, scales, l1 = (np.concatenate(p) for p in zip(*parts))
-    return err, scales, l1, mean_acc / trials if trial_mean else None, sq
+    return err, scales, l1, mean_acc / trials, sq
 
 
 def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
@@ -230,7 +227,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
     """
     x = np.asarray(x, dtype=np.float64)
     vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode,
-                                                        trials, threads, trial_mean=True)
+                                                        trials, threads)
     d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
     bias_sq_norm = float(sum_sq(mean_hat - x) / norm_sq)

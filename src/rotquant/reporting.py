@@ -10,8 +10,8 @@ also gives ``headroom_se``, the headroom in standard errors (``null`` for a
 row without a standard error); the CSV keeps its fixed columns.
 Negative-control rows are *expected* to fail, and the run as a whole is
 healthy when every row behaves as expected.  The JSON form also records the
-environment that produced the rows (see ``_environment``) and, when given,
-the wall seconds each runner took, and is strict: a
+environment that produced the rows (see ``_environment``) and the wall
+seconds each runner took, and is strict: a
 value that is not finite is written as its ``repr`` string (``"nan"``,
 ``"inf"``), never as ``NaN`` or ``Infinity``.
 """
@@ -153,8 +153,9 @@ def render_rows(rows, config: dict | None = None, fmt: str = "json",
 
     The JSON form echoes ``config`` (the arguments that produced the rows),
     names the experiment by its ``command`` entry, adds an ``env`` block
-    whose ``threads`` is ``config["threads"]`` and, when ``timings`` is
-    given, a ``timings`` block (wall seconds by runner name).  The CSV form is
+    whose ``threads`` is ``config["threads"]`` and a ``timings`` block, the
+    wall seconds by runner name that ``cli.cmd_run`` measures (empty when
+    none are given).  The CSV form is
     the fixed-schema flat table (no config echo, no environment, no timings,
     no timestamp) so two runs of the same experiment compare bytewise.
     """
@@ -168,9 +169,8 @@ def render_rows(rows, config: dict | None = None, fmt: str = "json",
             "rows": [r.to_row() for r in rows],
             "all_ok": all_ok(rows),
             "generated_at": datetime.now(timezone.utc).isoformat(),
+            "timings": _jsonable(timings or {}),
         }
-        if timings is not None:
-            doc["timings"] = _jsonable(timings)
         return json.dumps(doc, indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     if fmt == "csv":

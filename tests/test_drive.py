@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotquant import core, drive
+from rotquant import core
 from rotquant.core import RotationSpec, apply_rotation, mean_se
 from rotquant.drive import (
     cd_values,
@@ -207,17 +207,6 @@ def test_drive_estimators_keep_few_chunk_sized_arrays(estimate):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * core.TRIAL_CHUNK_ELEMS * 8
-
-
-def test_trial_mean_is_built_only_on_request():
-    """``dme_simulate`` skips the trial-mean sums that only
-    ``measure_drive_error`` reads; every other output is unchanged."""
-    xs = np.random.default_rng(3).standard_normal((3, 64))
-    spec = RotationSpec(dim=64, layers=2, seed=5)
-    *plain, mean_hat, sq = drive._simulate(xs, spec, "unbiased", 10)
-    *full, full_mean, full_sq = drive._simulate(xs, spec, "unbiased", 10, trial_mean=True)
-    assert mean_hat is None and full_mean.shape == (64,)
-    assert all(np.array_equal(a, b) for a, b in zip(plain + [sq], full + [full_sq]))
 
 
 def test_dme_zero_error_scalar_clients():
