@@ -14,7 +14,7 @@ The conditional expected squared rounding error at ``z`` is the closed form
 ``sum_cells w^2/2``, which converts Kolmogorov closeness of ``U`` to
 Gaussian into a bound on the achieved error gap: the measured mean of
 ``e(U)`` differs from ``int e dPhi`` by at most ``1.28 TV(e) / sqrt(d)``.
-:func:`verify_tv_transfer` samples that mean per rotation;
+:func:`verify_tv_transfer` samples it per rotation (:func:`rotquant.core.map_rotated`);
 ``experiments.run_bsq_transfer`` reduces the samples to the report row.
 """
 
@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, inverse_rotation, map_trials, rotate_many, rotate_normalized, unit_vector
+from .core import RotationSpec, inverse_rotation, map_rotated, rotate_normalized, unit_vector
 from .metrics import normal_quantile
 from .rng import Xoshiro256pp
 
@@ -214,11 +214,5 @@ def verify_tv_transfer(x, cfg: BsqConfig, trials: int, layers: int = 2,
     finite, non-zero ``x``; ``layers=0`` turns the rotation off (the
     negative control)."""
     xu, _ = unit_vector(x)
-    d = xu.size
-
-    def chunk(lo, hi, seeds):
-        u_rows = rotate_many(xu, layers, seeds) * math.sqrt(d)
-        return cfg.error_function(u_rows).mean(axis=1)
-
-    return np.concatenate(list(map_trials(master_seed, trials, d, chunk,
-                                          threads=threads)))
+    return map_rotated(xu, layers, trials, master_seed,
+                       lambda u: cfg.error_function(u).mean(axis=1), threads)

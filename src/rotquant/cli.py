@@ -181,10 +181,11 @@ def cmd_decode(args) -> int:
         ref = codec.deserialize(Path(args.ref).read_bytes())
         if not isinstance(ref, np.ndarray) or ref.size != xhat.size:
             raise SystemExit("--ref must be a vector file of matching length")
-        denom = float(sum_sq(ref))
+        _, e = math.frexp(float(np.max(np.abs(ref))))  # scaled as in _norm
+        denom = float(sum_sq(np.ldexp(ref, -e)))
         if denom <= 0.0:
             raise SystemExit("--ref vector must be non-zero")
-        info["vnmse"] = float(sum_sq(xhat - ref)) / denom
+        info["vnmse"] = float(sum_sq(np.ldexp(xhat - ref, -e))) / denom
         if isinstance(obj, DrivePayload):
             info["expected_vnmse"] = LIMIT_VNMSE[obj.mode]
     if args.out:

@@ -39,6 +39,7 @@ __all__ = [
     "FWHT_BLOCK_ELEMS",
     "run_ordered",
     "map_trials",
+    "map_rotated",
     "mean_se",
     "sum_sq",
     "unit_vector",
@@ -332,6 +333,23 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
         return fn(lo, hi, derive_seeds(master_seed, lo * spt, (hi - lo) * spt))
 
     return run_ordered(range(0, trials, step), chunk, threads)
+
+
+def map_rotated(xu, layers: int, trials: int, master_seed: int, fn,
+                threads: int = 1) -> np.ndarray:
+    """``fn(u)`` of each :func:`map_trials` chunk of the rows ``u = sqrt(d) R xu``
+    (row ``t`` seeded by ``derive_seed(master_seed, t)``), concatenated in
+    trial order.  A chunk is rotated into one buffer and scaled in place;
+    ``xu`` is rotated as given, so callers pass it already unit-norm."""
+    root_d = math.sqrt(xu.size)
+
+    def chunk(lo, hi, seeds):
+        u = rotate_many(xu, layers, seeds)
+        u *= root_d
+        return fn(u)
+
+    return np.concatenate(list(map_trials(master_seed, trials, xu.size, chunk,
+                                          threads=threads)))
 
 
 def mean_se(samples):

@@ -32,6 +32,9 @@ reconstruction, which no runner sees.
 
 All randomness is derived from a master seed by counter, and trials run in
 chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
+The pooled draws here, ``bsq.verify_tv_transfer`` and
+``vq.verify_codebook_universality`` draw the rows ``U = sqrt(d) R xu``
+through one kernel, :func:`rotquant.core.map_rotated`.
 The estimators share three rules from :mod:`rotquant.core`: ``map_trials``
 needs at least two trials, :func:`~rotquant.core.mean_se` reduces per-trial
 samples to a mean and standard error, and :func:`~rotquant.core.unit_vector`
@@ -49,7 +52,7 @@ import numpy as np
 
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, expected_error_gaussian, threshold_for_p, tv_of_error_function, verify_tv_transfer
-from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_trials, mean_se, rotate_many, run_ordered, sum_sq, unit_vector
+from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_rotated, mean_se, run_ordered, sum_sq, unit_vector
 from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
@@ -141,21 +144,6 @@ def _trend_rows(claim: str, points, k: float, context=(),
     ]
 
 
-def _pooled_coordinates(x, layers: int, trials: int, master_seed: int,
-                        threads: int = 1) -> np.ndarray:
-    """All coordinates of ``sqrt(d) R xu`` pooled over independently seeded
-    rotations, in trial order."""
-    xu, _ = unit_vector(x)
-    d = xu.size
-    root_d = math.sqrt(d)
-
-    def chunk(lo, hi, seeds):
-        return (rotate_many(xu, layers, seeds) * root_d).reshape(-1)
-
-    return np.concatenate(list(map_trials(master_seed, trials, d, chunk,
-                                          threads=threads)))
-
-
 def run_scalar_convergence(dims=(256, 1024, 4096), trials: int | None = None,
                            draws: int = 1_000_000, kind: str = "two_spike",
                            layers: int = 2, master_seed: int = DEFAULT_MASTER_SEED,
@@ -170,8 +158,8 @@ def run_scalar_convergence(dims=(256, 1024, 4096), trials: int | None = None,
     rows = []
     for d in dims:
         n_trials = trials if trials is not None else _trials_for(draws, d)
-        values = _pooled_coordinates(gen_adversarial(kind, d), layers,
-                                     n_trials, master_seed, threads)
+        xu, _ = unit_vector(gen_adversarial(kind, d))
+        values = map_rotated(xu, layers, n_trials, master_seed, np.ravel, threads)
         sample = EmpiricalSample.from_values(values)
         n = values.size
         dk = empirical_kolmogorov(sample)
@@ -311,8 +299,8 @@ def run_bsq_outliers(dims=(1024, 4096), draws: int = 1_000_000,
     rows = []
     for d in dims:
         n_trials = _trials_for(draws, d)
-        values = np.abs(_pooled_coordinates(gen_adversarial(kind, d), 2,
-                                            n_trials, master_seed, threads))
+        xu, _ = unit_vector(gen_adversarial(kind, d))
+        values = map_rotated(xu, 2, n_trials, master_seed, np.abs, threads)
         n = values.size
         for p in (0.1, 0.01):
             frac = float(np.mean(values > threshold_for_p(p)))
@@ -551,8 +539,8 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
 
     def one(item):
         idx, x = item
-        values = _pooled_coordinates(x, 1, n_trials,
-                                     derive_seed(master_seed, 10_000 + idx))
+        values = map_rotated(unit_vector(x)[0], 1, n_trials,
+                             derive_seed(master_seed, 10_000 + idx), np.ravel)
         return empirical_kolmogorov(EmpiricalSample.from_values(values))
 
     dks = list(run_ordered(chosen, one, threads))

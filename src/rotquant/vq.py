@@ -11,7 +11,7 @@ non-Gaussian block law and the gap stays put.
 Two estimators back this, each returning per-trial samples in trial order
 that only ``experiments`` reduces to report rows: ``conditional_cov_trials``
 samples the final-layer pair covariance, ``verify_codebook_universality``
-the distortions on both sides of the gap.
+the distortions on both sides of the gap (:func:`rotquant.core.map_rotated`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, fwht, inverse_rotation, layer_signs, map_trials, rotate_many, rotate_normalized, sum_sq, unit_vector
+from .core import check_dim, fwht, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
@@ -293,18 +293,14 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     k = codebook.block_dim
     dims = universality_dims(dims, k, pattern.size)
 
+    def first_block(u):  # contiguous: a dgemm's bits may depend on the strides
+        return _nearest_sq_dist(np.ascontiguousarray(u[:, :k]), codebook.centroids)[0]
+
     rht = []
     for d in dims:
         xu = np.zeros(d)
         xu[: pattern.size] = pattern
-
-        def chunk(lo, hi, seeds):
-            # scale only the first block: the full rows are not needed
-            first = rotate_many(xu, layers, seeds)[:, :k] * math.sqrt(d)
-            return _nearest_sq_dist(first, codebook.centroids)[0]
-
-        rht.append(np.concatenate(list(map_trials(master_seed, trials, d, chunk,
-                                                  threads=threads))))
+        rht.append(map_rotated(xu, layers, trials, master_seed, first_block, threads))
 
     gkeys = derive_seeds(master_seed, trials, GAUSS_TRIALS)
     gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from rotquant import core
 from rotquant.core import (
     FWHT_BLOCK_ELEMS,
     MAX_LAYERS,
+    TRIAL_BLOCK,
     RotationSpec,
     apply_rotation,
     check_dim,
     fwht,
     inverse_rotation,
     layer_signs,
+    map_rotated,
     map_trials,
     mean_se,
     rotate_many,
@@ -25,7 +28,7 @@ from rotquant.core import (
     unit_vector,
     unpack_sign_bits,
 )
-from rotquant.rng import MASK64, derive_seeds
+from rotquant.rng import MASK64, derive_seed, derive_seeds
 from _oracles import reference_fwht
 
 RNG = np.random.default_rng(20240817)
@@ -392,6 +395,25 @@ def test_spec_rejects_non_integer_fields():
 def test_map_trials_needs_two_trials(trials):
     with pytest.raises(ValueError, match="need at least two trials"):
         map_trials(0, trials, 8, lambda lo, hi, seeds: seeds)
+
+
+@pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
+@pytest.mark.parametrize("d", [2, 8, 2048, 1 << 16])
+def test_map_rotated_rows_match_the_reference_rotation(d, layers, monkeypatch):
+    """Row ``t`` of ``map_rotated`` is ``sqrt(d) R xu`` under the seed
+    ``derive_seed(master_seed, t)``, bit for bit, with the trials split into
+    several chunks (the last one short) run on two threads; at d = 2^16 the
+    FWHT also runs its out-of-cache stages."""
+    budget = 1 << 12
+    monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
+    step = max(1, budget // d // TRIAL_BLOCK) * TRIAL_BLOCK
+    trials = 2 * step + 3
+    xu, _ = unit_vector(np.random.default_rng(d).standard_normal(d))
+    rows = map_rotated(xu, layers, trials, 7, lambda u: u, threads=2)
+    assert rows.shape == (trials, d)
+    for t, row in enumerate(rows):
+        spec = RotationSpec(d, layers, derive_seed(7, t))
+        assert np.array_equal(row, math.sqrt(d) * apply_rotation(xu, spec))
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

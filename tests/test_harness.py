@@ -15,11 +15,10 @@ import pytest
 from rotquant import cli, core, experiments, vq
 from rotquant.bsq import BsqConfig, verify_tv_transfer
 from rotquant.codec import deserialize, serialize
-from rotquant.core import RotationSpec
+from rotquant.core import RotationSpec, map_rotated, unit_vector
 from rotquant.drive import dme_simulate, measure_drive_error
 from rotquant.experiments import (
     DEFAULT_MASTER_SEED,
-    _pooled_coordinates,
     run_adaptive_soundness,
     run_bsq_outliers,
     run_scalar_convergence,
@@ -233,7 +232,7 @@ def _chunked_results(threads: int = 1):
         "cov3": conditional_cov_trials(x, 0, 2, 3, 150, 4, threads),
         "vq": verify_codebook_universality(
             x[:8], codebook, (64, 256), 300, master_seed=5, threads=threads),
-        "pooled": _pooled_coordinates(x, 2, 300, 6, threads=threads),
+        "rotated": map_rotated(unit_vector(x)[0], 2, 300, 6, np.ravel, threads),
     }
 
 
@@ -248,7 +247,7 @@ def test_results_do_not_depend_on_the_chunk_budget(monkeypatch):
         got = _chunked_results(threads=2)
         assert got["drive"] == ref["drive"]
         assert got["drive_unbiased"] == ref["drive_unbiased"]
-        for key in ("dme", "tv", "pooled"):
+        for key in ("dme", "tv", "rotated"):
             assert np.array_equal(got[key], ref[key])
         for key in ("cov2", "cov3"):
             assert all(np.array_equal(g, r) for g, r in zip(got[key], ref[key]))
@@ -341,7 +340,9 @@ ESTIMATORS = {
         x, 0, 2, 3, trials),
     "verify_codebook_universality": lambda x, trials: verify_codebook_universality(
         x, _small_codebook(), (16,), trials),
-    "_pooled_coordinates": lambda x, trials: _pooled_coordinates(x, 2, trials, 0),
+    # after unit_vector, as the runners call it
+    "map_rotated": lambda x, trials: map_rotated(unit_vector(x)[0], 2, trials,
+                                                 0, np.ravel),
 }
 
 
@@ -379,7 +380,7 @@ def test_estimators_return_samples_in_trial_order(name):
     of a shorter run are the first samples of a longer one."""
     run = ESTIMATORS[name]
     x = gen_adversarial("two_spike", 16)
-    per_trial = 16 if name == "_pooled_coordinates" else 1
+    per_trial = 16 if name == "map_rotated" else 1
     short = _per_trial_outputs(name, run(x, 6))
     long = _per_trial_outputs(name, run(x, 9))
     assert len(short) == len(long) >= 1
@@ -425,6 +426,23 @@ def test_cli_encode_decode_reports_error(tmp_path, capsys):
     assert info["expected_vnmse"] == math.pi / 2.0 - 1.0
     assert cli.main(["decode", "--in", str(pay)]) == 0
     assert "expected_vnmse" not in json.loads(capsys.readouterr().out)
+
+
+def test_cli_decode_reports_the_error_of_a_large_vector(tmp_path, capsys):
+    """``decode --ref`` of a vector whose sum of squares overflows reports
+    the vNMSE of the same vector scaled down by an exact power of two."""
+    x = np.random.default_rng(0).standard_normal(1024)
+    vnmse = []
+    for scale in (1.0, 2.0 ** 664):  # 2^664 is about 1.2e200
+        ref, pay = tmp_path / "ref.bin", tmp_path / "pay.bin"
+        ref.write_bytes(serialize(x * scale))
+        assert cli.main(["encode", "--in", str(ref), "--mode", "drive-biased",
+                         "--seed", "3", "--out", str(pay)]) == 0
+        capsys.readouterr()
+        assert cli.main(["decode", "--in", str(pay), "--ref", str(ref)]) == 0
+        vnmse.append(_strict_json(capsys.readouterr().out)["vnmse"])
+    assert vnmse[1] == vnmse[0]
+    assert 0.3 < vnmse[0] < 0.45
 
 
 def test_cli_check_recommends_layers(capsys):

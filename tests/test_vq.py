@@ -323,7 +323,7 @@ def test_universality_validation(monkeypatch):
         raise AssertionError("a trial ran before every argument was checked")
 
     # every argument, each dim of the list included, is checked before any trial
-    monkeypatch.setattr(vq, "map_trials", no_trials)
+    monkeypatch.setattr(vq, "map_rotated", no_trials)
     for x, dims, message in [
         (np.zeros(16), (16,), "input must be finite and non-zero"),
         (two_spike(16), (), "need at least one dimension"),
