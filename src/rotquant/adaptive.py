@@ -13,7 +13,10 @@ rotation from the decision, e.g.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 from .metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C, moment_scan
 
@@ -78,20 +81,40 @@ class AdaptiveDecision:
         }
 
 
+def _ratios(stats):
+    """``(rho3, linf_sq)`` from a moment scan, or ``None`` when a moment is
+    zero, subnormal or infinite or ``sum_sq ** 1.5`` overflows."""
+    moments = (stats.sum_sq, stats.sum_abs_cubed, stats.max_sq)
+    if not all(sys.float_info.min <= m < math.inf for m in moments):
+        return None
+    try:
+        return stats.sum_abs_cubed / stats.sum_sq ** 1.5, stats.max_sq / stats.sum_sq
+    except (OverflowError, ZeroDivisionError):
+        return None
+
+
 def decide_layers(x, eta3: float | None = None,
                   eta_inf: float | None = None) -> AdaptiveDecision:
     """Single-pass flatness check; thresholds default to the rotated-input
     scales ``eta3 = C3/sqrt(d)`` and ``eta_inf = 2 ln(2d)/d``.  Raises
-    ``ValueError`` for an input whose moments are zero or overflow, or a
-    threshold that is not finite and positive."""
+    ``ValueError`` for a zero or non-finite input, or a threshold that is
+    not finite and positive.
+
+    Both ratios are scale-invariant, so when the squares or cubes of a
+    finite, non-zero input overflow or underflow (:func:`_ratios` gives
+    ``None``) they are taken on ``x * 2^-e`` instead, with ``2^e`` from
+    ``frexp(max |x|)``; any other input keeps its moments as scanned.
+    """
+    if not isinstance(x, np.ndarray):
+        x = np.fromiter(x, dtype=np.float64)  # a stream is read once
     stats = moment_scan(x)
-    try:
-        rho3 = stats.sum_abs_cubed / stats.sum_sq ** 1.5
-        linf_sq = stats.max_sq / stats.sum_sq
-    except (OverflowError, ZeroDivisionError):
-        rho3 = linf_sq = math.nan
-    if not (math.isfinite(rho3) and math.isfinite(linf_sq)):
+    ratios = _ratios(stats)
+    if ratios is None:
+        _, e = math.frexp(float(np.max(np.abs(x))))  # e = 0 for a zero input
+        ratios = _ratios(moment_scan(np.ldexp(x, -e)))
+    if ratios is None:
         raise ValueError("input must be finite and non-zero")
+    rho3, linf_sq = ratios
     d = stats.count
     if eta3 is None:
         eta3 = default_eta3(d)

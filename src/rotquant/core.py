@@ -286,6 +286,126 @@ def _rotate_rows(out, layers: int, seeds, inverse: bool) -> None:
             out *= layer_signs(seeds, layer, d)
 
 
+def _fwht_head(v, k: int) -> np.ndarray:
+    """``fwht(v, normalize=True)[:, :k]`` of the C-contiguous ``(m, d)``
+    rows ``v``, bit for bit, as a new C-contiguous ``(m, k)`` array; ``v``
+    is overwritten.
+
+    Outputs ``i < k`` need the first ``log2 k`` stages in full (the
+    ``k``-point butterflies inside each contiguous group of ``k``) and then
+    only the top half of every later stage, which adds groups ``2q`` and
+    ``2q + 1`` in natural order.  Each output's ``d/k`` partial sums are
+    kept contiguous, in an ``(m, k, d/k)`` layout, while they are halved.
+    Rows go through in blocks of about ``FWHT_BLOCK_ELEMS`` elements, so
+    the buffers a block passes through stay in cache.
+    """
+    m, d = v.shape
+    step = max(1, FWHT_BLOCK_ELEMS // d)
+    out = np.empty((m, k))
+    scratch = np.empty(min(step, m) * d)
+    for lo in range(0, m, step):
+        block = v[lo:lo + step]
+        rows, g = block.shape[0], d // k
+        src, dst = block.reshape(-1), scratch[:block.size]
+        h = 1
+        while h < k:
+            _butterfly(src, dst, h)
+            src, dst, h = dst, src, 2 * h
+        parts = dst.reshape(rows, k, g)
+        parts[...] = src.reshape(rows, g, k).transpose(0, 2, 1)
+        while g > 1:
+            g //= 2
+            halved = src[:rows * k * g].reshape(rows, k, g)
+            np.add(parts[..., 0::2], parts[..., 1::2], out=halved)
+            parts, src = halved, parts.reshape(-1)
+        np.divide(parts.reshape(rows, k), math.sqrt(d), out=out[lo:lo + step])
+    return out
+
+
+def _first_layer_table(xs):
+    """The first layer ``Hn D_1 x`` of each row ``x`` of ``xs`` under every
+    sign pattern of ``D_1`` on its support ``S``, or ``None`` when a row has
+    more than two nonzeros.
+
+    Returns ``(table, offsets, pos, weight, width)``: row ``c`` of ``xs``
+    owns table rows ``offsets[c] + p`` for ``p < 2^|S|``, where bit ``j`` of
+    ``p`` is set when the sign at ``pos[c, j]`` (the ``j``-th entry of
+    ``S``) is ``-1``, and ``weight[c, j]`` is that bit's value (0 past
+    ``|S|``).  Every support lies in the first ``width`` (a power of two)
+    coordinates.  A table row equals the rotated row as a value, but an
+    exact zero may differ in sign, since the signs of ``D_1`` off ``S``
+    never touch it.
+    """
+    supports = [np.flatnonzero(x) for x in xs]
+    if max(s.size for s in supports) > 2:
+        return None
+    n, d = xs.shape
+    sizes = [1 << s.size for s in supports]
+    offsets = np.cumsum([0] + sizes[:-1])
+    pos = np.zeros((n, 2), dtype=np.intp)
+    weight = np.zeros((n, 2), dtype=np.intp)
+    table = np.zeros((sum(sizes), d))
+    for c, s in enumerate(supports):
+        pattern = np.arange(sizes[c])
+        for j, i in enumerate(s):
+            signs = 1.0 - 2.0 * ((pattern >> j) & 1)
+            table[offsets[c] + pattern, i] = xs[c, i] * signs
+            pos[c, j], weight[c, j] = i, 1 << j
+    fwht(table, normalize=True, out=table)
+    width = 1 << int(max((s[-1] for s in supports if s.size), default=0)).bit_length()
+    return table, offsets, pos, weight, width
+
+
+def _trial_rotation(xs, layers: int, head=None):
+    """The forward kernel of the Monte Carlo chunk functions.
+
+    Returns ``rotate(seeds)``: a new C-contiguous ``(len(seeds), d)``
+    float64 array whose row ``r`` equals, as values, row ``r`` of
+    ``rotate_many(np.tile(xs, (len(seeds) // n, 1)), layers, seeds)`` for
+    the ``(n, d)`` rows ``xs``; with ``head=k`` only its first ``k``
+    columns, ``(len(seeds), k)``.  ``xs`` is checked as
+    :func:`rotate_many` checks it.
+
+    When every row has at most two nonzeros, layer 1 is gathered from
+    :func:`_first_layer_table`, built here once for all chunks, by the
+    signs of ``D_1`` on each support; only the first ``width`` signs of
+    each plane are drawn.  The gathered rows may differ from
+    :func:`rotate_many`'s only in the sign of an exact zero, which no
+    estimator reads, so no encoder uses this kernel.
+    """
+    layers = _as_int(layers, "layers")
+    n, d = xs.shape
+    check_dim(d)
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("input must be finite")
+    if not 0 <= layers <= MAX_LAYERS:
+        raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
+    if head is not None and not check_dim(head) <= d:
+        raise ValueError(f"head must not exceed the dimension {d}, got {head}")
+    sparse = _first_layer_table(xs) if layers else None
+    in_full = layers if head is None else layers - 1  # layers computed in full
+
+    def rotate(seeds):
+        if sparse is None:
+            out, done = np.tile(xs, (len(seeds) // n, 1)), 0
+        else:
+            table, offsets, pos, weight, width = sparse
+            neg = (layer_signs(seeds, 1, width) < 0).reshape(-1, n, width)
+            bits = neg[:, np.arange(n)[:, None], pos]
+            out, done = table[(offsets + (bits * weight).sum(axis=2)).ravel()], 1
+        for layer in range(done + 1, in_full + 1):
+            out *= layer_signs(seeds, layer, d)
+            fwht(out, normalize=True, out=out)
+        if head is None:
+            return out
+        if done == layers:  # the gather or no layer at all: nothing left to prune
+            return np.ascontiguousarray(out[:, :head])
+        out *= layer_signs(seeds, layers, d)
+        return _fwht_head(out, head)
+
+    return rotate
+
+
 def run_ordered(jobs, fn, threads: int = 1):
     """Yield ``fn(job)`` for each job, in job order regardless of scheduling.
 
@@ -336,15 +456,22 @@ def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
 
 
 def map_rotated(xu, layers: int, trials: int, master_seed: int, fn,
-                threads: int = 1) -> np.ndarray:
+                threads: int = 1, *, head=None) -> np.ndarray:
     """``fn(u)`` of each :func:`map_trials` chunk of the rows ``u = sqrt(d) R xu``
     (row ``t`` seeded by ``derive_seed(master_seed, t)``), concatenated in
-    trial order.  A chunk is rotated into one buffer and scaled in place;
-    ``xu`` is rotated as given, so callers pass it already unit-norm."""
+    trial order; with ``head=k`` (a power of two up to ``d``) ``u`` holds
+    only the first ``k`` coordinates of each row, and the last layer
+    computes only those.  A chunk is rotated into one buffer
+    (:func:`_trial_rotation`) and scaled in place; ``xu`` is rotated as
+    given, so callers pass it already unit-norm."""
+    xu = np.asarray(xu, dtype=np.float64)
+    if xu.ndim != 1:
+        raise ValueError("input must be a 1-d vector")
     root_d = math.sqrt(xu.size)
+    rotate = _trial_rotation(xu[None], layers, head)
 
     def chunk(lo, hi, seeds):
-        u = rotate_many(xu, layers, seeds)
+        u = rotate(seeds)
         u *= root_d
         return fn(u)
 

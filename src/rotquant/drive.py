@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, rotate_many, sign_vector, sum_sq, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, _trial_rotation, apply_rotation, inverse_rotation, map_trials, mean_se, sign_vector, sum_sq, unpack_sign_bits
+from .core import rotate_many  # noqa: F401  (the bench tracer patches drive.rotate_many)
 
 __all__ = [
     "MODES",
@@ -165,8 +166,9 @@ class DriveErrorReport:
 def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
               threads: int = 1):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
-    trials, seeded as in :func:`dme_simulate`; a chunk tiles its clients
-    into one buffer, then rotates, signs, rotates back and scales it in place.
+    trials, seeded as in :func:`dme_simulate`; a chunk rotates its clients
+    into one buffer (:func:`rotquant.core._trial_rotation`), then signs,
+    rotates back and scales it in place.
 
     Returns per trial the squared error of the decoded client mean over the
     mean client energy; per encoded row the scale and rotated l1 norm; the
@@ -185,14 +187,11 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
     n, d = xs.shape
     layers = spec_template.layers
     x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
+    rotate = _trial_rotation(xs, layers)
 
     def chunk(lo, hi, seeds):
         n_t = hi - lo
-        if n == 1:  # rotate_many broadcasts the row into a new chunk buffer
-            y = rotate_many(xs[0], layers, seeds)
-        else:  # every entry is finite (checked above): rotate the tile in place
-            y = np.tile(xs, (n_t, 1))
-            _rotate_rows(y, layers, seeds, inverse=False)
+        y = rotate(seeds)  # a new buffer of the chunk's clients, tiled and rotated
         l1 = np.sum(np.abs(y), axis=1)
         scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
         np.add(y, 0.0, out=y)  # -0.0 turns +0.0, whose sign is +1 as in sign_vector

@@ -70,6 +70,7 @@ from .reporting import VerifyReport
 from .rng import derive_seed, derive_seeds
 from .vq import (
     conditional_cov_trials,
+    gaussian_distortions,
     stein_diagnostic_constant,
     train_gaussian_codebook,
     universality_dims,
@@ -434,11 +435,11 @@ def run_vq_decorrelation(dims=(256, 1024, 4096), trials: int = 1000,
                               experiment="vq-decorrelation")
 
 
-def _universality_rows(dims, samples, label: str,
+def _universality_rows(dims, rht, gauss, label: str,
                        negative: bool) -> list[VerifyReport]:
     """Scaled-gap trend and final-gap rows from ``verify_codebook_universality``'s
-    samples; the loop leaves the last dimension's values for the final row."""
-    rht, gauss = samples
+    samples ``rht`` and the Gaussian reference ``gauss``; the loop leaves the
+    last dimension's values for the final row."""
     err_gauss, gauss_se = mean_se(gauss)
     scaled = []
     for d, trial_errs in zip(dims, rht):
@@ -474,15 +475,16 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     pattern = gen_adversarial("two_spike", 4)
     dims = universality_dims(dims, 4, pattern.size)  # before the ~1 s of training
     codebook = train_gaussian_codebook(4, 16, train_seed)
+    gauss = gaussian_distortions(codebook, trials, master_seed)  # shared by both runs
     positive = verify_codebook_universality(
         pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
         threads=threads)
-    rows = _universality_rows(dims, positive, "universality", negative=False)
+    rows = _universality_rows(dims, positive, gauss, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
             pattern, codebook, dims, trials, master_seed=master_seed,
             layers=2, threads=threads)
-        rows.extend(_universality_rows(dims, negative, "two-layer-control",
+        rows.extend(_universality_rows(dims, negative, gauss, "two-layer-control",
                                        negative=True))
     return rows
 

@@ -11,7 +11,9 @@ non-Gaussian block law and the gap stays put.
 Two estimators back this, each returning per-trial samples in trial order
 that only ``experiments`` reduces to report rows: ``conditional_cov_trials``
 samples the final-layer pair covariance, ``verify_codebook_universality``
-the distortions on both sides of the gap (:func:`rotquant.core.map_rotated`).
+the distortions on the rotated side of the gap
+(:func:`rotquant.core.map_rotated`); ``gaussian_distortions`` draws the
+Gaussian side once for any number of such runs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, fwht, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import _trial_rotation, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
@@ -243,14 +246,14 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate index out of range")
     perm = np.arange(d) ^ (i ^ j)
+    rotate = _trial_rotation(xu[None], 1) if layers == 3 else None
 
     def chunk(lo, hi, seeds):
         if layers == 2:
             a = np.broadcast_to(xu, (hi - lo, d))
             w = layer_signs(seeds, 1, d) * a
         else:
-            a = xu * layer_signs(seeds, 1, d)
-            fwht(a, normalize=True, out=a)
+            a = rotate(seeds)
             w = layer_signs(seeds, 2, d) * a
         return np.einsum("ij,ij->i", w, w[:, perm]), np.max(np.abs(a), axis=1) ** 2
 
@@ -280,28 +283,36 @@ def universality_dims(dims, block_dim: int, pattern_size: int) -> tuple:
 
 def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
                                  master_seed: int = 0, layers: int = 3,
-                                 threads: int = 1):
+                                 threads: int = 1) -> list:
     """Distortion samples for one shared codebook across dimensions.
 
     The input's pattern is re-embedded (zero-padded, renormalized) at each
-    dimension.  Returns ``(rht, gauss)``: per dim, the per-trial distortion
-    ``min_c |U_block - c|^2`` of the FIRST block of the rotated output; and
-    the same codebook's distortions on ``GAUSS_TRIALS`` fresh Gaussian blocks
-    (seeds from index ``trials``).  Every dim is checked before any trial.
+    dimension.  Returns, per dim, the per-trial distortion
+    ``min_c |U_block - c|^2`` of the FIRST block of the rotated output, the
+    only block the last layer computes (``map_rotated``'s ``head``); the
+    reference side of the gap is :func:`gaussian_distortions`.  Every dim
+    is checked before any trial.
     """
     pattern, _ = unit_vector(x)
     k = codebook.block_dim
     dims = universality_dims(dims, k, pattern.size)
 
-    def first_block(u):  # contiguous: a dgemm's bits may depend on the strides
-        return _nearest_sq_dist(np.ascontiguousarray(u[:, :k]), codebook.centroids)[0]
+    def first_block(u):  # C-contiguous (trials, k): a dgemm's bits may depend on the strides
+        return _nearest_sq_dist(u, codebook.centroids)[0]
 
     rht = []
     for d in dims:
         xu = np.zeros(d)
         xu[: pattern.size] = pattern
-        rht.append(map_rotated(xu, layers, trials, master_seed, first_block, threads))
+        rht.append(map_rotated(xu, layers, trials, master_seed, first_block, threads,
+                               head=k))
+    return rht
 
+
+def gaussian_distortions(codebook: Codebook, trials: int, master_seed: int = 0):
+    """The codebook's distortions on ``GAUSS_TRIALS`` fresh standard-normal
+    blocks, the reference side of :func:`verify_codebook_universality`'s gap;
+    the seeds start at index ``trials``, after that run's rotation seeds."""
     gkeys = derive_seeds(master_seed, trials, GAUSS_TRIALS)
-    gauss_blocks = Xoshiro256pp(gkeys).gaussians(k)
-    return rht, _nearest_sq_dist(gauss_blocks, codebook.centroids)[0]
+    gauss_blocks = Xoshiro256pp(gkeys).gaussians(codebook.block_dim)
+    return _nearest_sq_dist(gauss_blocks, codebook.centroids)[0]

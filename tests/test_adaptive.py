@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotquant.adaptive import (
     AdaptiveDecision,
@@ -10,7 +12,7 @@ from rotquant.adaptive import (
     default_eta_inf,
 )
 from rotquant.core import RotationSpec, apply_rotation
-from rotquant.metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C
+from rotquant.metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C, moment_scan
 
 RNG = np.random.default_rng(23)
 
@@ -85,11 +87,58 @@ def test_zero_input_rejected():
 
 
 # The sum of cubes overflows; the sum of squares does; neither does, but the
-# sum of squares to the power 1.5 does.
-@pytest.mark.parametrize("d, value", [(8, 1e103), (8, 1e200), (1024, 2e101)])
-def test_overflowing_moments_rejected(d, value):
-    with pytest.raises(ValueError, match="input must be finite and non-zero"):
-        decide_layers(np.full(d, value))
+# sum of squares to the power 1.5 does; the squares are subnormal and the
+# cubes zero; the entries themselves are subnormal.
+@pytest.mark.parametrize("d, value", [(8, 1e103), (8, 1e200), (1024, 2e101),
+                                      (8, 1e-160), (8, 1e-320)])
+def test_overflowing_moments_are_rescaled(d, value):
+    x = np.full(d, value)
+    x[0] *= 3.0
+    ref = np.ones(d)
+    ref[0] = 3.0
+    dec, want = decide_layers(x), decide_layers(ref)
+    assert (dec.scalar_layers, dec.vq_layers) == (want.scalar_layers, want.vq_layers)
+    assert math.isclose(dec.rho3, want.rho3, rel_tol=1e-12)
+    assert math.isclose(dec.linf_sq, want.linf_sq, rel_tol=1e-12)
+
+
+def test_moments_rescale_only_when_they_fail():
+    """An input whose moments scan cleanly keeps its bits: ``x * 2^-530``
+    (squares subnormal) takes the rescaled path and lands on the ratios of a
+    ``2^e``-scaled copy, while ``x`` itself is scanned as given."""
+    x = RNG.standard_normal(256)
+    scaled = decide_layers(np.ldexp(x, -530))
+    _, e = math.frexp(float(np.max(np.abs(x))))
+    assert scaled == decide_layers(np.ldexp(x, -e))
+    stats = moment_scan(x)
+    base = decide_layers(x)
+    assert base.rho3 == stats.sum_abs_cubed / stats.sum_sq ** 1.5
+    assert base.linf_sq == stats.max_sq / stats.sum_sq
+
+
+def _exponent_range(x):
+    """The ``k`` for which no entry of ``x * 2^k`` is subnormal or infinite."""
+    nz = np.abs(x[x != 0.0])
+    lo = math.frexp(float(nz.min()))[1]  # min |x| in [2^(lo-1), 2^lo)
+    hi = math.frexp(float(nz.max()))[1]
+    return -1021 - lo, 1024 - hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False),
+                min_size=1, max_size=64).filter(lambda v: any(v)),
+       st.floats(min_value=0.0, max_value=1.0))
+def test_decision_is_invariant_to_power_of_two_scaling(values, where):
+    """Scaling by any ``2^k`` that leaves no entry subnormal or infinite
+    gives the same decision, whether or not the squares or cubes of the
+    scaled input overflow or underflow."""
+    x = np.array(values)
+    lo, hi = _exponent_range(x)
+    k = lo + round(where * (hi - lo))
+    base, scaled = decide_layers(x), decide_layers(np.ldexp(x, k))
+    assert (scaled.scalar_layers, scaled.vq_layers) == (base.scalar_layers, base.vq_layers)
+    assert math.isclose(scaled.rho3, base.rho3, rel_tol=1e-12)
+    assert math.isclose(scaled.linf_sq, base.linf_sq, rel_tol=1e-12)
 
 
 def test_bounds_follow_the_thresholds():

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from rotquant import core
@@ -28,6 +30,7 @@ from rotquant.core import (
     unit_vector,
     unpack_sign_bits,
 )
+from rotquant.generators import gen_adversarial
 from rotquant.rng import MASK64, derive_seed, derive_seeds
 from _oracles import reference_fwht
 
@@ -414,6 +417,110 @@ def test_map_rotated_rows_match_the_reference_rotation(d, layers, monkeypatch):
     for t, row in enumerate(rows):
         spec = RotationSpec(d, layers, derive_seed(7, t))
         assert np.array_equal(row, math.sqrt(d) * apply_rotation(xu, spec))
+
+
+@pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
+@pytest.mark.parametrize("d", [4, 64, 4096])
+def test_map_rotated_head_is_the_first_columns(d, layers):
+    """``head=k`` gives the first ``k`` columns of the full rows, bit for
+    bit and C-contiguous, for a dense and a sparse input."""
+    dense, _ = unit_vector(np.random.default_rng(d).standard_normal(d))
+    for xu in (dense, unit_vector(gen_adversarial("two_spike", d))[0]):
+        full = map_rotated(xu, layers, 9, 3, lambda u: u)
+        for k in (1, 2, 4):
+            got = map_rotated(xu, layers, 9, 3, lambda u: u, head=k)
+            assert got.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
+    for bad in (3, 2 * d):
+        with pytest.raises(ValueError):
+            map_rotated(dense, layers, 9, 3, lambda u: u, head=bad)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """``(n, d)`` rows with one or two nonzeros each, often of equal
+    magnitude so that they cancel in the FWHT."""
+    d = 1 << draw(st.integers(1, 10))
+    rows = np.zeros((draw(st.integers(1, 3)), d))
+    for row in rows:
+        where = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2,
+                              unique=True))
+        value = draw(st.sampled_from([1.0, -1.0, 0.5, 3.0, 1e-300]))
+        for i in where:
+            row[i] = draw(st.sampled_from([value, -value, 0.75 * value]))
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_rows(), st.integers(1, MAX_LAYERS), st.integers(0, MASK64))
+def test_sparse_first_layer_gathers_the_rotated_rows(xs, layers, master):
+    """On rows with at most two nonzeros, the kernel gathers layer 1 from
+    its table and matches :func:`rotate_many` on the tiled rows as values
+    (an exact zero may differ in sign)."""
+    assert core._first_layer_table(xs) is not None
+    seeds = derive_seeds(master, 0, 8 * xs.shape[0])
+    got = core._trial_rotation(xs, layers)(seeds)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, rotate_many(np.tile(xs, (8, 1)), layers, seeds))
+
+
+@pytest.mark.parametrize("layers", [2, 3])
+@pytest.mark.parametrize("name", ["one_hot", "two_spike"])
+def test_sparse_first_layer_keeps_the_bytes_of_the_adversarial_inputs(name, layers):
+    x = gen_adversarial(name, 4096)
+    seeds = derive_seeds(11, 0, 64)
+    got = core._trial_rotation(x[None], layers)(seeds)
+    assert got.tobytes() == rotate_many(x, layers, seeds).tobytes()
+
+
+def _head_rows(d):
+    """Rows holding +0, -0, pairs that cancel exactly, and Gaussians."""
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((3, d))
+    rows[0, ::2] = 0.0
+    rows[0, 1::4] = -0.0
+    rows[1] = np.where(rng.random(d) < 0.5, 1.0, -1.0)
+    half = d // 2
+    rows[2, half:2 * half] = -rows[2, :half]
+    return rows
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_fwht_head_matches_the_full_transform_bit_for_bit(k):
+    """Up to d = 2^16, where the full FWHT runs out-of-cache stages."""
+    for log_d in range(k.bit_length() - 1, 17):
+        v = _head_rows(1 << log_d)
+        want = np.ascontiguousarray(fwht(v, normalize=True)[:, :k])
+        got = core._fwht_head(v.copy(), k)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def test_encoders_and_transforms_never_use_the_first_layer_table(monkeypatch, capsys):
+    """With the table builder broken, every rotation outside the Monte
+    Carlo chunk functions still runs on a one-hot input, and those chunk
+    functions are the ones that reach it."""
+    from rotquant import bsq, cli, drive, vq
+
+    def broken(xs):
+        raise AssertionError("first-layer table built")
+
+    monkeypatch.setattr(core, "_first_layer_table", broken)
+    d, x = 64, gen_adversarial("one_hot", 64)
+    spec = RotationSpec(d, 2, 5)
+    apply_rotation(x, spec)
+    rotate_many(x, 3, [1, 2])
+    core.rotate_normalized(x, spec)
+    for mode in drive.MODES:
+        drive.drive_decode(drive.drive_encode(x, spec, mode))
+    bsq.bsq_decode(bsq.bsq_encode(x, spec, bsq.BsqConfig(2, 0.01), noise_seed=1))
+    cb = vq.train_gaussian_codebook(4, 8, 1, n_samples=1000)
+    vq.vq_decode(*vq.vq_encode(x, spec, cb), spec, cb)
+    assert cli.main(["transform", "--gen", "one_hot", "--d", "64"]) == 0
+    capsys.readouterr()
+    for estimate in (lambda: map_rotated(x, 2, 4, 0, np.ravel),
+                     lambda: drive.dme_simulate(x[None], spec, "biased", 4),
+                     lambda: vq.conditional_cov_trials(x, 0, 1, 3, 4)):
+        with pytest.raises(AssertionError, match="first-layer table built"):
+            estimate()
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])

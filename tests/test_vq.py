@@ -307,8 +307,8 @@ def test_rms_covariance_validation():
 
 def test_universality_reports_shape_and_fields():
     cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=4000)
-    rht, gauss = verify_codebook_universality(two_spike(16), cb, dims=(16, 32),
-                                              trials=400)
+    rht = verify_codebook_universality(two_spike(16), cb, dims=(16, 32), trials=400)
+    gauss = vq.gaussian_distortions(cb, 400)
     assert [r.shape for r in rht] == [(400,), (400,)]
     assert gauss.shape == (vq.GAUSS_TRIALS,)  # one Gaussian baseline for every dim
     for errs in (*rht, gauss):
