@@ -105,7 +105,9 @@ def decide_layers(x, eta3: float | None = None,
     ``None``) they are taken on ``x * 2^-e`` instead, with ``2^e`` from
     ``frexp(max |x|)``; any other input keeps its moments as scanned.
     """
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=np.float64)  # integer entries would wrap when squared
+    else:
         x = np.fromiter(x, dtype=np.float64)  # a stream is read once
     stats = moment_scan(x)
     ratios = _ratios(stats)

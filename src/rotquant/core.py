@@ -253,7 +253,6 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     ``(n_seeds, d)``.  Forward maps ``y = R_k x``; ``inverse=True`` maps ``y = R_k^{-1} x``.
     """
     seeds = as_keys(seeds, "seeds")
-    layers = _as_int(layers, "layers")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         d = check_dim(x.shape[0])
@@ -263,13 +262,21 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
             raise ValueError("row count must match the number of seeds")
     else:
         raise ValueError("input must be 1-d or 2-d")
+    layers = _check_rotation_input(x, layers)
+    out = np.broadcast_to(x, (seeds.size, d)).copy()
+    _rotate_rows(out, layers, seeds, inverse)
+    return out
+
+
+def _check_rotation_input(x, layers) -> int:
+    """``layers`` as an ``int`` once it is in ``0..MAX_LAYERS`` and every
+    entry of ``x`` is finite; raises ``ValueError`` otherwise."""
+    layers = _as_int(layers, "layers")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
     if not 0 <= layers <= MAX_LAYERS:
         raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
-    out = np.broadcast_to(x, (seeds.size, d)).copy()
-    _rotate_rows(out, layers, seeds, inverse)
-    return out
+    return layers
 
 
 def _rotate_rows(out, layers: int, seeds, inverse: bool) -> None:
@@ -323,18 +330,17 @@ def _fwht_head(v, k: int) -> np.ndarray:
 
 
 def _first_layer_table(xs):
-    """The first layer ``Hn D_1 x`` of each row ``x`` of ``xs`` under every
-    sign pattern of ``D_1`` on its support ``S``, or ``None`` when a row has
-    more than two nonzeros.
+    """The first layer ``Hn D_1 x`` of each row ``x`` of the ``(n, d)`` rows
+    ``xs``, gathered from a table of every sign pattern of ``D_1`` on the
+    row's support ``S``, or ``None`` when a row has more than two nonzeros.
 
-    Returns ``(table, offsets, pos, weight, width)``: row ``c`` of ``xs``
-    owns table rows ``offsets[c] + p`` for ``p < 2^|S|``, where bit ``j`` of
-    ``p`` is set when the sign at ``pos[c, j]`` (the ``j``-th entry of
-    ``S``) is ``-1``, and ``weight[c, j]`` is that bit's value (0 past
-    ``|S|``).  Every support lies in the first ``width`` (a power of two)
-    coordinates.  A table row equals the rotated row as a value, but an
-    exact zero may differ in sign, since the signs of ``D_1`` off ``S``
-    never touch it.
+    Returns ``gather(seeds)``: a new C-contiguous ``(len(seeds), d)`` array
+    whose row ``r`` is layer 1 of row ``r % n`` under ``seeds[r]``.  The
+    table holds ``2^|S|`` rows per row of ``xs``, built once; a seed picks
+    its row by the signs of ``D_1`` on ``S``, and only the first ``width``
+    (a power of two covering every support) signs of each plane are drawn.
+    A gathered row equals the rotated row as a value, but an exact zero may
+    differ in sign, since the signs of ``D_1`` off ``S`` never touch it.
     """
     supports = [np.flatnonzero(x) for x in xs]
     if max(s.size for s in supports) > 2:
@@ -343,67 +349,23 @@ def _first_layer_table(xs):
     sizes = [1 << s.size for s in supports]
     offsets = np.cumsum([0] + sizes[:-1])
     pos = np.zeros((n, 2), dtype=np.intp)
-    weight = np.zeros((n, 2), dtype=np.intp)
+    weight = np.zeros((n, 2), dtype=np.intp)  # the value of bit j of a pattern, 0 past |S|
     table = np.zeros((sum(sizes), d))
     for c, s in enumerate(supports):
-        pattern = np.arange(sizes[c])
+        pattern = np.arange(sizes[c])  # bit j set: the sign at the j-th entry of S is -1
         for j, i in enumerate(s):
             signs = 1.0 - 2.0 * ((pattern >> j) & 1)
             table[offsets[c] + pattern, i] = xs[c, i] * signs
             pos[c, j], weight[c, j] = i, 1 << j
     fwht(table, normalize=True, out=table)
     width = 1 << int(max((s[-1] for s in supports if s.size), default=0)).bit_length()
-    return table, offsets, pos, weight, width
+    rows = np.arange(n)[:, None]
 
+    def gather(seeds):
+        neg = (layer_signs(seeds, 1, width) < 0).reshape(-1, n, width)
+        return table[(offsets + (neg[:, rows, pos] * weight).sum(axis=2)).ravel()]
 
-def _trial_rotation(xs, layers: int, head=None):
-    """The forward kernel of the Monte Carlo chunk functions.
-
-    Returns ``rotate(seeds)``: a new C-contiguous ``(len(seeds), d)``
-    float64 array whose row ``r`` equals, as values, row ``r`` of
-    ``rotate_many(np.tile(xs, (len(seeds) // n, 1)), layers, seeds)`` for
-    the ``(n, d)`` rows ``xs``; with ``head=k`` only its first ``k``
-    columns, ``(len(seeds), k)``.  ``xs`` is checked as
-    :func:`rotate_many` checks it.
-
-    When every row has at most two nonzeros, layer 1 is gathered from
-    :func:`_first_layer_table`, built here once for all chunks, by the
-    signs of ``D_1`` on each support; only the first ``width`` signs of
-    each plane are drawn.  The gathered rows may differ from
-    :func:`rotate_many`'s only in the sign of an exact zero, which no
-    estimator reads, so no encoder uses this kernel.
-    """
-    layers = _as_int(layers, "layers")
-    n, d = xs.shape
-    check_dim(d)
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("input must be finite")
-    if not 0 <= layers <= MAX_LAYERS:
-        raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
-    if head is not None and not check_dim(head) <= d:
-        raise ValueError(f"head must not exceed the dimension {d}, got {head}")
-    sparse = _first_layer_table(xs) if layers else None
-    in_full = layers if head is None else layers - 1  # layers computed in full
-
-    def rotate(seeds):
-        if sparse is None:
-            out, done = np.tile(xs, (len(seeds) // n, 1)), 0
-        else:
-            table, offsets, pos, weight, width = sparse
-            neg = (layer_signs(seeds, 1, width) < 0).reshape(-1, n, width)
-            bits = neg[:, np.arange(n)[:, None], pos]
-            out, done = table[(offsets + (bits * weight).sum(axis=2)).ravel()], 1
-        for layer in range(done + 1, in_full + 1):
-            out *= layer_signs(seeds, layer, d)
-            fwht(out, normalize=True, out=out)
-        if head is None:
-            return out
-        if done == layers:  # the gather or no layer at all: nothing left to prune
-            return np.ascontiguousarray(out[:, :head])
-        out *= layer_signs(seeds, layers, d)
-        return _fwht_head(out, head)
-
-    return rotate
+    return gather
 
 
 def run_ordered(jobs, fn, threads: int = 1):
@@ -428,55 +390,80 @@ def run_ordered(jobs, fn, threads: int = 1):
             yield pending.popleft().result()
 
 
-def map_trials(master_seed: int, trials: int, row_elems: int, fn, *,
-               seeds_per_trial: int = 1, threads: int = 1):
-    """Run ``trials`` independently seeded trials in chunks of whole trials.
+def map_trials(xs, layers: int, trials: int, master_seed: int, fn, *,
+               head=None, threads: int = 1):
+    """The one Monte Carlo kernel: rotate the ``(n, d)`` rows ``xs`` in each
+    of ``trials`` trials, row ``c`` of trial ``t`` under seed
+    ``derive_seed(master_seed, t * n + c)``, and yield ``fn(y, seeds)`` per
+    chunk of whole trials, in trial order (:func:`run_ordered`), so
+    reductions over them do not depend on ``threads``.
 
-    Trial ``i`` owns seeds ``mix64(master_seed + i * s + c)`` for
-    ``c < s = seeds_per_trial``.  Chunks hold about ``TRIAL_CHUNK_ELEMS``
-    elements given ``row_elems`` per trial, rounded down to whole blocks of
-    ``TRIAL_BLOCK`` trials but to at least one block, so a chunk boundary
-    never splits a block; ``fn(lo, hi, seeds)`` handles
-    trials ``lo .. hi-1`` with their ``(hi - lo) * s`` seeds.  Yields the
-    chunk results in trial order (see :func:`run_ordered`), so reductions
-    over them do not depend on ``threads``.  Every Monte Carlo measurement
-    reports a standard error over its trials (:func:`mean_se`) or pools
-    several rotations, so ``trials < 2`` raises ``ValueError``.
+    ``y`` is a new C-contiguous float64 array of the chunk's rotated rows in
+    seed order; with ``head=k`` (a power of two up to ``d``) only their
+    first ``k`` columns, the only ones the last layer computes
+    (:func:`_fwht_head`).  Chunks hold about ``TRIAL_CHUNK_ELEMS`` elements
+    in whole blocks of ``TRIAL_BLOCK`` trials (at least one).  ``xs`` is
+    checked as :func:`rotate_many` checks it, and every measurement reports
+    a standard error over its trials (:func:`mean_se`) or pools several
+    rotations, so ``trials < 2`` raises ``ValueError``.  When every row has
+    at most two nonzeros, layer 1 is gathered (:func:`_first_layer_table`),
+    so a row may differ from :func:`rotate_many`'s in the sign of an exact
+    zero, which no estimator reads; no encoder uses this kernel.
     """
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ValueError("input must be an (n, d) matrix")
+    n, d = xs.shape
+    check_dim(d)
+    layers = _check_rotation_input(xs, layers)
+    if head is not None and not check_dim(head) <= d:
+        raise ValueError(f"head must not exceed the dimension {d}, got {head}")
     if trials < 2:
         raise ValueError("need at least two trials")
-    step = max(1, TRIAL_CHUNK_ELEMS // row_elems // TRIAL_BLOCK) * TRIAL_BLOCK
-    spt = seeds_per_trial
+    gather = _first_layer_table(xs) if layers else None
+    in_full = layers if head is None else layers - 1  # layers computed in full
+    step = max(1, TRIAL_CHUNK_ELEMS // (n * d) // TRIAL_BLOCK) * TRIAL_BLOCK
+
+    def rotate(seeds):
+        if gather is None:
+            y, done = np.tile(xs, (len(seeds) // n, 1)), 0
+        else:
+            y, done = gather(seeds), 1
+        for layer in range(done + 1, in_full + 1):
+            y *= layer_signs(seeds, layer, d)
+            fwht(y, normalize=True, out=y)
+        if head is None:
+            return y
+        if done == layers:  # the gather or no layer at all: nothing left to prune
+            return np.ascontiguousarray(y[:, :head])
+        y *= layer_signs(seeds, layers, d)
+        return _fwht_head(y, head)
 
     def chunk(lo):
         hi = min(lo + step, trials)
-        return fn(lo, hi, derive_seeds(master_seed, lo * spt, (hi - lo) * spt))
+        seeds = derive_seeds(master_seed, lo * n, (hi - lo) * n)
+        return fn(rotate(seeds), seeds)
 
     return run_ordered(range(0, trials, step), chunk, threads)
 
 
 def map_rotated(xu, layers: int, trials: int, master_seed: int, fn,
                 threads: int = 1, *, head=None) -> np.ndarray:
-    """``fn(u)`` of each :func:`map_trials` chunk of the rows ``u = sqrt(d) R xu``
-    (row ``t`` seeded by ``derive_seed(master_seed, t)``), concatenated in
-    trial order; with ``head=k`` (a power of two up to ``d``) ``u`` holds
-    only the first ``k`` coordinates of each row, and the last layer
-    computes only those.  A chunk is rotated into one buffer
-    (:func:`_trial_rotation`) and scaled in place; ``xu`` is rotated as
-    given, so callers pass it already unit-norm."""
+    """``fn(u)`` of each :func:`map_trials` chunk of the rows
+    ``u = sqrt(d) R xu`` (row ``t`` seeded by ``derive_seed(master_seed, t)``;
+    with ``head=k`` their first ``k`` coordinates), concatenated in trial
+    order; ``xu`` is rotated as given, so callers pass it already unit-norm."""
     xu = np.asarray(xu, dtype=np.float64)
     if xu.ndim != 1:
         raise ValueError("input must be a 1-d vector")
     root_d = math.sqrt(xu.size)
-    rotate = _trial_rotation(xu[None], layers, head)
 
-    def chunk(lo, hi, seeds):
-        u = rotate(seeds)
+    def scaled(u, seeds):
         u *= root_d
         return fn(u)
 
-    return np.concatenate(list(map_trials(master_seed, trials, xu.size, chunk,
-                                          threads=threads)))
+    return np.concatenate(list(map_trials(xu[None], layers, trials, master_seed, scaled,
+                                          head=head, threads=threads)))
 
 
 def mean_se(samples):

@@ -13,7 +13,8 @@ The encoder rotates, keeps only coordinate signs, and sends one scale:
 Decoding needs only the payload: the rotation is regenerated from the seed.
 The reconstruction always satisfies ``|xhat|_2 = scale * sqrt(d)``.
 
-The Monte Carlo estimators share one kernel: :func:`dme_simulate` averages
+The Monte Carlo estimators share one chunk function, fed the rotated
+clients by :func:`rotquant.core.map_trials`: :func:`dme_simulate` averages
 the decodes of ``N`` clients per trial and returns the per-trial errors, and
 :func:`measure_drive_error` is its one-client case, with the same seeds.  It
 alone reduces (to a :class:`DriveErrorReport`): its bias and variance need the
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, _trial_rotation, apply_rotation, inverse_rotation, map_trials, mean_se, sign_vector, sum_sq, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, sign_vector, sum_sq, unpack_sign_bits
 from .core import rotate_many  # noqa: F401  (the bench tracer patches drive.rotate_many)
 
 __all__ = [
@@ -166,9 +167,9 @@ class DriveErrorReport:
 def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
               threads: int = 1):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
-    trials, seeded as in :func:`dme_simulate`; a chunk rotates its clients
-    into one buffer (:func:`rotquant.core._trial_rotation`), then signs,
-    rotates back and scales it in place.
+    trials, seeded as in :func:`dme_simulate`; each chunk of clients comes
+    rotated from :func:`rotquant.core.map_trials`, and is signed, rotated
+    back and scaled in place.
 
     Returns per trial the squared error of the decoded client mean over the
     mean client energy; per encoded row the scale and rotated l1 norm; the
@@ -187,11 +188,9 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
     n, d = xs.shape
     layers = spec_template.layers
     x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
-    rotate = _trial_rotation(xs, layers)
 
-    def chunk(lo, hi, seeds):
-        n_t = hi - lo
-        y = rotate(seeds)  # a new buffer of the chunk's clients, tiled and rotated
+    def chunk(y, seeds):
+        n_t = len(seeds) // n
         l1 = np.sum(np.abs(y), axis=1)
         scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
         np.add(y, 0.0, out=y)  # -0.0 turns +0.0, whose sign is +1 as in sign_vector
@@ -206,8 +205,8 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1, blocks
 
     parts = []
-    for err, scales, l1, blocks in map_trials(spec_template.seed, trials, n * d, chunk,
-                                              seeds_per_trial=n, threads=threads):
+    for err, scales, l1, blocks in map_trials(xs, layers, trials, spec_template.seed,
+                                              chunk, threads=threads):
         for block in blocks:  # chunks arrive in trial order
             np.add(mean_acc, block, out=mean_acc)
         parts.append((err, scales, l1))

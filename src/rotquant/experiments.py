@@ -30,11 +30,12 @@ samples in trial order; only this module reduces them and builds
 alone returns a summary: its bias and variance need the trial-mean
 reconstruction, which no runner sees.
 
-All randomness is derived from a master seed by counter, and trials run in
-chunks of whole trials reduced in trial order (:func:`rotquant.core.map_trials`).
-The pooled draws here, ``bsq.verify_tv_transfer`` and
-``vq.verify_codebook_universality`` draw the rows ``U = sqrt(d) R xu``
-through one kernel, :func:`rotquant.core.map_rotated`.
+All randomness is derived from a master seed by counter.  Every estimator
+samples the rotated rows through one kernel,
+:func:`rotquant.core.map_trials`, which runs trials in chunks of whole
+trials reduced in trial order; the pooled draws here,
+``bsq.verify_tv_transfer`` and ``vq.verify_codebook_universality`` take its
+rows scaled to ``U = sqrt(d) R xu`` (:func:`rotquant.core.map_rotated`).
 The estimators share three rules from :mod:`rotquant.core`: ``map_trials``
 needs at least two trials, :func:`~rotquant.core.mean_se` reduces per-trial
 samples to a mean and standard error, and :func:`~rotquant.core.unit_vector`

@@ -62,9 +62,12 @@ def moment_scan(x) -> FlatnessStats:
     """Collect ``(sum x^2, sum |x|^3, max x^2)`` of a 1-d vector.
 
     Accepts a numpy array or any finite iterable of floats; an iterable is
-    read exactly once into an array, so callers may hand in a stream.
+    read exactly once into an array, so callers may hand in a stream.  Both
+    are scanned in float64, so the squares of an integer array cannot wrap.
     """
-    if not isinstance(x, np.ndarray):
+    if isinstance(x, np.ndarray):
+        x = np.asarray(x, dtype=np.float64)
+    else:
         x = np.fromiter(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("input must be a non-empty 1-d vector")

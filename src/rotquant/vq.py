@@ -9,9 +9,11 @@ like sqrt(log d / d).  With only 2 layers an adversarial input keeps a
 non-Gaussian block law and the gap stays put.
 
 Two estimators back this, each returning per-trial samples in trial order
-that only ``experiments`` reduces to report rows: ``conditional_cov_trials``
-samples the final-layer pair covariance, ``verify_codebook_universality``
-the distortions on the rotated side of the gap
+that only ``experiments`` reduces to report rows, and each drawing its
+rotated rows from :func:`rotquant.core.map_trials`:
+``conditional_cov_trials`` samples the final-layer pair covariance from the
+rows after ``layers - 2`` layers, ``verify_codebook_universality`` the
+distortions on the rotated side of the gap
 (:func:`rotquant.core.map_rotated`); ``gaussian_distortions`` draws the
 Gaussian side once for any number of such runs.
 """
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _trial_rotation, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
@@ -246,18 +248,13 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate index out of range")
     perm = np.arange(d) ^ (i ^ j)
-    rotate = _trial_rotation(xu[None], 1) if layers == 3 else None
 
-    def chunk(lo, hi, seeds):
-        if layers == 2:
-            a = np.broadcast_to(xu, (hi - lo, d))
-            w = layer_signs(seeds, 1, d) * a
-        else:
-            a = rotate(seeds)
-            w = layer_signs(seeds, 2, d) * a
+    def chunk(a, seeds):  # a: the pre-final rows, rotated by layers - 2 layers
+        w = layer_signs(seeds, layers - 1, d) * a
         return np.einsum("ij,ij->i", w, w[:, perm]), np.max(np.abs(a), axis=1) ** 2
 
-    covs, linf_sq = zip(*map_trials(master_seed, trials, d, chunk, threads=threads))
+    covs, linf_sq = zip(*map_trials(xu[None], layers - 2, trials, master_seed, chunk,
+                                    threads=threads))
     return np.concatenate(covs), np.concatenate(linf_sq)
 
 

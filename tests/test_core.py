@@ -397,7 +397,7 @@ def test_spec_rejects_non_integer_fields():
 @pytest.mark.parametrize("trials", [-1, 0, 1])
 def test_map_trials_needs_two_trials(trials):
     with pytest.raises(ValueError, match="need at least two trials"):
-        map_trials(0, trials, 8, lambda lo, hi, seeds: seeds)
+        map_trials(np.ones((1, 8)), 2, trials, 0, lambda y, seeds: y)
 
 
 @pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
@@ -417,6 +417,30 @@ def test_map_rotated_rows_match_the_reference_rotation(d, layers, monkeypatch):
     for t, row in enumerate(rows):
         spec = RotationSpec(d, layers, derive_seed(7, t))
         assert np.array_equal(row, math.sqrt(d) * apply_rotation(xu, spec))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
+@pytest.mark.parametrize("d", [2, 8, 2048, 1 << 16])
+def test_map_trials_rows_match_the_reference_rotation(d, layers, n, monkeypatch):
+    """Row ``t * n + c`` of the ``map_trials`` chunks is client ``c`` of
+    ``n`` dense rows rotated under ``derive_seed(master_seed, t * n + c)``,
+    bit for bit, and ``fn`` sees those seeds; the trials split into several
+    chunks (the last one short) run on two threads."""
+    budget = 1 << 12
+    monkeypatch.setattr(core, "TRIAL_CHUNK_ELEMS", budget)
+    step = max(1, budget // (n * d) // TRIAL_BLOCK) * TRIAL_BLOCK
+    trials = 2 * step + 3
+    xs = np.random.default_rng(d + n).standard_normal((n, d))
+    chunks = list(map_trials(xs, layers, trials, 7, lambda y, seeds: (y, seeds), threads=2))
+    assert len(chunks) == 3
+    rows = np.concatenate([y for y, _ in chunks])
+    seeds = np.concatenate([s for _, s in chunks])
+    assert rows.shape == (trials * n, d)
+    for r, row in enumerate(rows):
+        seed = derive_seed(7, r)
+        assert int(seeds[r]) == seed
+        assert row.tobytes() == rotate_many(xs[r % n], layers, [seed])[0].tobytes()
 
 
 @pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
@@ -458,7 +482,7 @@ def test_sparse_first_layer_gathers_the_rotated_rows(xs, layers, master):
     (an exact zero may differ in sign)."""
     assert core._first_layer_table(xs) is not None
     seeds = derive_seeds(master, 0, 8 * xs.shape[0])
-    got = core._trial_rotation(xs, layers)(seeds)
+    [got] = map_trials(xs, layers, 8, master, lambda y, s: y)
     assert got.flags.c_contiguous
     assert np.array_equal(got, rotate_many(np.tile(xs, (8, 1)), layers, seeds))
 
@@ -468,7 +492,7 @@ def test_sparse_first_layer_gathers_the_rotated_rows(xs, layers, master):
 def test_sparse_first_layer_keeps_the_bytes_of_the_adversarial_inputs(name, layers):
     x = gen_adversarial(name, 4096)
     seeds = derive_seeds(11, 0, 64)
-    got = core._trial_rotation(x[None], layers)(seeds)
+    [got] = map_trials(x[None], layers, 64, 11, lambda y, s: y)
     assert got.tobytes() == rotate_many(x, layers, seeds).tobytes()
 
 

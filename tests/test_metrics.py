@@ -65,6 +65,15 @@ def test_moment_scan_stream_single_pass():
     assert len(seen) == 4  # consumed exactly once, no second pass possible
 
 
+def test_integer_input_is_scanned_and_decided_as_float64():
+    """Squares and cubes of large integers would wrap in integer arithmetic
+    (2^31 cubed does not fit in 64 bits)."""
+    for x in (np.array([4_000_000_000, 3_000_000_000, 1, 1]),
+              np.array([2**31, 2**31 - 1, 5, 7]), np.arange(1, 9, dtype=np.int32)):
+        assert moment_scan(x) == moment_scan(x.astype(np.float64))
+        assert decide_layers(x) == decide_layers(x.astype(np.float64))
+
+
 def test_moment_scan_rejects_bad_input():
     with pytest.raises(ValueError):
         moment_scan(np.array([]))

@@ -1,7 +1,9 @@
+import ast
 import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -82,3 +84,44 @@ def test_bsq_threshold_and_empirical_metrics_load_scipy_special(step):
     loaded = _loaded_after([("import", "import rotquant as rq"),
                             ("step", "import rotquant as rq\nfrom rotquant import metrics as m\n" + step)])
     assert loaded["import"] == [] and "scipy.special" in loaded["step"]
+
+
+def _unused_imports(source: str) -> list:
+    """Names that the module ``source`` imports but neither uses nor lists
+    in ``__all__``; an import on a line marked ``# noqa: F401`` followed by
+    a reason is skipped.  A stdlib stand-in for a linter's F401 check."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or re.search(r"# noqa: F401\s+\S", lines[node.lineno - 1])):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append(f"{node.lineno}: {name}")
+    return unused
+
+
+def test_the_import_guard_catches_a_stale_import():
+    source = ("from .core import _old_kernel, fwht, rotate_many\n"
+              "from .core import layer_signs  # noqa: F401  (patched by name)\n"
+              "from .core import check_dim  # noqa: F401\n"
+              "__all__ = ['rotate_many']\n"
+              "fwht(1)\n")
+    assert _unused_imports(source) == ["1: _old_kernel", "3: check_dim"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rotquant.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_import_is_used_or_exported(path):
+    """Each name a package module imports is used there or listed in its
+    ``__all__``, unless its line says ``# noqa: F401`` and why."""
+    assert _unused_imports(path.read_text()) == []
