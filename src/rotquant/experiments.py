@@ -474,7 +474,7 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     plus a pilot-calibrated final absolute gap under 0.05); with
     2 layers the two-spike input must keep a non-decaying gap."""
     pattern = gen_adversarial("two_spike", 4)
-    dims = universality_dims(dims, 4, pattern.size)  # before the ~1 s of training
+    dims = universality_dims(dims, 4, pattern.size)  # before the codebook training
     codebook = train_gaussian_codebook(4, 16, train_seed)
     gauss = gaussian_distortions(codebook, trials, master_seed)  # shared by both runs
     positive = verify_codebook_universality(

@@ -84,47 +84,159 @@ class Codebook:
             return float(np.sqrt(np.max(sum_sq(self.centroids))))
 
 
-# Rows per block of the nearest-centroid search: a (block, k) distance tile
-# stays small enough to be reused from cache instead of streamed from memory.
+# Rows per tile of the nearest-centroid search: an (n_centroids, rows) tile
+# and its scratch stay in cache, and every numpy op runs along the rows.
 NEAREST_BLOCK_ROWS = 4096
 
 
-def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None):
+def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None, rows=None,
+                     runner_up=False):
     """Squared distance to, and index of, the nearest centroid (ties break
-    to the lowest index).
+    to the lowest index) of each row of ``points``, or of the rows
+    ``points[rows]``; with ``runner_up`` also each row's second-smallest
+    squared distance (``inf`` for one centroid).  ``p_sq`` (the ``einsum``
+    row norms squared of all of ``points``) may be passed in when the same
+    points are searched repeatedly.
 
-    Uses the expanded form ``|p|^2 - 2 p.c + |c|^2``, clamped at zero, one
-    block of ``NEAREST_BLOCK_ROWS`` rows at a time.  The cross term of a
-    block is one matmul, scaled by -2 and added in place; negation and
-    ``a + (-b)`` are exact, so every output is bit-identical to the
-    one-matmul form ``p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq``.
-    ``p_sq`` (the row norms squared) may be passed in when the same points
-    are searched repeatedly.
-
-    The cross term is the one BLAS call (``dgemm``) behind a payload byte or
-    a report row: its last bits depend on the BLAS kernel (fused
-    multiply-add or not), so they can move a distortion and, on a near tie,
-    an index.  It stays because a BLAS-free cross term made codebook
-    training nearly twice as slow.
+    Uses the expanded form ``|p|^2 - 2 p.c + |c|^2``, clamped at zero,
+    without BLAS.  Each tile holds every centroid against
+    ``NEAREST_BLOCK_ROWS`` rows: ``s = (-2 c_0) p_0``, then
+    ``s += (-2 c_j) p_j`` for ``j`` ascending, then ``+ p_sq``, then
+    ``+ |c|^2``, then the clamp.  Scaling by -2 is exact and every op is
+    elementwise, so a row's distances depend only on its coordinates and
+    its ``p_sq``, not on the BLAS build or the tile it falls in (the
+    ``einsum`` norms give the same bits at any row stride, but not for a
+    column-major ``points``).  The minimum is taken down each column, and
+    the index is the lowest centroid that reaches it: ``n_c`` less the
+    largest rank ``n_c - m`` among the centroids ``m`` that equal the
+    minimum.
     """
-    n = points.shape[0]
     if p_sq is None:
         p_sq = np.einsum("ij,ij->i", points, points)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    c_t = centroids.T
+    n = points.shape[0] if rows is None else rows.size
+    n_c = centroids.shape[0]
+    m2c = -2.0 * centroids
+    c_sq = np.einsum("ij,ij->i", centroids, centroids)[:, None]
     dist = np.empty(n)
     idx = np.empty(n, dtype=np.intp)
+    second = np.empty(n) if runner_up else None
+    width = min(n, NEAREST_BLOCK_ROWS)
+    tile, prod = np.empty((n_c, width)), np.empty((n_c, width))
+    rank = np.arange(n_c, 0, -1, dtype=np.min_scalar_type(n_c))[:, None]  # n_c - m
+    hits = np.empty((n_c, width), dtype=rank.dtype)
     for lo in range(0, n, NEAREST_BLOCK_ROWS):
         hi = min(lo + NEAREST_BLOCK_ROWS, n)
-        d2 = points[lo:hi] @ c_t
-        d2 *= -2.0
-        d2 += p_sq[lo:hi, None]
-        d2 += c_sq
-        np.maximum(d2, 0.0, out=d2)
-        j = np.argmin(d2, axis=1)
-        idx[lo:hi] = j
-        dist[lo:hi] = np.take_along_axis(d2, j[:, None], axis=1)[:, 0]
-    return dist, idx
+        sel = slice(lo, hi) if rows is None else rows[lo:hi]
+        p = np.ascontiguousarray(points[sel].T)
+        s, t = tile[:, : hi - lo], prod[:, : hi - lo]
+        np.multiply(m2c[:, :1], p[0], out=s)
+        for j in range(1, p.shape[0]):
+            np.multiply(m2c[:, j:j + 1], p[j], out=t)
+            s += t
+        s += p_sq[sel]
+        s += c_sq
+        np.maximum(s, 0.0, out=s)
+        best, ix = dist[lo:hi], idx[lo:hi]
+        np.minimum.reduce(s, axis=0, out=best)
+        top = np.maximum.reduce(np.multiply(s == best, rank, out=hits[:, : hi - lo]), axis=0)
+        np.remainder(n_c - top, n_c, out=ix)  # a row of NaNs matches none: index 0
+        if runner_up:
+            s[ix, np.arange(hi - lo)] = np.inf
+            np.minimum.reduce(s, axis=0, out=second[lo:hi])
+    return (dist, idx, second) if runner_up else (dist, idx)
+
+
+def _assigned_sq_dist(cols, centroids, p_sq, assign):
+    """Each point's squared distance to its assigned centroid, by the same
+    float ops in the same order as that centroid's row of a
+    :func:`_nearest_sq_dist` tile, so the bits are the ones a full search
+    gives; ``cols`` holds the points' coordinates as rows."""
+    m2c = -2.0 * centroids
+    d2 = m2c[:, 0].take(assign)
+    d2 *= cols[0]
+    for j in range(1, cols.shape[0]):
+        term = m2c[:, j].take(assign)
+        term *= cols[j]
+        d2 += term
+    d2 += p_sq
+    d2 += np.einsum("ij,ij->i", centroids, centroids).take(assign)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _lloyd(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Lloyd iterations from ``centroids``: at most 50, stopping once the
+    relative inertia improvement drops below 1e-6; an empty cluster is
+    reseeded from the point farthest from its centroid.
+
+    Bit for bit the plain algorithm that searches every point in every
+    iteration, but with Hamerly's bounds ("Making k-means even faster",
+    SDM 2010) only the points whose nearest centroid may have changed are
+    searched.  Each iteration recomputes every point's squared distance
+    ``s_a`` to its assigned centroid (:func:`_assigned_sq_dist`), so the
+    inertia, the stopping test and the reseed see the values a full search
+    gives; ``u = sqrt(s_a)`` is the upper bound.  The lower bound ``l`` on
+    the distance to every other centroid is the root of the runner-up of
+    the point's last search, lowered after each update by the largest move
+    among the other centroids; a reseeded point gets ``l = -inf``.  A point
+    is searched when ``u + delta >= max(l, h)``, ``h`` being half the
+    distance from its centroid to the nearest other one.
+
+    The margin ``delta``: with ``k`` the block width and
+    ``g = (k+2) 2^-53 / (1 - (k+2) 2^-53)``, a squared distance from the
+    expanded form is within ``E = g (|p| + max|c|)^2`` of the true ``D^2``
+    (``k`` products and ``k + 1`` additions on terms summing to at most
+    ``|p|^2 + 2|p||c| + |c|^2``, the ``einsum`` norms included), and the
+    clamp only moves it toward ``D^2``.  So the true distance to the
+    assigned centroid is at most ``u + sqrt(E)``, and the runner-up's root
+    less ``sqrt(E)`` is at most the true distance to any other centroid.
+    If that lower bound ``l`` exceeds ``u + sqrt(E)`` (or ``h`` does, by the
+    triangle inequality), every other centroid ``c`` has
+    ``s_c >= D_c^2 - E > u^2 + 2 u sqrt(E) >= s_a``, and a full search keeps
+    the assignment.  ``delta = 2 sqrt(E)`` with ``max|c|`` of the current
+    centroids, and a search lowers the runner-up's root by its ``delta``:
+    the factor 2 covers the rounding of the roots, moves and bounds, each
+    ``O(2^-53 (|p| + max|c|))`` against ``sqrt(E) > 1e-8 (|p| + max|c|)``.
+    """
+    n_c, k = centroids.shape
+    cols = np.ascontiguousarray(samples.T)
+    p_sq = np.einsum("ij,ij->i", samples, samples)
+    rounding = (k + 2) * 2.0 ** -53
+    slack = 2.0 * math.sqrt(rounding / (1.0 - rounding))
+    p_slack = slack * np.sqrt(p_sq)
+    assign = np.zeros(samples.shape[0], dtype=np.intp)
+    lower = np.full(samples.shape[0], -np.inf)
+    prev_inertia = math.inf
+    for _ in range(50):
+        min_d2 = _assigned_sq_dist(cols, centroids, p_sq, assign)
+        delta = p_slack + slack * math.sqrt(np.max(sum_sq(centroids)))
+        gaps = np.sqrt(sum_sq(centroids[:, None, :] - centroids[None, :, :]))
+        np.fill_diagonal(gaps, np.inf)
+        half = 0.5 * np.min(gaps, axis=1)
+        rows = np.flatnonzero(np.sqrt(min_d2) + delta >= np.maximum(lower, half[assign]))
+        d2, a, runner_up = _nearest_sq_dist(samples, centroids, p_sq, rows, runner_up=True)
+        min_d2[rows] = d2
+        assign[rows] = a
+        lower[rows] = np.sqrt(runner_up) - delta[rows]
+        counts = np.bincount(assign, minlength=n_c)
+        for m in np.nonzero(counts == 0)[0]:
+            far = int(np.argmax(min_d2))
+            assign[far] = m
+            min_d2[far] = 0.0
+            lower[far] = -np.inf
+        counts = np.bincount(assign, minlength=n_c)
+        sums = np.zeros((n_c, k))
+        for j in range(k):
+            sums[:, j] = np.bincount(assign, weights=cols[j], minlength=n_c)
+        updated = sums / counts[:, None]
+        moved = np.sqrt(sum_sq(updated - centroids))
+        centroids = updated
+        top = int(np.argmax(moved))
+        lower -= np.where(assign == top, np.delete(moved, top).max(initial=0.0), moved[top])
+        inertia = float(min_d2.sum())
+        if prev_inertia - inertia < 1e-6 * max(prev_inertia, 1e-300):
+            break
+        prev_inertia = inertia
+    return centroids
 
 
 def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
@@ -134,8 +246,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
     Sample row ``j`` comes from its own derived stream (``train_seed`` index
     ``j``) and the initialization stream from index ``n_samples``, so the
     result depends only on the arguments.  Init is distance-squared weighted
-    seeding; empty clusters are reseeded from the farthest point; stops after
-    50 iterations or once the relative inertia improvement drops below 1e-6.
+    seeding (:func:`_seed_centroids`), followed by :func:`_lloyd`.
     """
     if block_dim < 1 or n_centroids < 1:
         raise ValueError("block_dim and n_centroids must be positive")
@@ -144,12 +255,20 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
     keys = derive_seeds(train_seed, 0, n_samples)
     samples = Xoshiro256pp(keys).gaussians(block_dim)
     picks = Xoshiro256pp([derive_seed(train_seed, n_samples)]).uniforms(n_centroids)[0]
+    return Codebook(_lloyd(samples, _seed_centroids(samples, picks)), train_seed)
 
-    centroids = np.empty((n_centroids, block_dim))
+
+def _seed_centroids(samples: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """One centroid per uniform in ``picks``: the first at sample
+    ``picks[0] * n``, each next one drawn with weight the squared distance
+    to the nearest centroid so far (sample ``m mod n`` when every weight
+    is zero)."""
+    n_samples = samples.shape[0]
+    centroids = np.empty((picks.size, samples.shape[1]))
     centroids[0] = samples[min(int(picks[0] * n_samples), n_samples - 1)]
     diff = samples - centroids[0]
     d2 = np.einsum("ij,ij->i", diff, diff)
-    for m in range(1, n_centroids):
+    for m in range(1, picks.size):
         total = float(d2.sum())
         if total <= 0.0:
             j = m % n_samples
@@ -160,28 +279,7 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
         centroids[m] = samples[j]
         diff = samples - centroids[m]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
-
-    p_sq = np.einsum("ij,ij->i", samples, samples)
-    columns = np.ascontiguousarray(samples.T)
-    prev_inertia = math.inf
-    for _ in range(50):
-        min_d2, assign = _nearest_sq_dist(samples, centroids, p_sq)
-        counts = np.bincount(assign, minlength=n_centroids)
-        for m in np.nonzero(counts == 0)[0]:
-            far = int(np.argmax(min_d2))
-            assign[far] = m
-            min_d2[far] = 0.0
-        counts = np.bincount(assign, minlength=n_centroids)
-        sums = np.zeros((n_centroids, block_dim))
-        for j in range(block_dim):
-            sums[:, j] = np.bincount(assign, weights=columns[j],
-                                     minlength=n_centroids)
-        centroids = sums / counts[:, None]
-        inertia = float(min_d2.sum())
-        if prev_inertia - inertia < 1e-6 * max(prev_inertia, 1e-300):
-            break
-        prev_inertia = inertia
-    return Codebook(centroids, train_seed)
+    return centroids
 
 
 def vq_encode(x, spec, codebook: Codebook):
@@ -294,7 +392,7 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     k = codebook.block_dim
     dims = universality_dims(dims, k, pattern.size)
 
-    def first_block(u):  # C-contiguous (trials, k): a dgemm's bits may depend on the strides
+    def first_block(u):  # (trials, k) rows: each row's distance depends on that row alone
         return _nearest_sq_dist(u, codebook.centroids)[0]
 
     rht = []

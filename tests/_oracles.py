@@ -8,10 +8,10 @@ in the library cannot silently re-generate its own expectations.
 
 ``reference_fwht`` is the plain iterative butterfly that the library's
 blocked FWHT kernel must match bit for bit.  ``reference_nearest_sq_dist`` is
-the one-matmul nearest-centroid search that the library's row-blocked kernel
-must match bit for bit, and ``reference_train_gaussian_codebook`` is the
-Lloyd trainer built on it, whose centroid bytes the library's trainer must
-reproduce.
+the BLAS-free expanded-form nearest-centroid search, over all rows at once,
+that the library's tiled kernel must match bit for bit, and
+``reference_lloyd`` is the plain Lloyd trainer built on it, whose centroid
+bytes the library's bounded trainer must reproduce.
 """
 
 import math
@@ -44,21 +44,30 @@ def reference_fwht(v, normalize=False):
 
 def reference_nearest_sq_dist(points, centroids):
     """Squared distance to, and index of, the nearest centroid (ties break
-    to the lowest index), from the expanded form over all rows at once."""
-    p_sq = np.einsum("ij,ij->i", points, points)
-    c_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p_sq[:, None] - 2.0 * (points @ centroids.T) + c_sq[None, :]
+    to the lowest index), from the expanded form over all rows at once:
+    ``(-2 c_0) p_0``, plus ``(-2 c_j) p_j`` for ``j`` ascending, plus
+    ``|p|^2``, plus ``|c|^2``, clamped at zero."""
+    d2 = reference_expanded_sq_dist(points, centroids)
     np.maximum(d2, 0.0, out=d2)
     idx = np.argmin(d2, axis=1)
     return d2[np.arange(points.shape[0]), idx], idx
 
 
+def reference_expanded_sq_dist(points, centroids):
+    """The ``(rows, centroids)`` expanded-form squared distances of
+    ``reference_nearest_sq_dist`` before the clamp."""
+    m2c = -2.0 * centroids
+    d2 = points[:, :1] * m2c[:, 0]
+    for j in range(1, points.shape[1]):
+        d2 = d2 + points[:, j:j + 1] * m2c[:, j]
+    d2 = d2 + np.einsum("ij,ij->i", points, points)[:, None]
+    return d2 + np.einsum("ij,ij->i", centroids, centroids)
+
+
 def reference_train_gaussian_codebook(block_dim, n_centroids, train_seed,
-                                      n_samples=1 << 17, max_iters=50,
-                                      rel_tol=1e-6):
+                                      n_samples=1 << 17):
     """Centroids of the deterministic k-means++ then Lloyd training that
-    ``vq.train_gaussian_codebook`` documents, searching with
-    ``reference_nearest_sq_dist``."""
+    ``vq.train_gaussian_codebook`` documents."""
     keys = derive_seeds(train_seed, 0, n_samples)
     samples = Xoshiro256pp(keys).gaussians(block_dim)
     picks = Xoshiro256pp([derive_seed(train_seed, n_samples)]).uniforms(n_centroids)[0]
@@ -78,7 +87,14 @@ def reference_train_gaussian_codebook(block_dim, n_centroids, train_seed,
         centroids[m] = samples[j]
         diff = samples - centroids[m]
         np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    return reference_lloyd(samples, centroids)
 
+
+def reference_lloyd(samples, centroids, max_iters=50, rel_tol=1e-6):
+    """Plain Lloyd iterations: every row searched with
+    ``reference_nearest_sq_dist`` in every iteration; an empty cluster is
+    reseeded from the row farthest from its centroid."""
+    n_centroids, block_dim = centroids.shape
     prev_inertia = math.inf
     for _ in range(max_iters):
         min_d2, assign = reference_nearest_sq_dist(samples, centroids)

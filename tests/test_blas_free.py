@@ -1,6 +1,6 @@
 """Every payload byte and report row is the same under any BLAS build and
-BLAS thread count: norms go through ``core.sum_sq``, and the only BLAS call
-left on such a path is the VQ nearest-centroid cross term."""
+BLAS thread count: norms go through ``core.sum_sq`` (or a fixed ``einsum``),
+and no BLAS call is left on such a path."""
 
 import ast
 import json
@@ -23,7 +23,8 @@ from rotquant.bsq import BsqConfig, bsq_encode
 from rotquant.core import RotationSpec, unit_vector
 from rotquant.drive import drive_encode
 from rotquant.experiments import (run_adaptive_soundness, run_bsq_transfer,
-                                  run_drive_unbiased, run_scalar_convergence)
+                                  run_drive_unbiased, run_scalar_convergence,
+                                  run_vq_universality)
 from rotquant.generators import gen_adversarial
 from rotquant.vq import train_gaussian_codebook, vq_encode
 
@@ -50,7 +51,8 @@ for run, kwargs in (
                                   bias_trials=(64, 64, 64, 64))),
         (run_adaptive_soundness, dict(n_inputs=3, d=256, draws=20_000)),
         (run_bsq_transfer, dict(d=256, trials=200)),
-        (run_scalar_convergence, dict(dims=(64,), draws=20_000))):
+        (run_scalar_convergence, dict(dims=(64,), draws=20_000)),
+        (run_vq_universality, dict(dims=(256,), trials=500))):
     rows = [r.to_row() for r in run(**kwargs)]
     out[run.__name__] = digest(json.dumps(rows, sort_keys=True).encode())
 print(json.dumps(out))
@@ -73,24 +75,19 @@ def test_bytes_and_rows_do_not_depend_on_the_blas_kernel():
         assert proc.returncode == 0, err
         outs.append(json.loads(out))
     default, prescott = outs
-    assert len(default) == 19
+    assert len(default) == 20
     assert [k for k in default if default[k] != prescott[k]] == []
 
 
-# Names whose use calls BLAS or LAPACK, and the one function allowed a ``@``:
-# the VQ cross term (see ``vq._nearest_sq_dist``).
+# Names whose use calls BLAS or LAPACK; every ``@`` does too.
 BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "polyfit", "lstsq"}
-MATMUL_ALLOWED = {("vq.py", "_nearest_sq_dist")}
 
 
 def _blas_uses(path):
-    """``(line, what)`` for every BLAS name and every ``@`` outside
-    :data:`MATMUL_ALLOWED` in one source file."""
+    """``(line, what)`` for every BLAS name and every ``@`` in one source
+    file."""
     found = []
-
-    def visit(node, func):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            func = node.name
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         names = []
         if isinstance(node, ast.Attribute):
             names = [node.attr]
@@ -103,14 +100,9 @@ def _blas_uses(path):
         for name in names:
             if BLAS_NAMES & set(name.split(".")):
                 found.append((node.lineno, name))
-        op = getattr(node, "op", None)
-        if isinstance(op, ast.MatMult) and (path.name, func) not in MATMUL_ALLOWED:
-            found.append((node.lineno, f"@ in {func}"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, func)
-
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
-    return found
+        if isinstance(getattr(node, "op", None), ast.MatMult):
+            found.append((node.lineno, "@"))
+    return sorted(found)
 
 
 def test_no_blas_call_on_a_byte_path():
@@ -127,5 +119,5 @@ def test_the_source_guard_sees_each_form(tmp_path):
                    "def _nearest_sq_dist(a, b):\n    return a @ b\n"
                    "def other(a, b):\n    a @= b\n    return np.polyfit(a, b, 1)\n",
                    encoding="utf-8")
-    assert _blas_uses(src) == [(1, "numpy.linalg"), (2, "dot"),
-                               (6, "@ in other"), (7, "polyfit")]
+    assert _blas_uses(src) == [(1, "numpy.linalg"), (2, "dot"), (4, "@"),
+                               (6, "@"), (7, "polyfit")]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -17,8 +19,9 @@ from rotquant.vq import (
     vq_encode,
 )
 from rotquant import vq
-from rotquant.vq import _nearest_sq_dist
-from _oracles import STEIN_A4, reference_nearest_sq_dist, reference_train_gaussian_codebook
+from rotquant.vq import _lloyd, _nearest_sq_dist
+from _oracles import (STEIN_A4, reference_expanded_sq_dist, reference_lloyd,
+                      reference_nearest_sq_dist, reference_train_gaussian_codebook)
 
 RNG = np.random.default_rng(11)
 
@@ -140,9 +143,7 @@ def _search_case(n):
         for _ in range(1000):
             cents[0] = rng.standard_normal(4) * 1e3
             points[n // 2] = np.nextafter(cents[0], np.inf)
-            raw = (np.einsum("ij,ij->i", points, points)[:, None]
-                   - 2.0 * (points @ cents.T) + np.einsum("ij,ij->i", cents, cents))
-            if raw[n // 2, 0] < 0.0:
+            if reference_expanded_sq_dist(points, cents)[n // 2, 0] < 0.0:
                 break
         else:
             pytest.fail("no row with a negative expanded distance found")
@@ -169,9 +170,60 @@ def test_nearest_matches_reference_bit_for_bit(n):
 
 def test_training_matches_reference_bit_for_bit():
     n = 3 * NEAREST_BLOCK_ROWS + 5
-    cb = train_gaussian_codebook(4, 16, train_seed=2024, n_samples=n)
-    want = reference_train_gaussian_codebook(4, 16, 2024, n_samples=n)
-    assert cb.centroids.tobytes() == want.tobytes()
+    for config in [(4, 16, 2024), (4, 16, 7), (4, 16, 12345), (4, 16, 1), (2, 4, 1),
+                   (4, 8, 99), (1, 2, 17)]:
+        cb = train_gaussian_codebook(*config, n_samples=n)
+        want = reference_train_gaussian_codebook(*config, n_samples=n)
+        assert cb.centroids.tobytes() == want.tobytes(), config
+
+
+def test_report_codebook_bytes_are_pinned():
+    cb = train_gaussian_codebook(4, 16, train_seed=2024)
+    assert hashlib.sha256(cb.centroids.tobytes()).hexdigest() == (
+        "be07d9946b83d53681f6c30939fd76e0c0ddf275739c7daae6939d9df39ada30")
+
+
+def _lloyd_cases():
+    """Samples and initial centroids that stress the bounds."""
+    rng = np.random.default_rng(25)
+    grid = np.array(list(itertools.product(range(-3, 4), repeat=2)), dtype=float)
+    rows = rng.standard_normal((6, 3))
+    outlier = np.vstack([rng.standard_normal((300, 2)), np.full((3, 2), 100.0)])
+    cases = [
+        # the origin ties between all four centroids, (1, 1) between two;
+        # the grid's symmetry keeps such ties as the centroids move
+        pytest.param(np.tile(grid, (3, 1)), np.array([[-1.0, 0], [1, 0], [0, -1], [0, 1]]),
+                     id="grid ties"),
+        pytest.param(np.repeat(rows, 50, axis=0), rows[[0, 2, 4]], id="duplicated rows"),
+        # centroid 2 repeats centroid 1, so its cluster empties and the
+        # farthest row, the first copy of the outlier, reseeds it; then
+        # centroids 0 and 2 both sit on the outlier, and the reseeded row
+        # ties back to centroid 0
+        pytest.param(outlier, np.array([[50.0, 50.0], [0, 0], [0, 0]]), id="outlier reseed"),
+    ]
+    for scale in (1e-3, 1e3):
+        samples = rng.standard_normal((3000, 4)) * scale
+        cases.append(pytest.param(samples, samples[:8], id=f"scale {scale:g}"))
+    return cases
+
+
+@pytest.mark.parametrize("samples,centroids", _lloyd_cases())
+def test_bounded_lloyd_matches_plain_lloyd_bit_for_bit(samples, centroids):
+    assert _lloyd(samples, centroids).tobytes() == reference_lloyd(samples, centroids).tobytes()
+
+
+def test_bounded_lloyd_searches_few_rows(monkeypatch):
+    searched = []
+    search = vq._nearest_sq_dist
+
+    def spy(points, centroids, p_sq=None, rows=None, **kwargs):
+        searched.append(points.shape[0] if rows is None else rows.size)
+        return search(points, centroids, p_sq, rows, **kwargs)
+
+    monkeypatch.setattr(vq, "_nearest_sq_dist", spy)
+    n = 3 * NEAREST_BLOCK_ROWS + 5
+    train_gaussian_codebook(4, 16, train_seed=2024, n_samples=n)
+    assert sum(searched) < 0.5 * len(searched) * n
 
 
 def test_encode_indices_match_reference_search():
