@@ -96,25 +96,16 @@ class RotationSpec:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
 
-def _butterfly(src, dst, h: int) -> None:
-    """One FWHT stage from ``src`` into the distinct buffer ``dst``: in every
-    group of ``2h`` coordinates, ``dst[j] = src[j] + src[j+h]`` and
-    ``dst[j+h] = src[j] - src[j+h]`` for ``j < h``."""
-    if 2 <= h <= 8:
-        # Complex add and subtract are the float64 add and subtract of each
-        # component, so stage h on a complex128 view (h/2 complex apart) does
-        # the same arithmetic in half as many strided calls.
-        src, dst, h = src.view(np.complex128), dst.view(np.complex128), h // 2
-    if h <= 4:
-        # Numpy's inner loop would have length h; loop over columns instead.
-        s, t = src.reshape(-1, 2 * h), dst.reshape(-1, 2 * h)
-        for j in range(h):
-            np.add(s[:, j], s[:, j + h], out=t[:, j])
-            np.subtract(s[:, j], s[:, j + h], out=t[:, j + h])
-    else:
-        s, t = src.reshape(-1, 2, h), dst.reshape(-1, 2, h)
-        np.add(s[:, 0], s[:, 1], out=t[:, 0])
-        np.subtract(s[:, 0], s[:, 1], out=t[:, 1])
+def _stage(src, dst) -> None:
+    """One constant-geometry FWHT stage (Pease, JACM 1968) from ``src`` into
+    the distinct buffer ``dst``, both ``(..., w, g)``: along axis ``-2``,
+    ``dst[j] = src[2j] + src[2j+1]``, ``dst[j + w/2] = src[2j] - src[2j+1]``.
+    Each stage rotates the index bits right by one, so stage ``i`` combines
+    the pair, with the sign, of the textbook stage ``h = 2^i``, and after
+    ``log2 w`` stages every element is back in its textbook place."""
+    half = src.shape[-2] // 2
+    np.add(src[..., 0::2, :], src[..., 1::2, :], out=dst[..., :half, :])
+    np.subtract(src[..., 0::2, :], src[..., 1::2, :], out=dst[..., half:, :])
 
 
 def _fwht_rows(src, dst, normalize: bool) -> None:
@@ -123,8 +114,9 @@ def _fwht_rows(src, dst, normalize: bool) -> None:
 
     Stages with ``h < FWHT_BLOCK_ELEMS`` run on one block of about
     ``FWHT_BLOCK_ELEMS`` elements at a time (whole rows, or contiguous
-    slices of one long row), alternating between two scratch buffers that
-    stay in cache.  Any larger stages then run over ``dst`` in place, on
+    slices of one long row) as the constant-geometry stages of
+    :func:`_stage`, alternating between two scratch buffers that stay in
+    cache.  Any larger stages then run over ``dst`` in place, on
     ``FWHT_BLOCK_ELEMS // 2`` elements of each half at a time.
     """
     d = src.shape[1]
@@ -135,13 +127,13 @@ def _fwht_rows(src, dst, normalize: bool) -> None:
     step = FWHT_BLOCK_ELEMS // width
     scratch = np.empty((2, min(step, blocks_in.shape[0]), width))
     root_d = math.sqrt(d)
-    stages = [1 << k for k in range(width.bit_length() - 1)]
+    stages = width.bit_length() - 1
     for lo in range(0, blocks_in.shape[0], step):
         cur, out = blocks_in[lo:lo + step], blocks_out[lo:lo + step]
         bufs = scratch[:, :cur.shape[0]]
-        for i, h in enumerate(stages):
-            nxt = out if i == len(stages) - 1 else bufs[i % 2]
-            _butterfly(cur, nxt, h)
+        for i in range(stages):
+            nxt = out if i == stages - 1 else bufs[i % 2]
+            _stage(cur[..., None], nxt[..., None])
             cur = nxt
         if cur is not out:  # d == 1
             out[...] = cur
@@ -175,13 +167,14 @@ def fwht(v, normalize: bool = False, *, out=None) -> np.ndarray:
     input's shape that is either the input itself (in place) or does not
     overlap it.  ``v`` is left unchanged unless it is ``out``.
 
-    The kernel runs the ``log2 d`` butterfly stages ``h = 1, 2, 4, ...`` on
-    cache-sized row blocks (``FWHT_BLOCK_ELEMS``), each stage writing
-    ``top + bottom`` and ``top - bottom`` into a second buffer.  Whatever the
-    blocking, every output element sees the same additions and subtractions
-    of the same pairs in the same stage order, then the same division by
-    ``sqrt(d)``, so the output is bit-identical to the textbook iterative
-    butterfly and does not depend on the batch size or the block size.
+    The kernel runs the ``log2 d`` stages on cache-sized row blocks
+    (``FWHT_BLOCK_ELEMS``), inside a block as constant-geometry stages that
+    write the sums and differences of adjacent pairs into the two halves of
+    a second buffer.  Stage ``i`` combines the same pair, with the same
+    sign, as the textbook stage ``h = 2^i``, so every output element sees
+    the same additions and subtractions in the same stage order, then the
+    same division by ``sqrt(d)``: the output is bit-identical to the textbook
+    iterative butterfly and does not depend on the batch or block size.
     """
     a = np.asarray(v, dtype=np.float64)
     if a.ndim == 0:
@@ -299,12 +292,14 @@ def _fwht_head(v, k: int) -> np.ndarray:
     is overwritten.
 
     Outputs ``i < k`` need the first ``log2 k`` stages in full (the
-    ``k``-point butterflies inside each contiguous group of ``k``) and then
+    ``k``-point transforms inside each contiguous group of ``k``) and then
     only the top half of every later stage, which adds groups ``2q`` and
-    ``2q + 1`` in natural order.  Each output's ``d/k`` partial sums are
-    kept contiguous, in an ``(m, k, d/k)`` layout, while they are halved.
-    Rows go through in blocks of about ``FWHT_BLOCK_ELEMS`` elements, so
-    the buffers a block passes through stay in cache.
+    ``2q + 1`` in natural order.  A block is read as the transposed view
+    ``(rows, k, d/k)`` and the ``log2 k`` stages of :func:`_stage` run
+    along its ``k`` axis, so the first writes the contiguous layout in
+    which each output's ``d/k`` partial sums are halved.  Rows go through
+    in blocks of about ``FWHT_BLOCK_ELEMS`` elements, so the buffers a block
+    passes through stay in cache.
     """
     m, d = v.shape
     step = max(1, FWHT_BLOCK_ELEMS // d)
@@ -314,17 +309,15 @@ def _fwht_head(v, k: int) -> np.ndarray:
         block = v[lo:lo + step]
         rows, g = block.shape[0], d // k
         src, dst = block.reshape(-1), scratch[:block.size]
-        h = 1
-        while h < k:
-            _butterfly(src, dst, h)
-            src, dst, h = dst, src, 2 * h
-        parts = dst.reshape(rows, k, g)
-        parts[...] = src.reshape(rows, g, k).transpose(0, 2, 1)
+        parts = block.reshape(rows, g, k).transpose(0, 2, 1)
+        for _ in range(k.bit_length() - 1):
+            _stage(parts, dst.reshape(rows, k, g))
+            parts, src, dst = dst.reshape(rows, k, g), dst, src
         while g > 1:
             g //= 2
-            halved = src[:rows * k * g].reshape(rows, k, g)
+            halved = dst[:rows * k * g].reshape(rows, k, g)
             np.add(parts[..., 0::2], parts[..., 1::2], out=halved)
-            parts, src = halved, parts.reshape(-1)
+            parts, src, dst = halved, dst, src
         np.divide(parts.reshape(rows, k), math.sqrt(d), out=out[lo:lo + step])
     return out
 

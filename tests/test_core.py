@@ -88,7 +88,7 @@ def _wide_range_rows(n, d):
     return RNG.standard_normal((n, d)) * 10.0 ** RNG.uniform(-6, 6, (n, d))
 
 
-@pytest.mark.parametrize("d", [1, 2, 4, 8, 1 << 10, 1 << 16, 1 << 17])
+@pytest.mark.parametrize("d", [1 << p for p in range(21)])
 def test_fwht_matches_reference_bit_for_bit(d):
     # One more row than a row block holds, so the last block is ragged; at
     # d > FWHT_BLOCK_ELEMS each row spans several blocks.
@@ -496,26 +496,30 @@ def test_sparse_first_layer_keeps_the_bytes_of_the_adversarial_inputs(name, laye
     assert got.tobytes() == rotate_many(x, layers, seeds).tobytes()
 
 
-def _head_rows(d):
-    """Rows holding +0, -0, pairs that cancel exactly, and Gaussians."""
+def _head_rows(n, d):
+    """``n`` rows cycling through three kinds: +0 and -0 between Gaussians,
+    +/-1, and Gaussians whose second half cancels the first exactly."""
     rng = np.random.default_rng(d)
-    rows = rng.standard_normal((3, d))
-    rows[0, ::2] = 0.0
-    rows[0, 1::4] = -0.0
-    rows[1] = np.where(rng.random(d) < 0.5, 1.0, -1.0)
+    rows = rng.standard_normal((n, d))
+    rows[0::3, ::2] = 0.0
+    rows[0::3, 1::4] = -0.0
+    rows[1::3] = np.where(rng.random(d) < 0.5, 1.0, -1.0)
     half = d // 2
-    rows[2, half:2 * half] = -rows[2, :half]
+    rows[2::3, half:2 * half] = -rows[2::3, :half]
     return rows
 
 
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16])
 def test_fwht_head_matches_the_full_transform_bit_for_bit(k):
-    """Up to d = 2^16, where the full FWHT runs out-of-cache stages."""
-    for log_d in range(k.bit_length() - 1, 17):
-        v = _head_rows(1 << log_d)
-        want = np.ascontiguousarray(fwht(v, normalize=True)[:, :k])
-        got = core._fwht_head(v.copy(), k)
-        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+    """Up to d = 2^17, where one row is wider than a row block; besides 3
+    rows, one more row than a block holds, so the last block is ragged."""
+    for log_d in range(k.bit_length() - 1, 18):
+        d = 1 << log_d
+        for n in (3, FWHT_BLOCK_ELEMS // d + 1):
+            v = _head_rows(n, d)
+            want = np.ascontiguousarray(fwht(v, normalize=True)[:, :k])
+            got = core._fwht_head(v.copy(), k)
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def test_encoders_and_transforms_never_use_the_first_layer_table(monkeypatch, capsys):

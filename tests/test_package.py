@@ -125,3 +125,44 @@ def test_every_import_is_used_or_exported(path):
     """Each name a package module imports is used there or listed in its
     ``__all__``, unless its line says ``# noqa: F401`` and why."""
     assert _unused_imports(path.read_text()) == []
+
+
+def _unread_private_names(source: str) -> list:
+    """Module-level private names (a ``_name`` def, class or assignment
+    target) of the module ``source`` that the module itself never reads."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        unread += [f"{node.lineno}: {name}" for name in names
+                   if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_the_private_name_guard_catches_an_unread_name():
+    source = ("_TABLE = 1\n"
+              "_old, _kept = 2, 3\n"
+              "def _butterfly(src, dst, h):\n"
+              "    _local = 0\n"
+              "class _Spare:\n"
+              "    _attr = 1\n"
+              "__all__ = ['public']\n"
+              "def public():\n"
+              "    return _TABLE + _kept\n")
+    assert _unread_private_names(source) == ["2: _old", "3: _butterfly", "5: _Spare"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rotquant.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_every_private_name_is_read_in_its_module(path):
+    """A module-level ``_name`` that its own module never reads is dead
+    code, or a helper that only other modules or tests reach."""
+    assert _unread_private_names(path.read_text()) == []
