@@ -21,7 +21,7 @@ Gaussian into a bound on the achieved error gap: the measured mean of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,28 +45,31 @@ MAX_BITS = 20
 
 
 def threshold_for_p(p: float) -> float:
-    """Two-sided tail threshold: ``t_p`` with ``P(|G| > t_p) = p``."""
+    """Two-sided tail threshold: ``t_p`` with ``P(|G| > t_p) = p``.  Finite
+    for every ``p`` above ``2**-53``; below that ``1 - p/2`` rounds to 1."""
     if not 0.0 < p < 1.0:
         raise ValueError("tail mass must lie strictly inside (0, 1)")
-    return float(normal_quantile(1.0 - p / 2.0))
+    q = 1.0 - p / 2.0
+    if q == 1.0:
+        raise ValueError(f"tail_mass {p!r} is too small: 1 - tail_mass/2 rounds to 1, "
+                         "so its threshold is not finite (need tail_mass > 2**-53)")
+    return normal_quantile(q)
 
 
 @dataclass(frozen=True)
 class BsqConfig:
-    """Grid description: ``2**bits`` uniform levels with endpoints at ``+-t_p``."""
+    """Grid description: ``2**bits`` uniform levels with endpoints at
+    ``+-t_p``; the threshold ``t_p`` is computed, and checked finite, on
+    construction."""
 
     bits: int
     tail_mass: float
+    threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.bits <= MAX_BITS:
             raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
-        if not 0.0 < self.tail_mass < 1.0:
-            raise ValueError("tail mass must lie strictly inside (0, 1)")
-
-    @cached_property
-    def threshold(self) -> float:
-        return threshold_for_p(self.tail_mass)
+        object.__setattr__(self, "threshold", threshold_for_p(self.tail_mass))
 
     @cached_property
     def n_levels(self) -> int:

@@ -13,12 +13,16 @@ Closed-form constants used by the guarantees:
 The empirical statistics are exact order-statistic formulas, not binned
 approximations, so the acceptance checks compare like for like.
 
-``scipy.special`` is imported by the functions that call it, not by this
-module, so ``import rotquant`` loads numpy and nothing heavier.
+:func:`normal_quantile` is a scalar pure-Python port of Cephes ``ndtri``,
+so the BSQ threshold needs no scipy.  ``scipy.special`` is imported only by
+:func:`normal_cdf`, :func:`empirical_kolmogorov` and :func:`empirical_w1`,
+inside those functions, so ``import rotquant`` loads numpy and nothing
+heavier.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,17 +94,69 @@ def normal_cdf(t):
     return ndtr(np.asarray(t, dtype=np.float64))
 
 
-def normal_quantile(q):
-    """Standard normal quantile; satisfies ``|cdf(result) - q| <= 1e-13``."""
-    q = np.asarray(q, dtype=np.float64)
-    if np.any(q <= 0.0) or np.any(q >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    from scipy.special import ndtri
+# Cephes ndtri (S. L. Moshier, Cephes Math Library): rational approximations
+# in y - 0.5 on [exp(-2), 1 - exp(-2)], and in z = 1/sqrt(-2 log y) on the
+# tails, one set for sqrt(-2 log y) < 8 and one beyond.  Leading coefficient
+# first; the Q sets omit their leading 1.
+_SQRT_2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
-    out = ndtri(q)
-    if out.ndim == 0:
-        return float(out)
-    return out
+
+def _ratio(x: float, p: tuple, q: tuple) -> float:
+    """``x * P(x) / Q(x)`` by Horner's rule, ``Q`` monic (Cephes ``polevl``
+    over ``p1evl``), in Cephes' operation order."""
+    num = p[0]
+    for c in p[1:]:
+        num = num * x + c
+    den = x + q[0]
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def normal_quantile(q):
+    """Standard normal quantile ``Phi^-1(q)`` for ``q`` strictly inside (0, 1):
+    a float for a scalar, elementwise for an array.
+
+    The scalar kernel is a port of Cephes ``ndtri``, the algorithm and
+    coefficients of ``scipy.special.ndtri``, in the same operation order on
+    ``math.log``/``math.sqrt``, so the two agree bit for bit; it satisfies
+    ``|cdf(result) - q| <= 1e-13``.
+    """
+    if not isinstance(q, float) and np.ndim(q):
+        q = np.asarray(q, dtype=np.float64)
+        return np.array([normal_quantile(v) for v in q.ravel().tolist()]).reshape(q.shape)
+    y = float(q)
+    if not 0.0 < y < 1.0:
+        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        return (y + y * _ratio(y * y, _P0, _Q0)) * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    tail = _ratio(z, _P1, _Q1) if x < 8.0 else _ratio(z, _P2, _Q2)
+    x = x - math.log(x) / x - tail
+    return x if upper else -x
 
 
 @dataclass(frozen=True)

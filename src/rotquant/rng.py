@@ -200,6 +200,12 @@ def _jump_tables(top: int) -> list[np.ndarray]:
         return _JUMPS[:top + 1]
 
 
+# Streams per Box-Muller block in ``Xoshiro256pp.gaussians``.  A fixed
+# constant, not an option; no value depends on it, since each stream's words
+# are its own.
+_GAUSSIAN_BLOCK_STREAMS = 4096
+
+
 def _lane_span(count: int) -> int:
     """Words per lane for a ``count``-word request: a power of two near
     ``sqrt(count) / 4``, which balances the fixed cost of a batch-kernel step
@@ -333,15 +339,21 @@ class Xoshiro256pp:
         return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def gaussians(self, count: int) -> np.ndarray:
-        """``count`` standard normals per stream (Box-Muller)."""
+        """``count`` standard normals per stream (Box-Muller), drawn
+        ``_GAUSSIAN_BLOCK_STREAMS`` streams at a time so the temporaries stay
+        a small multiple of one block, whatever the number of streams."""
         pairs = (count + 1) // 2
-        w = self.words(2 * pairs)
-        # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((w[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (w[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
         z = np.empty((self.n_streams, 2 * pairs), dtype=np.float64)
-        z[:, 0::2] = r * np.cos(theta)
-        z[:, 1::2] = r * np.sin(theta)
+        for lo in range(0, self.n_streams, _GAUSSIAN_BLOCK_STREAMS):
+            state = self._state[:, lo:lo + _GAUSSIAN_BLOCK_STREAMS]
+            block = Xoshiro256pp._from_state(state)
+            w = block.words(2 * pairs)
+            state[:] = block._state
+            # u1 in (0, 1] so the log is finite; u2 in [0, 1).
+            u1 = ((w[:, 0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+            u2 = (w[:, 1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            r = np.sqrt(-2.0 * np.log(u1))
+            theta = (2.0 * np.pi) * u2
+            z[lo:lo + len(w), 0::2] = r * np.cos(theta)
+            z[lo:lo + len(w), 1::2] = r * np.sin(theta)
         return z[:, :count]

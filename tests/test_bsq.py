@@ -65,6 +65,18 @@ def test_config_validation():
         BsqConfig(bits=2, tail_mass=0.0)
 
 
+def test_a_tail_mass_whose_threshold_is_not_finite_is_rejected_on_construction():
+    # 1 - p/2 rounds to 1 for every p <= 2**-53, so the smallest accepted
+    # mass is the next double above it, whose threshold is finite
+    smallest = math.nextafter(2.0**-53, 1.0)
+    for tiny in (1e-17, 2.0**-53):
+        with pytest.raises(ValueError, match="tail_mass"):
+            BsqConfig(bits=4, tail_mass=tiny)
+    cfg = BsqConfig(bits=4, tail_mass=smallest)
+    assert math.isfinite(cfg.threshold) and 8.0 < cfg.threshold < 8.3
+    assert np.all(np.isfinite(cfg.levels))
+
+
 # --- error function ------------------------------------------------------------
 
 def test_error_function_one_cell_closed_form():

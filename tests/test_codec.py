@@ -144,6 +144,10 @@ def test_malformed_streams_name_the_bad_field():
     bw = bytearray(serialize(bsq_payload()))
     struct.pack_into("<d", bw, 16, -0.5)  # tail mass outside (0, 1)
     _expect_field(bytes(bw), "config")
+    struct.pack_into("<d", bw, 16, 1e-17)  # tail mass with no finite threshold
+    _expect_field(bytes(bw), "config")
+    smallest = bsq_payload(tail_mass=np.nextafter(2.0**-53, 1.0))  # the least accepted
+    assert deserialize(serialize(smallest)) == smallest
     bw = bytearray(serialize(bsq_payload()))
     struct.pack_into("<I", bw, 32, 1 << 20)  # more outliers than coordinates
     _expect_field(bytes(bw), "outliers")

@@ -1,0 +1,85 @@
+"""Memory as a contract: a public entry point's traced allocation peak is at
+most ``C`` times its input plus output bytes, plus ``K`` chunk budgets.
+
+``C = 3`` leaves room for the input, the output and one working copy of
+either; ``K = 1`` is one ``TRIAL_CHUNK_ELEMS`` chunk of float64 working
+arrays (2 MiB).  Both are fixed here once.  Each case sets up outside the
+trace, so the peak is what the call itself allocates.  A case that breaks
+the contract today is marked ``xfail`` with the reason; its fix removes
+the mark.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from rotquant.bsq import BsqConfig, BsqPayload, bsq_encode
+from rotquant.codec import serialize
+from rotquant.core import TRIAL_CHUNK_ELEMS, RotationSpec
+from rotquant.drive import dme_simulate
+from rotquant.generators import gen_adversarial
+from rotquant.rng import Xoshiro256pp, derive_seeds
+
+C = 3
+K = 1
+
+
+def _nbytes(obj) -> int:
+    if isinstance(obj, BsqPayload):
+        return obj.codes.nbytes + obj.outlier_idx.nbytes + obj.outlier_val.nbytes
+    if isinstance(obj, bytes):
+        return len(obj)
+    return obj.nbytes
+
+
+def _bsq_payload(d: int, bits: int) -> BsqPayload:
+    x = np.random.default_rng(d + bits).standard_normal(d)
+    return bsq_encode(x, RotationSpec(d, 2, 1), BsqConfig(bits=bits, tail_mass=0.01), 2)
+
+
+def _gaussians():
+    gen = Xoshiro256pp(derive_seeds(2024, 0, 1 << 17))
+    return gen.gaussians, (4,)
+
+
+def _bsq_encode():
+    d = 1 << 20
+    x = np.random.default_rng(0).standard_normal(d)
+    return bsq_encode, (x, RotationSpec(d, 2, 1), BsqConfig(bits=4, tail_mass=0.01), 2)
+
+
+def _bsq_serialize():
+    return serialize, (_bsq_payload(1 << 20, 8),)
+
+
+def _dme_simulate():
+    clients = np.tile(gen_adversarial("one_hot", 4096), (256, 1))
+    return dme_simulate, (clients, RotationSpec(4096, 2, 1), "unbiased", 8)
+
+
+def _xfail(reason):
+    return pytest.mark.xfail(reason=reason, strict=True)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(_gaussians, id="gaussians-2^17x4"),
+    pytest.param(_bsq_encode, id="bsq_encode-2^20-4bit", marks=_xfail(
+        "bsq_encode builds u_coords[~out_mask] and u_noise[~out_mask] "
+        "copies of the whole vector")),
+    pytest.param(_bsq_serialize, id="bsq_serialize-2^20-8bit", marks=_xfail(
+        "_pack_codes expands the codes to a (d, bits) array")),
+    pytest.param(_dme_simulate, id="dme_simulate-256-clients", marks=_xfail(
+        "map_trials never splits a trial's n_clients x d rows")),
+])
+def test_peak_allocation_is_bounded_by_io_and_the_chunk_budget(case):
+    fn, args = case()
+    inputs = sum(_nbytes(a) for a in args if isinstance(a, (np.ndarray, bytes, BsqPayload)))
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = C * (inputs + _nbytes(out)) + K * TRIAL_CHUNK_ELEMS * 8
+    assert peak <= bound, f"peak {peak / 2**20:.2f} MiB > bound {bound / 2**20:.2f} MiB"

@@ -18,7 +18,7 @@ from rotquant.metrics import (
     normal_cdf,
     normal_quantile,
 )
-from _oracles import NORMAL_CDF_ORACLE, QUANTILE_995
+from _oracles import NORMAL_CDF_ORACLE, QUANTILE_995, THRESHOLD_ORACLE
 
 RNG = np.random.default_rng(1717)
 
@@ -121,6 +121,38 @@ def test_normal_quantile():
     assert abs(float(normal_quantile(0.995)) - QUANTILE_995) <= 1e-12
     for q in (0.01, 0.25, 0.5, 0.9, 0.995):
         assert abs(float(normal_cdf(normal_quantile(q))) - q) <= 1e-13
+
+
+def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
+    """The Cephes port against ``scipy.special.ndtri``, the reference kernel:
+    a dense seeded grid over (0, 1), both tails, each side of the three
+    branch points (y = exp(-2), 1 - exp(-2), and sqrt(-2 log y) = 8, so
+    y = exp(-32)) and every tail mass the runners and tests use."""
+    from scipy.special import ndtri
+
+    tails = 10.0 ** -np.linspace(3.0, 300.0, 2000)
+    corners = np.array([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                        1.0 - math.exp(-32.0), 0.5, 5e-324])
+    masses = [*THRESHOLD_ORACLE, 0.1, 0.3, 0.9999]
+    q = np.concatenate([
+        np.random.default_rng(20240601).random(50_000),
+        tails, 1.0 - 10.0 ** -np.linspace(3.0, 16.0, 2000), [1.0 - 1e-16],
+        corners, np.nextafter(corners, 0.0), np.nextafter(corners, 1.0),
+        [1.0 - p / 2.0 for p in masses], [p / 2.0 for p in masses],
+    ])
+    q = q[(q > 0.0) & (q < 1.0)]
+    got = np.array([normal_quantile(v) for v in q.tolist()])
+    want = ndtri(q)
+    bad = np.flatnonzero(got != want)
+    assert bad.size == 0, list(zip(q[bad[:5]], got[bad[:5]], want[bad[:5]]))
+    assert np.array_equal(normal_quantile(q), want)
+    assert type(normal_quantile(0.5)) is float
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
+def test_normal_quantile_rejects_arguments_outside_the_open_unit_interval(q):
+    with pytest.raises(ValueError, match="strictly inside"):
+        normal_quantile(q)
 
 
 # --- empirical distances ----------------------------------------------------

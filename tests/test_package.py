@@ -55,12 +55,20 @@ def _loaded_after(steps):
 
 
 def test_import_and_codec_paths_load_no_scipy_special_or_thread_pool():
-    """``import rotquant`` loads numpy and the package only; DRIVE, VQ and the
-    pipeline CLI commands never reach ``scipy.special`` or a thread pool."""
+    """``import rotquant`` loads numpy and the package only; DRIVE, BSQ, VQ,
+    the ``grid_midpoints`` generator and the pipeline CLI commands never
+    reach ``scipy.special`` or a thread pool."""
     steps = [
         ("import", "import rotquant, rotquant.cli"),
         ("drive-biased", _DRIVE_ROUNDTRIP.format(mode="biased")),
         ("drive-unbiased", _DRIVE_ROUNDTRIP.format(mode="unbiased")),
+        ("bsq", "import numpy as np, rotquant as rq\n"
+                "x = np.random.default_rng(2).standard_normal(256)\n"
+                "cfg = rq.BsqConfig(bits=4, tail_mass=0.01)\n"
+                "pay = rq.deserialize(rq.serialize(rq.bsq_encode(x, rq.RotationSpec(256, 2, 5), cfg, 6)))\n"
+                "rq.bsq_decode(pay)"),
+        ("grid-midpoints", "import rotquant as rq\n"
+                           "rq.gen_adversarial('grid_midpoints', 256, tail_mass=0.05, bits=3)"),
         ("vq", "import numpy as np, rotquant as rq\n"
                "cb = rq.train_gaussian_codebook(4, 16, 7, n_samples=1000)\n"
                "spec = rq.RotationSpec(256, 2, 3)\n"
@@ -74,16 +82,56 @@ def test_import_and_codec_paths_load_no_scipy_special_or_thread_pool():
     assert _loaded_after(steps) == {name: [] for name, _ in steps}
 
 
-@pytest.mark.parametrize("step", [
-    "rq.BsqConfig(bits=2, tail_mass=0.01).threshold",
-    "m.empirical_kolmogorov(m.EmpiricalSample.from_values([0.5, -1.0]))",
-])
-def test_bsq_threshold_and_empirical_metrics_load_scipy_special(step):
-    """The documented split: these are the calls that load ``scipy.special``
-    (which itself may bring in ``concurrent.futures``)."""
+def test_empirical_metric_loads_scipy_special():
+    """The documented split: an empirical metric is a call that loads
+    ``scipy.special`` (which itself may bring in ``concurrent.futures``)."""
+    step = "m.empirical_kolmogorov(m.EmpiricalSample.from_values([0.5, -1.0]))"
     loaded = _loaded_after([("import", "import rotquant as rq"),
                             ("step", "import rotquant as rq\nfrom rotquant import metrics as m\n" + step)])
     assert loaded["import"] == [] and "scipy.special" in loaded["step"]
+
+
+def _module_level_scipy_imports(source: str) -> list:
+    """``import scipy...``/``from scipy... import`` statements of the module
+    ``source`` that run on import: anywhere outside a function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            found.extend(f"{child.lineno}: {n}" for n in names
+                         if n == "scipy" or n.startswith("scipy."))
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_the_scipy_import_guard_catches_a_module_level_import():
+    source = ("import numpy as np\n"
+              "from scipy.special import ndtr\n"
+              "try:\n"
+              "    import scipy.linalg as sl\n"
+              "except ImportError:\n"
+              "    sl = None\n"
+              "class Kernel:\n"
+              "    import scipy\n"
+              "def lazy():\n"
+              "    from scipy.special import ndtri\n"
+              "    return ndtri\n")
+    assert _module_level_scipy_imports(source) == [
+        "2: scipy.special", "4: scipy.linalg", "8: scipy"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rotquant.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_module_imports_scipy_at_module_level(path):
+    """scipy is imported inside the few functions that need it, so importing
+    any package module loads no scipy."""
+    assert _module_level_scipy_imports(path.read_text()) == []
 
 
 def _unused_imports(source: str) -> list:

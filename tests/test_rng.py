@@ -201,6 +201,23 @@ def test_gaussians_odd_count():
     assert g.shape == (1, 5)
 
 
+def _two_gaussian_draws(n_streams):
+    gen = Xoshiro256pp(derive_seeds(5, 0, n_streams))
+    return gen.gaussians(5), gen.gaussians(2)
+
+
+@pytest.mark.parametrize("block", [1, 1000, 4096, 1 << 14, 12345])
+def test_gaussians_do_not_depend_on_the_stream_block(monkeypatch, block):
+    """Blocks of streams draw the same values, and leave every stream where
+    one unblocked draw does (the second call reads on from there)."""
+    monkeypatch.setattr(rng, "_GAUSSIAN_BLOCK_STREAMS", 1 << 20)
+    want = _two_gaussian_draws(20001)
+    monkeypatch.setattr(rng, "_GAUSSIAN_BLOCK_STREAMS", block)
+    got = _two_gaussian_draws(20001 if block > 1 else 3)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w[:len(g)])
+
+
 def test_gaussian_moments_sane():
     g = Xoshiro256pp(derive_seeds(0, 0, 64)).gaussians(1024).ravel()
     n = g.size
