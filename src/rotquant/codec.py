@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .bsq import BsqConfig, BsqPayload
-from .core import MAX_LAYERS, RotationSpec
+from .core import MAX_LAYERS, RotationSpec, padding_is_zero
 from .drive import DrivePayload
 from .vq import Codebook
 
@@ -74,8 +74,7 @@ def _spec_flags(spec: RotationSpec) -> int:
 def _require_zero_padding(raw: bytes, n_bits: int, field: str):
     """The bits after the first ``n_bits`` of a packed field must be zero,
     so every payload has exactly one encoding."""
-    used = n_bits % 8
-    _require(used == 0 or raw[-1] >> used == 0, field, "nonzero padding bits")
+    _require(padding_is_zero(raw, n_bits), field, "nonzero padding bits")
 
 
 def _read_spec(flags: int, key: int, kind_bits: int) -> tuple[RotationSpec, int]:

@@ -17,6 +17,7 @@ import math
 import operator
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -30,6 +31,8 @@ __all__ = [
     "layer_signs",
     "sign_vector",
     "unpack_sign_bits",
+    "padding_is_zero",
+    "fwht_sign_bits",
     "apply_rotation",
     "inverse_rotation",
     "rotate_normalized",
@@ -60,6 +63,10 @@ TRIAL_BLOCK = 4
 # as one block while they stay in cache.  A fixed constant, not an option;
 # the output does not depend on it.
 FWHT_BLOCK_ELEMS = 1 << 15
+
+# Elements that every add/subtract run of :func:`fwht_sign_bits` spans at
+# least, where the dimension and the row count allow.
+_SIGN_RUN_ELEMS = 1 << 10
 
 
 def _as_int(value, name: str) -> int:
@@ -157,6 +164,22 @@ def _fwht_rows(src, dst, normalize: bool) -> None:
         h *= 2
 
 
+def _result_buffer(out, src, shape) -> np.ndarray:
+    """A kernel's result buffer: a new float64 array of ``shape``, or
+    ``out`` once it is a writable C-contiguous float64 array of that shape
+    that is either ``src`` itself or does not overlap it."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape and out.flags.c_contiguous
+            and out.flags.writeable):
+        raise ValueError("out must be a writable C-contiguous float64 array "
+                         "of the result's shape")
+    if out is not src and np.may_share_memory(src, out):
+        raise ValueError("out must be the input itself or not overlap it")
+    return out
+
+
 def fwht(v, normalize: bool = False, *, out=None) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis (Sylvester ordering).
 
@@ -180,15 +203,7 @@ def fwht(v, normalize: bool = False, *, out=None) -> np.ndarray:
     if a.ndim == 0:
         raise ValueError("input must have at least one axis")
     d = check_dim(a.shape[-1])
-    if out is None:
-        out = np.empty(a.shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == a.shape and out.flags.c_contiguous
-              and out.flags.writeable):
-        raise ValueError("out must be a writable C-contiguous float64 array "
-                         "of the input's shape")
-    elif out is not a and np.may_share_memory(a, out):
-        raise ValueError("out must be the input itself or not overlap it")
+    out = _result_buffer(out, a, a.shape)
     rows = out.reshape(-1, d)
     src = rows if out is a else np.ascontiguousarray(a).reshape(-1, d)
     _fwht_rows(src, rows, normalize)
@@ -221,12 +236,108 @@ def sign_vector(v) -> bytes:
     return np.packbits(v < 0, bitorder="little").tobytes()
 
 
-def unpack_sign_bits(data: bytes, d: int) -> np.ndarray:
-    """Inverse of :func:`sign_vector`: packed bits to a float64 +/-1 vector."""
-    if len(data) != (d + 7) // 8:
+def _sign_rows(packed, d: int) -> np.ndarray:
+    """Packed signs, as ``bytes`` or uint8 rows ``(..., ceil(d/8))``, as a
+    uint8 array with that last axis."""
+    rows = np.frombuffer(packed, dtype=np.uint8) if isinstance(packed, bytes) else np.asarray(packed)
+    if rows.dtype != np.uint8:
+        raise ValueError("packed signs must be bytes or uint8")
+    if rows.ndim == 0 or rows.shape[-1] != (d + 7) // 8:
         raise ValueError("packed sign length does not match dimension")
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-    return 1.0 - 2.0 * bits[:d].astype(np.float64)
+    return rows
+
+
+def unpack_sign_bits(packed, d: int) -> np.ndarray:
+    """Inverse of :func:`sign_vector`: packed bits to float64 +/-1, one
+    vector per ``bytes`` or per uint8 row ``(..., ceil(d/8))``."""
+    bits = np.unpackbits(_sign_rows(packed, d), axis=-1, count=d, bitorder="little")
+    return 1.0 - 2.0 * bits
+
+
+def padding_is_zero(packed: bytes, n_bits: int) -> bool:
+    """Whether every bit after the first ``n_bits`` of a field packed as
+    :func:`sign_vector` packs is clear; a field with one encoding needs it."""
+    used = n_bits % 8
+    return used == 0 or packed[-1] >> used == 0
+
+
+def _pair_stages(cur, nxt, gap: int, count: int):
+    """``count`` FWHT stages on the pairs ``gap``, ``2 gap``, ... apart,
+    each as add/subtract runs over the contiguous ``(-1, 2, h)`` halves of
+    ``cur`` into the same-sized ``nxt``; returns ``(result, other buffer)``."""
+    for q in range(count):
+        src, dst = cur.reshape(-1, 2, gap << q), nxt.reshape(-1, 2, gap << q)
+        np.add(src[:, 0], src[:, 1], out=dst[:, 0])
+        np.subtract(src[:, 0], src[:, 1], out=dst[:, 1])
+        cur, nxt = nxt, cur
+    return cur, nxt
+
+
+def _int_type(bound: int):
+    """The narrowest of int16, int32 and int64 that holds ``+-bound``, a
+    power of two."""
+    return np.int16 if bound <= 1 << 14 else np.int32 if bound <= 1 << 30 else np.int64
+
+
+@cache
+def _byte_table(w: int, dtype) -> np.ndarray:
+    """Row ``b`` is ``H_w`` times the +/-1 signs of the low ``w`` bits of
+    byte ``b`` (bit ``j`` set: sign ``j`` is -1), as read-only integers."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    signs = 1 - 2 * bits[:, :w].astype(dtype)
+    table = _pair_stages(signs, np.empty_like(signs), 1, w.bit_length() - 1)[0]
+    table.flags.writeable = False  # every caller shares it
+    return table
+
+
+def fwht_sign_bits(packed, d: int, *, out=None) -> np.ndarray:
+    """``fwht(unpack_sign_bits(packed, d), normalize=True)``, bit for bit,
+    with no float stage: one vector per ``bytes`` or per uint8 row
+    ``(..., ceil(d/8))``, as :func:`sign_vector` packs them.  The result
+    goes into a new array, or into ``out`` as in :func:`fwht` (a buffer
+    that does not overlap ``packed``).
+
+    Every partial sum of the transform of a +/-1 vector is an integer of
+    magnitude at most ``d`` (at most ``2^s`` after ``s`` stages), exact in
+    any order and in any integer type that holds it, and so is each float
+    partial sum of :func:`fwht`; the one rounding is the division by
+    ``sqrt(d)``.  The first ``log2 w`` stages (``w = min(d, 8)``) are one
+    ``take`` of each byte's row of :func:`_byte_table`.  The rest run on
+    the byte index with the rows inside it, as :func:`_pair_stages`: first
+    its low bits, laid out (by a transpose of the bytes) above its high
+    bits, then, after one transpose, its high bits, so every run spans at
+    least ``_SIGN_RUN_ELEMS`` elements where ``d`` allows.  Each half runs
+    in the narrowest integer type that holds its sums (:func:`_int_type`:
+    int16 up to ``2^14``, int32 up to ``2^30``), so the transpose may widen.
+    """
+    d = check_dim(d)
+    rows = _sign_rows(packed, d)
+    out = _result_buffer(out, rows, rows.shape[:-1] + (d,))
+    rows = rows.reshape(-1, rows.shape[-1])
+    m, w = rows.shape[0], min(d, 8)
+    if m == 0:
+        return out
+    stages = rows.shape[1].bit_length() - 1
+    late = 0  # stages on the high bits of the byte index, run after the transpose
+    while late < stages // 2 and (m * w) << late < _SIGN_RUN_ELEMS:
+        late += 1
+    hi, lo = 1 << late, 1 << (stages - late)
+    early, wide = _int_type(w * lo), _int_type(d)
+    pair = np.empty((2, m * d), early)
+    np.take(_byte_table(w, early), rows.reshape(m, hi, lo).T, axis=0,
+            out=pair[0].reshape(lo, hi, m, w), mode="clip")
+    cur, nxt = _pair_stages(pair[0], pair[1], hi * m * w, stages - late)
+    if late:
+        dst, spare = nxt, cur
+        # Widen in the transpose; the pair's bytes are one buffer of the wide
+        # type, twice as wide (lo >= hi, so w * lo > 2^14 once d > 2^30).
+        if early is not wide:
+            dst, spare = np.empty(m * d, wide), pair.reshape(-1).view(wide)
+        np.copyto(dst.reshape(hi, lo, m, w), cur.reshape(lo, hi, m, w).transpose(1, 0, 2, 3))
+        cur, nxt = _pair_stages(dst, spare, lo * m * w, late)
+    np.divide(cur.reshape(hi, lo, m, w).transpose(2, 0, 1, 3), math.sqrt(d),
+              out=out.reshape(m, hi, lo, w))
+    return out
 
 
 def _as_vector(x, dim: int) -> np.ndarray:

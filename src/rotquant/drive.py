@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, inverse_rotation, map_trials, mean_se, sign_vector, sum_sq, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, fwht_sign_bits, layer_signs, map_trials, mean_se, padding_is_zero, sign_vector, sum_sq, unpack_sign_bits
 from .core import rotate_many  # noqa: F401  (the bench tracer patches drive.rotate_many)
 
 __all__ = [
@@ -118,6 +118,8 @@ class DrivePayload:
             raise ValueError("scale must be finite and non-negative")
         if len(self.sign_bits) != (self.spec.dim + 7) // 8:
             raise ValueError("sign payload length does not match dimension")
+        if not padding_is_zero(self.sign_bits, self.spec.dim):
+            raise ValueError("sign payload has nonzero padding bits")
 
 
 def _drive_scale(mode: str, d: int, l1, norm):
@@ -138,10 +140,29 @@ def drive_encode(x, spec: RotationSpec, mode: str = "biased") -> DrivePayload:
     return DrivePayload(mode=mode, spec=spec, scale=scale, sign_bits=sign_vector(y))
 
 
+def _unrotate_signs(packed, layers: int, seeds, out) -> None:
+    """``R^{-1}`` of the +/-1 rows packed in the uint8 rows ``packed`` (as
+    :func:`rotquant.core.sign_vector` packs them), row ``i`` under
+    ``seeds[i]``, into the C-contiguous float64 rows ``out``: the first
+    inverse layer's ``Hn`` is the exact integer kernel
+    :func:`rotquant.core.fwht_sign_bits`, the others are float."""
+    d = out.shape[1]
+    if layers == 0:
+        out[...] = unpack_sign_bits(packed, d)
+        return
+    fwht_sign_bits(packed, d, out=out)
+    out *= layer_signs(seeds, layers, d)
+    _rotate_rows(out, layers - 1, seeds, inverse=True)
+
+
 def drive_decode(payload: DrivePayload) -> np.ndarray:
     """Reconstruct ``xhat = scale * R^{-1} sign(Rx)`` from a payload alone."""
-    signs = unpack_sign_bits(payload.sign_bits, payload.spec.dim)
-    return payload.scale * inverse_rotation(signs, payload.spec)
+    spec = payload.spec
+    xhat = np.empty((1, spec.dim))
+    _unrotate_signs(np.frombuffer(payload.sign_bits, dtype=np.uint8)[None],
+                    spec.layers, [spec.seed], xhat)
+    xhat *= payload.scale
+    return xhat[0]
 
 
 @dataclass(frozen=True)
@@ -169,7 +190,7 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
     trials, seeded as in :func:`dme_simulate`; each chunk of clients comes
     rotated from :func:`rotquant.core.map_trials`, and is signed, rotated
-    back and scaled in place.
+    back (:func:`_unrotate_signs`) and scaled.
 
     Returns per trial the squared error of the decoded client mean over the
     mean client energy; per encoded row the scale and rotated l1 norm; the
@@ -193,9 +214,7 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         n_t = len(seeds) // n
         l1 = np.sum(np.abs(y), axis=1)
         scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
-        np.add(y, 0.0, out=y)  # -0.0 turns +0.0, whose sign is +1 as in sign_vector
-        np.copysign(1.0, y, out=y)
-        _rotate_rows(y, layers, seeds, inverse=True)
+        _unrotate_signs(np.packbits(y < 0, axis=1, bitorder="little"), layers, seeds, y)
         y *= scales[:, None]
         avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
         blocks = avg[::TRIAL_BLOCK].copy()

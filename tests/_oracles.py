@@ -7,7 +7,8 @@ output against these constants instead of re-deriving them, so a regression
 in the library cannot silently re-generate its own expectations.
 
 ``reference_fwht`` is the plain iterative butterfly that the library's
-blocked FWHT kernel must match bit for bit.  ``reference_nearest_sq_dist`` is
+blocked FWHT kernel, and its integer kernel on packed signs, must match bit
+for bit; ``reference_drive_decode`` is the textbook DRIVE decode built on it.  ``reference_nearest_sq_dist`` is
 the BLAS-free expanded-form nearest-centroid search, over all rows at once,
 that the library's tiled kernel must match bit for bit, and
 ``reference_lloyd`` is the plain Lloyd trainer built on it, whose centroid
@@ -40,6 +41,20 @@ def reference_fwht(v, normalize=False):
     if normalize:
         a /= math.sqrt(d)
     return a
+
+
+def reference_drive_decode(payload):
+    """``scale * R^{-1} s`` of a DRIVE payload: the signs ``s`` unpacked to
+    +/-1 floats, then for ``l = L, ..., 1`` ``reference_fwht(., True)`` and
+    the sign plane of layer ``l``, drawn from ``Xoshiro256pp([seed ^ l])``."""
+    spec = payload.spec
+    bits = np.unpackbits(np.frombuffer(payload.sign_bits, dtype=np.uint8),
+                         count=spec.dim, bitorder="little")
+    v = 1.0 - 2.0 * bits
+    for layer in range(spec.layers, 0, -1):
+        plane = Xoshiro256pp([spec.seed ^ layer]).sign_values(spec.dim)[0]
+        v = reference_fwht(v, normalize=True) * plane
+    return payload.scale * v
 
 
 def reference_nearest_sq_dist(points, centroids):

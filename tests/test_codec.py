@@ -20,6 +20,7 @@ from rotquant.codec import (
 from rotquant.core import RotationSpec
 from rotquant.drive import DrivePayload, drive_decode, drive_encode
 from rotquant.vq import Codebook, train_gaussian_codebook
+from _oracles import reference_drive_decode
 
 RNG = np.random.default_rng(31)
 
@@ -278,7 +279,9 @@ def test_drive_roundtrip_property(log2d, layers, seed, unbiased):
     x = np.random.default_rng(seed % 2**32).standard_normal(d)
     pay = drive_encode(x, RotationSpec(dim=d, layers=layers, seed=seed),
                        mode="unbiased" if unbiased else "biased")
-    assert deserialize(serialize(pay)) == pay
+    back = deserialize(serialize(pay))
+    assert back == pay
+    assert drive_decode(back).tobytes() == reference_drive_decode(pay).tobytes()
 
 
 @settings(max_examples=40, deadline=None)

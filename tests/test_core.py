@@ -19,6 +19,7 @@ from rotquant.core import (
     apply_rotation,
     check_dim,
     fwht,
+    fwht_sign_bits,
     inverse_rotation,
     layer_signs,
     map_rotated,
@@ -245,6 +246,53 @@ def test_sign_of_zero_is_positive():
 def test_unpack_rejects_wrong_length():
     with pytest.raises(ValueError):
         unpack_sign_bits(b"\x00", 16)
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1 << p for p in range(21)])
+def test_fwht_sign_bits_matches_reference_bit_for_bit(d):
+    # a random row, all +1 and all -1: index 0 of the last two is +-d before
+    # the division, which int16 holds at 2^14 and not at 2^15
+    n = (d + 7) // 8
+    packed = np.stack([RNG.integers(0, 256, n, dtype=np.uint8),
+                       np.zeros(n, np.uint8), np.full(n, 255, np.uint8)])
+    expected = reference_fwht(unpack_sign_bits(packed, d), normalize=True)
+    assert expected[1, 0] == -expected[2, 0] == d / math.sqrt(d)
+    assert _same_bits(fwht_sign_bits(packed, d), expected)
+    assert _same_bits(fwht_sign_bits(packed[0].tobytes(), d), expected[0])
+    if d < 8:  # the padding bits are garbage, which the kernel ignores
+        garbage = packed | np.uint8(0xFF << d & 0xFF)
+        assert _same_bits(fwht_sign_bits(garbage, d), expected)
+
+
+@pytest.mark.parametrize("m, d", [(64, 4096), (1024, 256), (4096, 64), (37, 512), (3, 1 << 16)])
+def test_fwht_sign_bits_batches_match_reference(m, d):
+    packed = RNG.integers(0, 256, (m, d // 8), dtype=np.uint8)
+    expected = reference_fwht(unpack_sign_bits(packed, d), normalize=True)
+    assert _same_bits(fwht_sign_bits(packed, d), expected)
+    out = np.empty((m, d))
+    assert fwht_sign_bits(packed, d, out=out) is out
+    assert _same_bits(out, expected)
+    stacked = fwht_sign_bits(packed[:m // 2 * 2].reshape(2, m // 2, d // 8), d)
+    assert _same_bits(stacked.reshape(-1, d), expected[:m // 2 * 2])
+    assert fwht_sign_bits(packed[:0], d).shape == (0, d)
+
+
+def test_fwht_sign_bits_rejects_bad_input():
+    with pytest.raises(ValueError, match="length"):
+        fwht_sign_bits(b"\x00", 16)
+    with pytest.raises(ValueError, match="uint8"):
+        fwht_sign_bits(np.zeros((2, 2), np.int64), 16)
+    with pytest.raises(ValueError, match="power of two"):
+        fwht_sign_bits(b"\x00", 3)
+    with pytest.raises(ValueError, match="out must be"):
+        fwht_sign_bits(np.zeros((2, 2), np.uint8), 16, out=np.empty(16))
+    buf = np.zeros(129)
+    with pytest.raises(ValueError, match="overlap"):
+        fwht_sign_bits(buf[:2].view(np.uint8)[None], 128, out=buf[1:][None])
 
 
 # --- rotations ------------------------------------------------------------

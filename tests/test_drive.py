@@ -16,7 +16,7 @@ from rotquant.drive import (
     DrivePayload,
 )
 from rotquant.generators import gen_adversarial
-from _oracles import CD_ORACLE
+from _oracles import CD_ORACLE, reference_drive_decode
 
 RNG = np.random.default_rng(42)
 
@@ -140,6 +140,26 @@ def test_payload_validation():
     z = drive_encode(np.zeros(16), spec, mode="biased")
     assert z.scale == 0.0
     assert np.array_equal(drive_decode(z), np.zeros(16))
+
+
+def test_payload_rejects_nonzero_padding_bits():
+    # d = 4 uses bits 0-3 of the only sign byte; the codec would refuse 0xf3
+    spec = RotationSpec(dim=4, layers=1, seed=3)
+    with pytest.raises(ValueError, match="padding"):
+        DrivePayload(mode="biased", spec=spec, scale=1.0, sign_bits=b"\xf3")
+    assert DrivePayload(mode="biased", spec=spec, scale=1.0, sign_bits=b"\x03").sign_bits == b"\x03"
+
+
+@pytest.mark.parametrize("mode", ["biased", "unbiased"])
+@pytest.mark.parametrize("layers", range(4))
+def test_decode_matches_the_reference_decode_bit_for_bit(layers, mode):
+    rng = np.random.default_rng(layers)
+    for p in range(17):
+        d = 1 << p
+        x = rng.standard_normal(d)
+        pay = drive_encode(x, RotationSpec(dim=d, layers=layers, seed=100 + p), mode=mode)
+        got = drive_decode(pay)
+        assert got.shape == (d,) and got.tobytes() == reference_drive_decode(pay).tobytes()
 
 
 # --- error measurement ----------------------------------------------------------

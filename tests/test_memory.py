@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from rotquant.bsq import BsqConfig, BsqPayload, bsq_encode
-from rotquant.codec import serialize
+from rotquant.codec import deserialize, serialize
 from rotquant.core import TRIAL_CHUNK_ELEMS, RotationSpec
-from rotquant.drive import dme_simulate
+from rotquant.drive import DrivePayload, dme_simulate, drive_decode, drive_encode
 from rotquant.generators import gen_adversarial
 from rotquant.rng import Xoshiro256pp, derive_seeds
 
@@ -28,6 +28,8 @@ K = 1
 def _nbytes(obj) -> int:
     if isinstance(obj, BsqPayload):
         return obj.codes.nbytes + obj.outlier_idx.nbytes + obj.outlier_val.nbytes
+    if isinstance(obj, DrivePayload):
+        return len(obj.sign_bits)
     if isinstance(obj, bytes):
         return len(obj)
     return obj.nbytes
@@ -53,6 +55,30 @@ def _bsq_serialize():
     return serialize, (_bsq_payload(1 << 20, 8),)
 
 
+def _drive_payload(layers: int) -> DrivePayload:
+    d = 1 << 20
+    x = np.random.default_rng(layers).standard_normal(d)
+    return drive_encode(x, RotationSpec(d, layers, 1), "unbiased")
+
+
+def _drive_encode():
+    d = 1 << 20
+    x = np.random.default_rng(0).standard_normal(d)
+    return drive_encode, (x, RotationSpec(d, 3, 1), "biased")
+
+
+def _drive_decode(layers):
+    return lambda: (drive_decode, (_drive_payload(layers),))
+
+
+def _drive_deserialize():
+    return deserialize, (serialize(_drive_payload(2)),)
+
+
+def _bsq_deserialize(bits):
+    return lambda: (deserialize, (serialize(_bsq_payload(1 << 20, bits)),))
+
+
 def _dme_simulate():
     clients = np.tile(gen_adversarial("one_hot", 4096), (256, 1))
     return dme_simulate, (clients, RotationSpec(4096, 2, 1), "unbiased", 8)
@@ -64,6 +90,13 @@ def _xfail(reason):
 
 @pytest.mark.parametrize("case", [
     pytest.param(_gaussians, id="gaussians-2^17x4"),
+    pytest.param(_drive_encode, id="drive_encode-2^20"),
+    *(pytest.param(_drive_decode(layers), id=f"drive_decode-2^20-{layers}-layers")
+      for layers in (1, 3)),
+    pytest.param(_drive_deserialize, id="drive_deserialize-2^20"),
+    pytest.param(_bsq_deserialize(4), id="bsq_deserialize-2^20-4bit"),
+    pytest.param(_bsq_deserialize(8), id="bsq_deserialize-2^20-8bit", marks=_xfail(
+        "_unpack_codes expands the codes to a (d, bits) array")),
     pytest.param(_bsq_encode, id="bsq_encode-2^20-4bit", marks=_xfail(
         "bsq_encode builds u_coords[~out_mask] and u_noise[~out_mask] "
         "copies of the whole vector")),
@@ -74,7 +107,8 @@ def _xfail(reason):
 ])
 def test_peak_allocation_is_bounded_by_io_and_the_chunk_budget(case):
     fn, args = case()
-    inputs = sum(_nbytes(a) for a in args if isinstance(a, (np.ndarray, bytes, BsqPayload)))
+    inputs = sum(_nbytes(a) for a in args
+                 if isinstance(a, (np.ndarray, bytes, BsqPayload, DrivePayload)))
     tracemalloc.start()
     try:
         out = fn(*args)
