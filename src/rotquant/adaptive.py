@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _input_array
 from .metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C, moment_scan
 
 __all__ = [
@@ -81,6 +82,14 @@ class AdaptiveDecision:
         }
 
 
+def _pow2_rescale(x):
+    """``(x * 2^-e, e)`` with ``e`` from ``frexp(max |x|)`` (0 for a zero,
+    infinite or NaN maximum), so the largest magnitude lands in [0.5, 1).
+    Scaling by a power of two is exact unless an entry goes subnormal."""
+    _, e = math.frexp(float(np.max(np.abs(x))))
+    return np.ldexp(x, -e), e
+
+
 def _ratios(stats):
     """``(rho3, linf_sq)`` from a moment scan, or ``None`` when a moment is
     zero, subnormal or infinite or ``sum_sq ** 1.5`` overflows."""
@@ -105,15 +114,11 @@ def decide_layers(x, eta3: float | None = None,
     ``None``) they are taken on ``x * 2^-e`` instead, with ``2^e`` from
     ``frexp(max |x|)``; any other input keeps its moments as scanned.
     """
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=np.float64)  # integer entries would wrap when squared
-    else:
-        x = np.fromiter(x, dtype=np.float64)  # a stream is read once
+    x = _input_array(x, "x", stream=True)  # read once: the rescale may scan it again
     stats = moment_scan(x)
     ratios = _ratios(stats)
     if ratios is None:
-        _, e = math.frexp(float(np.max(np.abs(x))))  # e = 0 for a zero input
-        ratios = _ratios(moment_scan(np.ldexp(x, -e)))
+        ratios = _ratios(moment_scan(_pow2_rescale(x)[0]))
     if ratios is None:
         raise ValueError("input must be finite and non-zero")
     rho3, linf_sq = ratios

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, inverse_rotation, map_rotated, rotate_normalized, unit_vector
+from .core import RotationSpec, _input_array, inverse_rotation, map_rotated, rotate_normalized, unit_vector
 from .metrics import normal_quantile
 from .rng import Xoshiro256pp
 
@@ -89,7 +89,7 @@ class BsqConfig:
         """Vectorized conditional rounding error ``e(z)``: ``(z - q_i)(q_{i+1} - z)``
         on the cell containing ``z``, exactly zero at grid levels and outside
         the grid."""
-        z = np.asarray(z, dtype=np.float64)
+        z = _input_array(z, "z")
         lv = self.levels
         idx = np.clip(np.searchsorted(lv, z, side="right") - 1, 0, lv.size - 2)
         e = (z - lv[idx]) * (lv[idx + 1] - z)
@@ -130,32 +130,29 @@ class BsqPayload:
     outlier_val: np.ndarray  # float64, |value| > threshold
 
     def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.uint32)
-        idx = np.asarray(self.outlier_idx, dtype=np.uint32)
-        val = np.asarray(self.outlier_val, dtype=np.float64)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "outlier_idx", idx)
-        object.__setattr__(self, "outlier_val", val)
+        codes = _input_array(self.codes, "codes", 1, integer=True)
+        idx = _input_array(self.outlier_idx, "outlier_idx", 1, integer=True)
+        val = _input_array(self.outlier_val, "outlier_val", 1, finite=True)
         d = self.spec.dim
         if not math.isfinite(self.scale) or self.scale < 0.0:
             raise ValueError("scale must be finite and non-negative")
-        if codes.ndim != 1 or idx.ndim != 1 or val.ndim != 1:
-            raise ValueError("payload arrays must be 1-d")
         if idx.size != val.size:
             raise ValueError("outlier index/value lengths differ")
         if codes.size + idx.size != d:
             raise ValueError("in-range plus outlier counts must equal the dimension")
-        if codes.size and int(codes.max()) >= self.config.n_levels:
+        # range-checked before the uint32 casts below, which would wrap
+        if codes.size and (codes.min() < 0 or codes.max() >= self.config.n_levels):
             raise ValueError("level code out of range")
         if idx.size:
-            if int(idx.max()) >= d:
+            if idx.min() < 0 or idx.max() >= d:
                 raise ValueError("outlier index out of range")
             if idx.size > 1 and not np.all(np.diff(idx.astype(np.int64)) > 0):
                 raise ValueError("outlier indices must be strictly increasing")
-            if not np.all(np.isfinite(val)):
-                raise ValueError("outlier values must be finite")
             if not np.all(np.abs(val) > self.config.threshold):
                 raise ValueError("outlier values must exceed the threshold")
+        object.__setattr__(self, "codes", np.asarray(codes, dtype=np.uint32))
+        object.__setattr__(self, "outlier_idx", np.asarray(idx, dtype=np.uint32))
+        object.__setattr__(self, "outlier_val", val)
 
     def __eq__(self, other):
         """Field by field, the arrays by ``np.array_equal``."""

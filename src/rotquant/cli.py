@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec, experiments
-from .adaptive import decide_layers
+from .adaptive import _pow2_rescale, decide_layers
 from .bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
 from .core import RotationSpec, apply_rotation, inverse_rotation, sum_sq
 from .drive import LIMIT_VNMSE, DrivePayload, drive_decode, drive_encode
@@ -114,14 +114,14 @@ def _print_json(payload: dict):
 
 
 def _norm(y) -> float:
-    """``|y|_2`` computed on ``y * 2^-e``, ``e`` from ``frexp(max|y|)``, and
-    scaled back by ``2^e``, so a finite ``y`` whose norm fits in a float64
-    gets a finite norm even when its plain sum of squares overflows.  Scaling
-    by a power of two is exact, so this is bit-identical to
+    """``|y|_2`` computed on ``y * 2^-e`` (:func:`rotquant.adaptive._pow2_rescale`)
+    and scaled back by ``2^e``, so a finite ``y`` whose norm fits in a
+    float64 gets a finite norm even when its plain sum of squares overflows.
+    Scaling by a power of two is exact, so this is bit-identical to
     ``sqrt(sum_sq(y))`` whenever no square overflows or underflows."""
-    _, e = math.frexp(float(np.max(np.abs(y))))  # e = 0 for 0, inf and NaN
+    scaled, e = _pow2_rescale(y)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(sum_sq(np.ldexp(y, -e))), e))
+        return float(np.ldexp(math.sqrt(sum_sq(scaled)), e))
 
 
 def cmd_transform(args) -> int:
@@ -181,8 +181,8 @@ def cmd_decode(args) -> int:
         ref = codec.deserialize(Path(args.ref).read_bytes())
         if not isinstance(ref, np.ndarray) or ref.size != xhat.size:
             raise SystemExit("--ref must be a vector file of matching length")
-        _, e = math.frexp(float(np.max(np.abs(ref))))  # scaled as in _norm
-        denom = float(sum_sq(np.ldexp(ref, -e)))
+        scaled, e = _pow2_rescale(ref)  # as in _norm
+        denom = float(sum_sq(scaled))
         if denom <= 0.0:
             raise SystemExit("--ref vector must be non-zero")
         info["vnmse"] = float(sum_sq(np.ldexp(xhat - ref, -e))) / denom

@@ -24,7 +24,7 @@ import struct
 import numpy as np
 
 from .bsq import BsqConfig, BsqPayload
-from .core import MAX_LAYERS, RotationSpec, padding_is_zero
+from .core import MAX_LAYERS, RotationSpec, _input_array, padding_is_zero
 from .drive import DrivePayload
 from .vq import Codebook
 
@@ -211,11 +211,7 @@ def _deserialize_codebook(flags: int, key: int, body: bytes) -> Codebook:
 
 
 def _serialize_vector(x: np.ndarray) -> bytes:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("vector must be non-empty and 1-d")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector must be finite")
+    v = _input_array(x, "obj", 1, nonempty=True, finite=True)
     return (_HEADER.pack(MAGIC, KIND_VECTOR, WIRE_VERSION, 0, v.size)
             + v.astype("<f8").tobytes())
 

@@ -18,6 +18,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 import numpy as np
 
@@ -85,6 +86,52 @@ def check_dim(d) -> int:
     return d
 
 
+def _check_layers(layers) -> int:
+    """``layers`` as an ``int`` once it is in ``0..MAX_LAYERS``."""
+    layers = _as_int(layers, "layers")
+    if not 0 <= layers <= MAX_LAYERS:
+        raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
+    return layers
+
+
+def _input_array(x, name: str, ndim=None, *, dim=None, nonempty=False,
+                 finite=False, stream=False, integer=False) -> np.ndarray:
+    """The one gate for a vector or matrix that a public function takes:
+    ``x`` (argument ``name``) as a C-contiguous float64 array, checked
+    before any work.  An array that already is one is returned as is.
+
+    Bool, integer and float dtypes convert; any other dtype (complex,
+    object, string, bytes, void, datetime) raises ``ValueError`` naming
+    ``name`` and the dtype, so no imaginary part is silently dropped.  With
+    ``stream`` a non-array ``x`` is read once, in 1-d blocks; with ``integer``
+    only integer dtypes pass, and they keep their dtype.  Then ``ndim``
+    (an axis count or a tuple of them; ``None``: any), ``nonempty``, ``dim``
+    (the length of the last axis) and, with ``finite``, one pass that
+    rejects NaN and infinite entries.  No other pass reads the data.
+    """
+    if stream and not isinstance(x, np.ndarray):
+        # read once, a block at a time, so no more than a block of Python objects is held
+        it = iter(x)
+        blocks = iter(lambda: list(islice(it, 1 << 16)), [])
+        x = np.concatenate([np.empty(0), *(_input_array(b, name, 1) for b in blocks)])
+    a = np.asarray(x)
+    if a.dtype.kind not in ("iu" if integer else "biuf"):
+        kind = "integers" if integer else "real (bool, integer or float)"
+        raise ValueError(f"input must be {kind}: {name} has dtype {a.dtype}")
+    if not integer:
+        a = np.asarray(a, dtype=np.float64, order="C")
+    axes = (ndim,) if isinstance(ndim, int) else ndim
+    if (axes is not None and a.ndim not in axes) or (nonempty and a.size == 0):
+        shape = ("non-empty " if nonempty else "") + (
+            "" if axes is None else " or ".join(f"{n}-d" for n in axes) + " ")
+        raise ValueError(f"input must be a {shape}array: {name} has shape {a.shape}")
+    if dim is not None and a.shape[-1] != dim:
+        raise ValueError(f"input length must match dimension {dim}: {name} has shape {a.shape}")
+    if finite and not np.all(np.isfinite(a)):
+        raise ValueError(f"input must be finite: {name} has a NaN or infinite entry")
+    return a
+
+
 @dataclass(frozen=True)
 class RotationSpec:
     """Rotation pipeline description: dimension, layer count, seed."""
@@ -95,10 +142,8 @@ class RotationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_dim(self.dim))
-        object.__setattr__(self, "layers", _as_int(self.layers, "layers"))
+        object.__setattr__(self, "layers", _check_layers(self.layers))
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if not 0 <= self.layers <= MAX_LAYERS:
-            raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {self.layers}")
         if not 0 <= self.seed <= MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
 
@@ -199,13 +244,13 @@ def fwht(v, normalize: bool = False, *, out=None) -> np.ndarray:
     same division by ``sqrt(d)``: the output is bit-identical to the textbook
     iterative butterfly and does not depend on the batch or block size.
     """
-    a = np.asarray(v, dtype=np.float64)
+    a = _input_array(v, "v")
     if a.ndim == 0:
         raise ValueError("input must have at least one axis")
     d = check_dim(a.shape[-1])
     out = _result_buffer(out, a, a.shape)
     rows = out.reshape(-1, d)
-    src = rows if out is a else np.ascontiguousarray(a).reshape(-1, d)
+    src = rows if out is a else a.reshape(-1, d)
     _fwht_rows(src, rows, normalize)
     return out
 
@@ -230,9 +275,7 @@ def sign_vector(v) -> bytes:
     Bit ``j`` of byte ``j // 8`` holds coordinate ``j``, little-endian
     within each byte.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a non-empty 1-d vector")
+    v = _input_array(v, "v", 1, nonempty=True)
     return np.packbits(v < 0, bitorder="little").tobytes()
 
 
@@ -340,15 +383,6 @@ def fwht_sign_bits(packed, d: int, *, out=None) -> np.ndarray:
     return out
 
 
-def _as_vector(x, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("input must be a 1-d vector")
-    if x.size != dim:
-        raise ValueError(f"vector length {x.size} does not match dimension {dim}")
-    return x
-
-
 def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     """Apply independently seeded rotations in one numpy batch.
 
@@ -357,30 +391,14 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     ``(n_seeds, d)``.  Forward maps ``y = R_k x``; ``inverse=True`` maps ``y = R_k^{-1} x``.
     """
     seeds = as_keys(seeds, "seeds")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        d = check_dim(x.shape[0])
-    elif x.ndim == 2:
-        d = check_dim(x.shape[1])
-        if x.shape[0] != seeds.size:
-            raise ValueError("row count must match the number of seeds")
-    else:
-        raise ValueError("input must be 1-d or 2-d")
-    layers = _check_rotation_input(x, layers)
+    x = _input_array(x, "x", (1, 2), finite=True)
+    d = check_dim(x.shape[-1])
+    if x.ndim == 2 and x.shape[0] != seeds.size:
+        raise ValueError("row count must match the number of seeds")
+    layers = _check_layers(layers)
     out = np.broadcast_to(x, (seeds.size, d)).copy()
     _rotate_rows(out, layers, seeds, inverse)
     return out
-
-
-def _check_rotation_input(x, layers) -> int:
-    """``layers`` as an ``int`` once it is in ``0..MAX_LAYERS`` and every
-    entry of ``x`` is finite; raises ``ValueError`` otherwise."""
-    layers = _as_int(layers, "layers")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
-    if not 0 <= layers <= MAX_LAYERS:
-        raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
-    return layers
 
 
 def _rotate_rows(out, layers: int, seeds, inverse: bool) -> None:
@@ -514,12 +532,10 @@ def map_trials(xs, layers: int, trials: int, master_seed: int, fn, *,
     so a row may differ from :func:`rotate_many`'s in the sign of an exact
     zero, which no estimator reads; no encoder uses this kernel.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2:
-        raise ValueError("input must be an (n, d) matrix")
+    xs = _input_array(xs, "xs", 2, nonempty=True, finite=True)
     n, d = xs.shape
     check_dim(d)
-    layers = _check_rotation_input(xs, layers)
+    layers = _check_layers(layers)
     if head is not None and not check_dim(head) <= d:
         raise ValueError(f"head must not exceed the dimension {d}, got {head}")
     if trials < 2:
@@ -557,9 +573,7 @@ def map_rotated(xu, layers: int, trials: int, master_seed: int, fn,
     ``u = sqrt(d) R xu`` (row ``t`` seeded by ``derive_seed(master_seed, t)``;
     with ``head=k`` their first ``k`` coordinates), concatenated in trial
     order; ``xu`` is rotated as given, so callers pass it already unit-norm."""
-    xu = np.asarray(xu, dtype=np.float64)
-    if xu.ndim != 1:
-        raise ValueError("input must be a 1-d vector")
+    xu = _input_array(xu, "xu", 1)
     root_d = math.sqrt(xu.size)
 
     def scaled(u, seeds):
@@ -585,14 +599,14 @@ def sum_sq(v):
     every payload scale and report row derived from it) is the same for any
     BLAS build and BLAS thread count.
     """
-    v = np.asarray(v, dtype=np.float64)
+    v = _input_array(v, "v")
     return np.add.reduce(v * v, axis=-1)
 
 
 def unit_vector(x):
-    """``(x / |x|_2, |x|_2)``; raises ``ValueError`` unless ``x`` is
-    non-zero and finite, with a norm that does not overflow."""
-    x = np.asarray(x, dtype=np.float64)
+    """``(x / |x|_2, |x|_2)`` of a vector ``x``; raises ``ValueError``
+    unless ``x`` is non-zero and finite, with a norm that does not overflow."""
+    x = _input_array(x, "x", 1)
     with np.errstate(over="ignore"):
         norm = math.sqrt(sum_sq(x))
     if not 0.0 < norm < math.inf:  # NaN and inf entries make the norm NaN or inf
@@ -602,13 +616,13 @@ def unit_vector(x):
 
 def apply_rotation(x, spec: RotationSpec) -> np.ndarray:
     """Apply ``R_k`` for ``spec`` to a vector (identity when ``layers=0``)."""
-    x = _as_vector(x, spec.dim)
+    x = _input_array(x, "x", 1, dim=spec.dim)
     return rotate_many(x, spec.layers, [spec.seed])[0]
 
 
 def inverse_rotation(y, spec: RotationSpec) -> np.ndarray:
     """Apply ``R_k^{-1} = D_1 Hn D_2 Hn ... D_k Hn`` for ``spec``."""
-    y = _as_vector(y, spec.dim)
+    y = _input_array(y, "y", 1, dim=spec.dim)
     return rotate_many(y, spec.layers, [spec.seed], inverse=True)[0]
 
 

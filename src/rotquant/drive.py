@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_BLOCK, RotationSpec, _rotate_rows, apply_rotation, fwht_sign_bits, layer_signs, map_trials, mean_se, padding_is_zero, sign_vector, sum_sq, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _input_array, _rotate_rows, apply_rotation, fwht_sign_bits, layer_signs, map_trials, mean_se, padding_is_zero, sign_vector, sum_sq, unpack_sign_bits
 from .core import rotate_many  # noqa: F401  (the bench tracer patches drive.rotate_many)
 
 __all__ = [
@@ -84,7 +84,7 @@ def scaling_constant_cd(d: int) -> float:
 # dimensions, and one sets unbiased wire scales while this one feeds run_cd_expansion.
 def cd_values(dims: np.ndarray) -> np.ndarray:
     """Vectorized ``scaling_constant_cd`` over an integer array."""
-    d = np.asarray(dims, dtype=np.float64)
+    d = _input_array(dims, "dims")
     if d.size and d.min() < 1:
         raise ValueError("dimensions must be positive")
     small = d <= _CD_SERIES_CUTOFF
@@ -122,11 +122,9 @@ class DrivePayload:
             raise ValueError("sign payload has nonzero padding bits")
 
 
-def _drive_scale(mode: str, d: int, l1, norm):
-    """Scale per vector from its rotated l1 norm (``biased``: ``|Rx|_1 / d``)
-    or its l2 norm (``unbiased``: ``|x|_2 / (c_d sqrt(d))``)."""
-    if mode == "biased":
-        return l1 / d
+def _unbiased_scale(norm, d: int):
+    """The unbiased scale ``|x|_2 / (c_d sqrt(d))`` from the l2 norm; the
+    biased one is the rotated l1 norm over ``d``, ``|Rx|_1 / d``."""
     return norm / (scaling_constant_cd(d) * math.sqrt(d))
 
 
@@ -134,9 +132,11 @@ def drive_encode(x, spec: RotationSpec, mode: str = "biased") -> DrivePayload:
     """Rotate ``x`` and quantize to signs plus a single scale."""
     _check_mode(mode)
     y = apply_rotation(x, spec)
-    with np.errstate(over="ignore"):  # only the unbiased scale reads it; inf fails its check
-        norm = math.sqrt(sum_sq(x))
-    scale = float(_drive_scale(mode, spec.dim, np.sum(np.abs(y)), norm))
+    if mode == "biased":
+        scale = float(np.sum(np.abs(y)) / spec.dim)
+    else:
+        with np.errstate(over="ignore"):  # an infinite norm fails the payload's scale check
+            scale = _unbiased_scale(math.sqrt(sum_sq(x)), spec.dim)
     return DrivePayload(mode=mode, spec=spec, scale=scale, sign_bits=sign_vector(y))
 
 
@@ -192,16 +192,15 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
     rotated from :func:`rotquant.core.map_trials`, and is signed, rotated
     back (:func:`_unrotate_signs`) and scaled.
 
-    Returns per trial the squared error of the decoded client mean over the
-    mean client energy; per encoded row the scale and rotated l1 norm; the
-    trial mean of the decoded client means, summed per ``TRIAL_BLOCK``
-    trials in trial order; and the squared client norms.
+    ``xs`` is the ``(N, d)`` float64 client matrix, already through the
+    callers' input gate.  Returns per trial the squared error of the
+    decoded client mean over the mean client energy; per encoded row the
+    scale, and in the biased mode the rotated l1 norm (``None`` in the
+    unbiased mode, which never computes it); the trial mean of the decoded
+    client means, summed per ``TRIAL_BLOCK`` trials in trial order; and the
+    squared client norms.
     """
     _check_mode(mode)
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0 or xs.shape[1] != spec_template.dim:
-        raise ValueError("input must be a non-empty (N, d) matrix whose rows "
-                         "match the rotation spec")
     with np.errstate(over="ignore"):
         sq = sum_sq(xs)
     if not np.all((sq > 0.0) & (sq < math.inf)):  # NaN fails both
@@ -212,8 +211,11 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
 
     def chunk(y, seeds):
         n_t = len(seeds) // n
-        l1 = np.sum(np.abs(y), axis=1)
-        scales = _drive_scale(mode, d, l1, np.tile(np.sqrt(sq), n_t))
+        if mode == "biased":
+            l1 = np.sum(np.abs(y), axis=1)
+            scales = l1 / d
+        else:
+            l1, scales = None, _unbiased_scale(np.tile(np.sqrt(sq), n_t), d)
         _unrotate_signs(np.packbits(y < 0, axis=1, bitorder="little"), layers, seeds, y)
         y *= scales[:, None]
         avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
@@ -229,8 +231,9 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         for block in blocks:  # chunks arrive in trial order
             np.add(mean_acc, block, out=mean_acc)
         parts.append((err, scales, l1))
-    err, scales, l1 = (np.concatenate(p) for p in zip(*parts))
-    return err, scales, l1, mean_acc / trials, sq
+    err, scales, l1 = zip(*parts)
+    l1 = np.concatenate(l1) if mode == "biased" else None
+    return np.concatenate(err), np.concatenate(scales), l1, mean_acc / trials, sq
 
 
 def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
@@ -242,7 +245,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
     are reduced in trial order, so reruns, any ``threads`` and any chunk
     size agree bitwise.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _input_array(x, "x", 1, dim=spec_template.dim)
     vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode,
                                                         trials, threads)
     d, norm_sq = spec_template.dim, float(sq[0])
@@ -267,4 +270,6 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
     ``mix64(master + t * N + c)`` where ``master = spec_template.seed``, so
     ``N = 1`` reproduces the seeds and errors of :func:`measure_drive_error`.
     """
-    return _simulate(client_vectors, spec_template, mode, trials, threads)[0]
+    xs = _input_array(client_vectors, "client_vectors", 2, dim=spec_template.dim,
+                      nonempty=True)
+    return _simulate(xs, spec_template, mode, trials, threads)[0]

@@ -53,7 +53,7 @@ import numpy as np
 
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, expected_error_gaussian, threshold_for_p, tv_of_error_function, verify_tv_transfer
-from .core import RotationSpec, apply_rotation, fwht, layer_signs, map_rotated, mean_se, run_ordered, sum_sq, unit_vector
+from .core import RotationSpec, _input_array, apply_rotation, fwht, layer_signs, map_rotated, mean_se, run_ordered, sum_sq, unit_vector
 from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
@@ -247,7 +247,7 @@ def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
                          in zip(bias_dims, biases, bias_trials)],
                         0.0, experiment="drive-unbiased")
     # least-squares slope of log bias on log d, in closed form
-    u = np.log(np.asarray(bias_dims, dtype=float))
+    u = np.log(_input_array(bias_dims, "bias_dims"))
     v = np.log(np.maximum(biases, 1e-300))
     u -= u.mean()
     slope = float(np.add.reduce(u * (v - v.mean())) / sum_sq(u))

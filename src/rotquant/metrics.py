@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim
+from .core import _input_array, check_dim
 
 __all__ = [
     "CUBE_RATIO_C",
@@ -65,18 +65,11 @@ class FlatnessStats:
 def moment_scan(x) -> FlatnessStats:
     """Collect ``(sum x^2, sum |x|^3, max x^2)`` of a 1-d vector.
 
-    Accepts a numpy array or any finite iterable of floats; an iterable is
-    read exactly once into an array, so callers may hand in a stream.  Both
+    Accepts a numpy array or any finite iterable of real numbers; an
+    iterable is read exactly once, so callers may hand in a stream.  Both
     are scanned in float64, so the squares of an integer array cannot wrap.
     """
-    if isinstance(x, np.ndarray):
-        x = np.asarray(x, dtype=np.float64)
-    else:
-        x = np.fromiter(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input must be finite")
+    x = _input_array(x, "x", 1, nonempty=True, finite=True, stream=True)
     with np.errstate(over="ignore"):  # an overflow shows as an infinite sum
         sq = x * x
         return FlatnessStats(
@@ -91,7 +84,7 @@ def normal_cdf(t):
     """Standard normal CDF, vectorized, absolute error below 1e-14."""
     from scipy.special import ndtr
 
-    return ndtr(np.asarray(t, dtype=np.float64))
+    return ndtr(_input_array(t, "t"))
 
 
 # Cephes ndtri (S. L. Moshier, Cephes Math Library): rational approximations
@@ -141,7 +134,7 @@ def normal_quantile(q):
     ``|cdf(result) - q| <= 1e-13``.
     """
     if not isinstance(q, float) and np.ndim(q):
-        q = np.asarray(q, dtype=np.float64)
+        q = _input_array(q, "q")
         return np.array([normal_quantile(v) for v in q.ravel().tolist()]).reshape(q.shape)
     y = float(q)
     if not 0.0 < y < 1.0:
@@ -168,12 +161,7 @@ class EmpiricalSample:
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalSample":
-        v = np.asarray(values, dtype=np.float64).ravel()
-        if v.size == 0:
-            raise ValueError("sample must be non-empty")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sample must be finite")
-        v = np.sort(v)
+        v = np.sort(_input_array(values, "values", nonempty=True, finite=True).ravel())
         v.flags.writeable = False
         return cls(values=v, n=int(v.size))
 
@@ -219,13 +207,9 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     where the sum enumerates every index ``l`` (each unordered pair appears
     twice, which matches the pairwise-sum convention).  Runs in O(d).
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
-        raise ValueError("input must be a 1-d vector")
+    y = _input_array(y, "y", 1)
     d = check_dim(y.size)
-    s = np.asarray(signs, dtype=np.float64)
-    if s.shape != (d,):
-        raise ValueError("sign plane length does not match the vector")
+    s = _input_array(signs, "signs", 1, dim=d)
     if not (0 <= i < d and 0 <= j < d):
         raise ValueError("coordinate indices out of range")
     alpha = i ^ j

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import _input_array, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
 from .rng import Xoshiro256pp, derive_seed, derive_seeds
 
@@ -51,11 +51,8 @@ class Codebook:
     train_seed: int
 
     def __post_init__(self):
-        c = np.array(self.centroids, dtype=np.float64)
-        if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
-            raise ValueError("centroids must be a non-empty 2-d array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("centroids must be finite")
+        # a copy, so freezing it leaves the caller's array writeable
+        c = _input_array(self.centroids, "centroids", 2, nonempty=True, finite=True).copy()
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
         if not math.isfinite(self.radius):
@@ -298,13 +295,11 @@ def vq_decode(indices, scale: float, spec, codebook: Codebook) -> np.ndarray:
     """Rebuild blocks from centroid indices and invert the rotation.
 
     Raises ``ValueError`` unless ``scale`` is finite and non-negative, the
-    indices have an integer dtype and each names a centroid of ``codebook``.
+    indices are a 1-d integer array and each names a centroid of ``codebook``.
     """
     if not math.isfinite(scale) or scale < 0.0:
         raise ValueError("scale must be finite and non-negative")
-    idx = np.asarray(indices)
-    if idx.dtype.kind not in "iu":
-        raise ValueError("centroid indices must be integers")
+    idx = _input_array(indices, "indices", 1, integer=True)
     d = spec.dim
     if idx.size * codebook.block_dim != d:
         raise ValueError("index count does not match the dimension")

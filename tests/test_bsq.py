@@ -259,6 +259,25 @@ def test_payload_validation():
         BsqPayload(**{**good, "codes": np.array([0], dtype=np.uint32)})
 
 
+def test_payload_refuses_codes_and_indices_it_would_truncate_or_wrap():
+    """Codes and outlier indices take integer dtypes only, as ``vq_decode``'s
+    indices do, and are range-checked before their uint32 cast."""
+    pay = bsq_encode(RNG.standard_normal(64), RotationSpec(64, 2, 1),
+                     BsqConfig(bits=3, tail_mass=0.05), noise_seed=2)
+    fields = dict(spec=pay.spec, config=pay.config, scale=pay.scale, codes=pay.codes,
+                  outlier_idx=pay.outlier_idx, outlier_val=pay.outlier_val)
+    for name, bad in [("codes", pay.codes + 0.7), ("codes", pay.codes.astype(bool)),
+                      ("outlier_idx", pay.outlier_idx.astype(np.float64))]:
+        with pytest.raises(ValueError, match=f"must be integers: {name} has dtype"):
+            BsqPayload(**{**fields, name: bad})
+    wrapped = pay.codes.astype(np.int64)
+    wrapped[0] += 1 << 32  # the same code once cast to uint32
+    for name, bad in [("codes", wrapped), ("codes", -pay.codes.astype(np.int64) - 1),
+                      ("outlier_idx", pay.outlier_idx.astype(np.int64) - (1 << 32))]:
+        with pytest.raises(ValueError, match="out of range"):
+            BsqPayload(**{**fields, name: bad})
+
+
 # --- transfer check ---------------------------------------------------------------
 
 def test_verify_tv_transfer_smoke():

@@ -448,6 +448,11 @@ def test_map_trials_needs_two_trials(trials):
         map_trials(np.ones((1, 8)), 2, trials, 0, lambda y, seeds: y)
 
 
+def test_map_trials_needs_a_row():
+    with pytest.raises(ValueError, match="non-empty 2-d array: xs has shape"):
+        map_trials(np.ones((0, 8)), 2, 4, 0, lambda y, seeds: y)
+
+
 @pytest.mark.parametrize("layers", range(MAX_LAYERS + 1))
 @pytest.mark.parametrize("d", [2, 8, 2048, 1 << 16])
 def test_map_rotated_rows_match_the_reference_rotation(d, layers, monkeypatch):
@@ -643,3 +648,5 @@ def test_unit_vector():
                 np.full(4, 1e200)):
         with pytest.raises(ValueError, match="input must be finite and non-zero"):
             unit_vector(bad)
+    with pytest.raises(ValueError, match="1-d array: x has shape"):
+        unit_vector(np.ones((2, 2)))

@@ -14,25 +14,32 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rotquant.bsq import BsqConfig, BsqPayload, bsq_encode
+from rotquant.bsq import BsqConfig, BsqPayload, bsq_decode, bsq_encode
 from rotquant.codec import deserialize, serialize
 from rotquant.core import TRIAL_CHUNK_ELEMS, RotationSpec
-from rotquant.drive import DrivePayload, dme_simulate, drive_decode, drive_encode
+from rotquant.drive import DrivePayload, dme_simulate, drive_decode, drive_encode, measure_drive_error
 from rotquant.generators import gen_adversarial
 from rotquant.rng import Xoshiro256pp, derive_seeds
+from rotquant.vq import Codebook, train_gaussian_codebook, vq_encode
 
 C = 3
 K = 1
 
 
 def _nbytes(obj) -> int:
+    """Array bytes held by an argument or a result; 0 for specs, configs,
+    scalars and reports."""
+    if isinstance(obj, tuple):
+        return sum(_nbytes(o) for o in obj)
     if isinstance(obj, BsqPayload):
         return obj.codes.nbytes + obj.outlier_idx.nbytes + obj.outlier_val.nbytes
     if isinstance(obj, DrivePayload):
         return len(obj.sign_bits)
+    if isinstance(obj, Codebook):
+        return obj.centroids.nbytes
     if isinstance(obj, bytes):
         return len(obj)
-    return obj.nbytes
+    return obj.nbytes if isinstance(obj, np.ndarray) else 0
 
 
 def _bsq_payload(d: int, bits: int) -> BsqPayload:
@@ -79,6 +86,26 @@ def _bsq_deserialize(bits):
     return lambda: (deserialize, (serialize(_bsq_payload(1 << 20, bits)),))
 
 
+def _bsq_decode():
+    return bsq_decode, (_bsq_payload(1 << 20, 4),)
+
+
+def _vq_encode():
+    d = 1 << 20
+    x = np.random.default_rng(0).standard_normal(d)
+    return vq_encode, (x, RotationSpec(d, 3, 1), train_gaussian_codebook(4, 16, 2024))
+
+
+def _train_codebook():
+    return train_gaussian_codebook, (4, 16, 2024)
+
+
+def _measure_drive_error():
+    d = 1 << 18
+    return measure_drive_error, (gen_adversarial("one_hot", d), RotationSpec(d, 2, 1),
+                                 "unbiased", 8)
+
+
 def _dme_simulate():
     clients = np.tile(gen_adversarial("one_hot", 4096), (256, 1))
     return dme_simulate, (clients, RotationSpec(4096, 2, 1), "unbiased", 8)
@@ -104,11 +131,18 @@ def _xfail(reason):
         "_pack_codes expands the codes to a (d, bits) array")),
     pytest.param(_dme_simulate, id="dme_simulate-256-clients", marks=_xfail(
         "map_trials never splits a trial's n_clients x d rows")),
+    pytest.param(_bsq_decode, id="bsq_decode-2^20-4bit"),
+    pytest.param(_vq_encode, id="vq_encode-2^20"),
+    pytest.param(_train_codebook, id="train_gaussian_codebook-4x16", marks=_xfail(
+        "training holds its 2^17 sample rows, a transposed copy and per-row "
+        "bounds for a 512-byte codebook")),
+    pytest.param(_measure_drive_error, id="measure_drive_error-2^18", marks=_xfail(
+        "a map_trials chunk holds at least TRIAL_BLOCK trials of d rows, "
+        "above the chunk budget once d > 2^16")),
 ])
 def test_peak_allocation_is_bounded_by_io_and_the_chunk_budget(case):
     fn, args = case()
-    inputs = sum(_nbytes(a) for a in args
-                 if isinstance(a, (np.ndarray, bytes, BsqPayload, DrivePayload)))
+    inputs = sum(_nbytes(a) for a in args)
     tracemalloc.start()
     try:
         out = fn(*args)

@@ -214,3 +214,63 @@ def test_every_private_name_is_read_in_its_module(path):
     """A module-level ``_name`` that its own module never reads is dead
     code, or a helper that only other modules or tests reach."""
     assert _unread_private_names(path.read_text()) == []
+
+
+_CONVERTERS = {"asarray", "array", "ascontiguousarray", "fromiter"}
+_FLOAT64 = {"float64", "double", "float", "f8", "<f8", "d"}
+
+
+def _hand_rolled_conversions(source: str) -> list:
+    """``np.asarray``/``np.array`` (or ``ascontiguousarray``/``fromiter``)
+    calls with a float64 dtype on a parameter of a public function or
+    method of the module ``source``, unless the line says ``# gate:`` and
+    why.  Such input goes through ``core._input_array``, the one gate that
+    refuses complex and other non-real dtypes."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
+            continue
+        params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        for call in ast.walk(fn):
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in _CONVERTERS and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id in ("np", "numpy") and call.args
+                    and isinstance(call.args[0], ast.Name) and call.args[0].id in params):
+                continue
+            dtype = next((k.value for k in call.keywords if k.arg == "dtype"),
+                         call.args[1] if len(call.args) > 1 else None)
+            name = (dtype.attr if isinstance(dtype, ast.Attribute)
+                    else dtype.id if isinstance(dtype, ast.Name)
+                    else dtype.value if isinstance(dtype, ast.Constant) else None)
+            if name in _FLOAT64 and not re.search(r"# gate:\s*\S", lines[call.lineno - 1]):
+                found.append(f"{call.lineno}: {fn.name}({call.args[0].id})")
+    return found
+
+
+def test_the_conversion_guard_catches_a_hand_rolled_conversion():
+    source = ("import numpy as np\n"
+              "def encode(x, spec, *, values=None):\n"
+              "    a = np.asarray(x, dtype=np.float64)\n"
+              "    b = np.array(values, np.double)\n"
+              "    c = np.asarray(spec.table, dtype=np.float64)\n"
+              "    e = np.asarray(x, dtype=np.uint32)\n"
+              "    f = np.fromiter(x, dtype=float)  # gate: a stream of trusted floats\n"
+              "    g = np.ascontiguousarray(x, dtype='f8')  # gate:\n"
+              "    return a\n"
+              "def _helper(x):\n"
+              "    return np.asarray(x, dtype=np.float64)\n"
+              "class Sample:\n"
+              "    def from_values(cls, values):\n"
+              "        return np.asarray(values, dtype='float64')\n")
+    assert _hand_rolled_conversions(source) == [
+        "3: encode(x)", "4: encode(values)", "8: encode(x)", "14: from_values(values)"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rotquant.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_public_input_goes_through_the_gate(path):
+    """No public function converts a parameter to float64 by hand: the
+    gate's dtype, shape and finiteness rules would not run on it."""
+    assert _hand_rolled_conversions(path.read_text()) == []

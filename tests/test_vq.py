@@ -295,6 +295,8 @@ def test_decode_validation():
         vq_decode(np.zeros(7, dtype=np.uint32), 1.0, spec, cb)
     with pytest.raises(ValueError):
         vq_decode(np.full(8, 8, dtype=np.uint32), 1.0, spec, cb)
+    with pytest.raises(ValueError, match="1-d array: indices has shape"):
+        vq_decode(np.zeros((2, 4), dtype=np.uint32), 1.0, spec, cb)
     for bad in ([1.7, 0.2] * 4, np.zeros(8)):
         with pytest.raises(ValueError, match="must be integers"):
             vq_decode(bad, 1.0, spec, cb)
