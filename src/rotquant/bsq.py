@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import RotationSpec, _input_array, inverse_rotation, map_rotated, rotate_normalized, unit_vector
+from .core import TRIAL_CHUNK_ELEMS, RotationSpec, _input_array, inverse_rotation, map_rotated, rotate_normalized, unit_vector
 from .metrics import normal_quantile
 from .rng import Xoshiro256pp
 
@@ -178,14 +178,30 @@ def _stochastic_codes(z: np.ndarray, cfg: BsqConfig, u: np.ndarray) -> np.ndarra
     return (base + (u < frac)).astype(np.uint32)
 
 
+# Coordinates per block of ``bsq_encode``'s rounding: a block's noise words
+# and rounding temporaries take a few MiB, whatever the dimension.
+_ENCODE_BLOCK = TRIAL_CHUNK_ELEMS // 4
+
+
 def bsq_encode(x, spec: RotationSpec, cfg: BsqConfig, noise_seed: int) -> BsqPayload:
     """Rotate, normalize to ``U = sqrt(d) R xu``, grid-quantize in-range
-    coordinates with rounding noise drawn from ``noise_seed``."""
+    coordinates with rounding noise drawn from ``noise_seed``.
+
+    The noise is one uniform per coordinate, in coordinate order, from the
+    one stream ``noise_seed``; it and the codes are made ``_ENCODE_BLOCK``
+    coordinates at a time, and a stream's words do not depend on how its
+    draw is split."""
     u_coords, scale = rotate_normalized(x, spec)
     out_mask = np.abs(u_coords) > cfg.threshold
-    u_noise = Xoshiro256pp([noise_seed]).uniforms(spec.dim)[0]
-    in_vals = u_coords[~out_mask]
-    codes = _stochastic_codes(in_vals, cfg, u_noise[~out_mask])
+    codes = np.empty(out_mask.size - np.count_nonzero(out_mask), dtype=np.uint32)
+    noise = Xoshiro256pp([noise_seed])
+    done = 0
+    for lo in range(0, spec.dim, _ENCODE_BLOCK):
+        inside = ~out_mask[lo:lo + _ENCODE_BLOCK]
+        u_noise = noise.uniforms(inside.size)[0]
+        block = _stochastic_codes(u_coords[lo:lo + _ENCODE_BLOCK][inside], cfg, u_noise[inside])
+        codes[done:done + block.size] = block
+        done += block.size
     return BsqPayload(
         spec=spec,
         config=cfg,

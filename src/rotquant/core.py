@@ -393,6 +393,8 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
     seeds = as_keys(seeds, "seeds")
     x = _input_array(x, "x", (1, 2), finite=True)
     d = check_dim(x.shape[-1])
+    if seeds.size == 0:
+        raise ValueError("seeds must name at least one rotation")
     if x.ndim == 2 and x.shape[0] != seeds.size:
         raise ValueError("row count must match the number of seeds")
     layers = _check_layers(layers)

@@ -161,9 +161,9 @@ def run_scalar_convergence(dims=(256, 1024, 4096), trials: int | None = None,
     for d in dims:
         n_trials = trials if trials is not None else _trials_for(draws, d)
         xu, _ = unit_vector(gen_adversarial(kind, d))
-        values = map_rotated(xu, layers, n_trials, master_seed, np.ravel, threads)
-        sample = EmpiricalSample.from_values(values)
-        n = values.size
+        sample = EmpiricalSample.from_values(
+            map_rotated(xu, layers, n_trials, master_seed, np.ravel, threads))
+        n = sample.n
         dk = empirical_kolmogorov(sample)
         dk_bound = KOLMOGOROV_2LAYER_C / math.sqrt(d)
         dk_slack = dkw_slack(n)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _input_array, check_dim
+from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim
 
 __all__ = [
     "CUBE_RATIO_C",
@@ -166,34 +166,48 @@ class EmpiricalSample:
         return cls(values=v, n=int(v.size))
 
 
+# Values per block of :func:`empirical_kolmogorov`: its three block-sized
+# arrays stay under one chunk budget, whatever the sample size.
+_KS_BLOCK = TRIAL_CHUNK_ELEMS // 4
+
+
 def empirical_kolmogorov(sample: EmpiricalSample) -> float:
     """Exact sup-distance between the empirical CDF and the standard normal.
 
     For sorted values this is ``max_i max(i/n - F(v_i), F(v_i) - (i-1)/n)``,
-    the true supremum over all of R (no grid approximation).
+    the true supremum over all of R (no grid approximation).  The maxima
+    are taken ``_KS_BLOCK`` values at a time; a maximum does not depend on
+    how its terms are grouped.
     """
     from scipy.special import ndtr
 
-    v = sample.values
     n = sample.n
-    f = ndtr(v)
-    hi = np.arange(1, n + 1) / n - f
-    lo = f - np.arange(0, n) / n
-    return float(max(hi.max(), lo.max()))
+    worst = -math.inf
+    for lo in range(0, n, _KS_BLOCK):
+        f = ndtr(sample.values[lo:lo + _KS_BLOCK])
+        steps = np.arange(lo, lo + f.size + 1, dtype=np.float64)
+        steps /= n  # (i - 1)/n and i/n for the block's i
+        worst = max(worst, (steps[1:] - f).max(), (f - steps[:-1]).max())
+    return float(worst)
 
 
 def empirical_w1(sample: EmpiricalSample) -> float:
     """Order-statistic 1-Wasserstein estimate against the standard normal.
 
     Couples the i-th order statistic to the plotting-position quantile
-    ``ndtri((i - 0.5) / n)`` and averages the absolute gaps.
+    ``ndtri((i - 0.5) / n)`` and averages the absolute gaps, all in one
+    n-sized buffer (integers below 2^53 are exact as floats).
     """
     from scipy.special import ndtri
 
-    v = sample.values
     n = sample.n
-    q = ndtri((np.arange(1, n + 1) - 0.5) / n)
-    return float(np.mean(np.abs(v - q)))
+    gaps = np.arange(1, n + 1, dtype=np.float64)
+    gaps -= 0.5
+    gaps /= n
+    ndtri(gaps, out=gaps)
+    np.subtract(sample.values, gaps, out=gaps)
+    np.abs(gaps, out=gaps)
+    return float(np.mean(gaps))
 
 
 def conditional_cov_exact(y, signs, i: int, j: int) -> float:

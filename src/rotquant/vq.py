@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _input_array, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
-from .rng import Xoshiro256pp, derive_seed, derive_seeds
+from .rng import _GAUSSIAN_BLOCK_STREAMS, Xoshiro256pp, derive_seed, derive_seeds
 
 __all__ = [
     "Codebook",
@@ -93,7 +93,8 @@ def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None, rows=
     ``points[rows]``; with ``runner_up`` also each row's second-smallest
     squared distance (``inf`` for one centroid).  ``p_sq`` (the ``einsum``
     row norms squared of all of ``points``) may be passed in when the same
-    points are searched repeatedly.
+    points are searched repeatedly, and must be when ``points`` is
+    column-major (training passes the transpose of its ``(k, n)`` samples).
 
     Uses the expanded form ``|p|^2 - 2 p.c + |c|^2``, clamped at zero,
     without BLAS.  Each tile holds every centroid against
@@ -124,7 +125,7 @@ def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None, rows=
     for lo in range(0, n, NEAREST_BLOCK_ROWS):
         hi = min(lo + NEAREST_BLOCK_ROWS, n)
         sel = slice(lo, hi) if rows is None else rows[lo:hi]
-        p = np.ascontiguousarray(points[sel].T)
+        p = np.ascontiguousarray(points.T[:, sel])
         s, t = tile[:, : hi - lo], prod[:, : hi - lo]
         np.multiply(m2c[:, :1], p[0], out=s)
         for j in range(1, p.shape[0]):
@@ -143,27 +144,40 @@ def _nearest_sq_dist(points: np.ndarray, centroids: np.ndarray, p_sq=None, rows=
     return (dist, idx, second) if runner_up else (dist, idx)
 
 
-def _assigned_sq_dist(cols, centroids, p_sq, assign):
-    """Each point's squared distance to its assigned centroid, by the same
-    float ops in the same order as that centroid's row of a
-    :func:`_nearest_sq_dist` tile, so the bits are the ones a full search
-    gives; ``cols`` holds the points' coordinates as rows."""
-    m2c = -2.0 * centroids
-    d2 = m2c[:, 0].take(assign)
-    d2 *= cols[0]
+def _assigned_sq_dist(cols, m2c, c_sq, p_sq, assign, out):
+    """Each point's squared distance to its assigned centroid, into
+    ``out``, by the same float ops in the same order as that centroid's row
+    of a :func:`_nearest_sq_dist` tile (``m2c = -2 centroids``, ``c_sq``
+    their ``einsum`` norms), so the bits are the ones a full search gives;
+    ``cols`` holds the points' coordinates as rows."""
+    m2c[:, 0].take(assign, out=out)
+    out *= cols[0]
+    term = np.empty_like(out)
     for j in range(1, cols.shape[0]):
-        term = m2c[:, j].take(assign)
+        m2c[:, j].take(assign, out=term)
         term *= cols[j]
-        d2 += term
-    d2 += p_sq
-    d2 += np.einsum("ij,ij->i", centroids, centroids).take(assign)
-    return np.maximum(d2, 0.0, out=d2)
+        out += term
+    out += p_sq
+    c_sq.take(assign, out=term)
+    out += term
+    return np.maximum(out, 0.0, out=out)
 
 
-def _lloyd(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Lloyd iterations from ``centroids``: at most 50, stopping once the
-    relative inertia improvement drops below 1e-6; an empty cluster is
-    reseeded from the point farthest from its centroid.
+# Points per block of the seeding and Lloyd passes over the training
+# samples.  A block's working arrays (distances, bounds, filter and search
+# results, a dozen block-sized arrays at most) stay a few MiB whatever the
+# sample count, and its numpy calls are long enough that their fixed cost
+# stays small: 2^15 trained about 5% faster than 2^14, and 2^16 breaks the
+# memory contract.
+_TRAIN_BLOCK_ROWS = TRIAL_CHUNK_ELEMS // 8
+
+
+def _lloyd(cols: np.ndarray, p_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Lloyd iterations from ``centroids`` on the points whose coordinates
+    are the rows of ``cols`` (shape ``(k, n)``) and whose ``einsum`` norms
+    squared are ``p_sq``: at most 50, stopping once the relative inertia
+    improvement drops below 1e-6; an empty cluster is reseeded from the
+    point farthest from its centroid.
 
     Bit for bit the plain algorithm that searches every point in every
     iteration, but with Hamerly's bounds ("Making k-means even faster",
@@ -193,34 +207,56 @@ def _lloyd(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     centroids, and a search lowers the runner-up's root by its ``delta``:
     the factor 2 covers the rounding of the roots, moves and bounds, each
     ``O(2^-53 (|p| + max|c|))`` against ``sqrt(E) > 1e-8 (|p| + max|c|)``.
+
+    The distances, the filter and the search run ``_TRAIN_BLOCK_ROWS``
+    points at a time, each point on its own, and each block first applies
+    the last update's decrease to its lower bounds; the counts, the reseed,
+    the centroid sums and the inertia run over all points in point order.
     """
     n_c, k = centroids.shape
-    cols = np.ascontiguousarray(samples.T)
-    p_sq = np.einsum("ij,ij->i", samples, samples)
+    n = cols.shape[1]
+    points = cols.T
     rounding = (k + 2) * 2.0 ** -53
     slack = 2.0 * math.sqrt(rounding / (1.0 - rounding))
-    p_slack = slack * np.sqrt(p_sq)
-    assign = np.zeros(samples.shape[0], dtype=np.intp)
-    lower = np.full(samples.shape[0], -np.inf)
+    p_slack = np.sqrt(p_sq)
+    p_slack *= slack
+    assign = np.zeros(n, dtype=np.intp)
+    lower = np.full(n, -np.inf)
+    min_d2 = np.empty(n)
+    drop = np.zeros(n_c)  # the last update's bound decrease, by assigned centroid
     prev_inertia = math.inf
     for _ in range(50):
-        min_d2 = _assigned_sq_dist(cols, centroids, p_sq, assign)
-        delta = p_slack + slack * math.sqrt(np.max(sum_sq(centroids)))
+        c_slack = slack * math.sqrt(np.max(sum_sq(centroids)))
         gaps = np.sqrt(sum_sq(centroids[:, None, :] - centroids[None, :, :]))
         np.fill_diagonal(gaps, np.inf)
         half = 0.5 * np.min(gaps, axis=1)
-        rows = np.flatnonzero(np.sqrt(min_d2) + delta >= np.maximum(lower, half[assign]))
-        d2, a, runner_up = _nearest_sq_dist(samples, centroids, p_sq, rows, runner_up=True)
-        min_d2[rows] = d2
-        assign[rows] = a
-        lower[rows] = np.sqrt(runner_up) - delta[rows]
+        m2c = -2.0 * centroids
+        c_sq = np.einsum("ij,ij->i", centroids, centroids)
+        for lo in range(0, n, _TRAIN_BLOCK_ROWS):
+            blk = slice(lo, lo + _TRAIN_BLOCK_ROWS)
+            a, d2, low = assign[blk], min_d2[blk], lower[blk]
+            low -= drop.take(a)
+            _assigned_sq_dist(cols[:, blk], m2c, c_sq, p_sq[blk], a, d2)
+            delta = p_slack[blk] + c_slack
+            upper = np.sqrt(d2)
+            upper += delta
+            rows = np.flatnonzero(upper >= np.maximum(low, half.take(a)))
+            found, nearest, runner_up = _nearest_sq_dist(points[blk], centroids, p_sq[blk],
+                                                         rows, runner_up=True)
+            d2[rows] = found
+            a[rows] = nearest
+            np.sqrt(runner_up, out=runner_up)
+            runner_up -= delta[rows]
+            low[rows] = runner_up
         counts = np.bincount(assign, minlength=n_c)
-        for m in np.nonzero(counts == 0)[0]:
+        empty = np.flatnonzero(counts == 0)
+        for m in empty:
             far = int(np.argmax(min_d2))
             assign[far] = m
             min_d2[far] = 0.0
             lower[far] = -np.inf
-        counts = np.bincount(assign, minlength=n_c)
+        if empty.size:
+            counts = np.bincount(assign, minlength=n_c)
         sums = np.zeros((n_c, k))
         for j in range(k):
             sums[:, j] = np.bincount(assign, weights=cols[j], minlength=n_c)
@@ -228,12 +264,23 @@ def _lloyd(samples: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         moved = np.sqrt(sum_sq(updated - centroids))
         centroids = updated
         top = int(np.argmax(moved))
-        lower -= np.where(assign == top, np.delete(moved, top).max(initial=0.0), moved[top])
+        drop = np.full(n_c, moved[top])
+        drop[top] = np.delete(moved, top).max(initial=0.0)
         inertia = float(min_d2.sum())
         if prev_inertia - inertia < 1e-6 * max(prev_inertia, 1e-300):
             break
         prev_inertia = inertia
     return centroids
+
+
+def _gaussian_blocks(master_seed: int, start: int, count: int, block_dim: int):
+    """The rows of ``Xoshiro256pp(derive_seeds(master_seed, start,
+    count)).gaussians(block_dim)`` as ``(offset, rows)`` blocks in order,
+    one generator per ``_GAUSSIAN_BLOCK_STREAMS`` seeds, so neither the keys
+    nor the states of all ``count`` streams are ever held at once."""
+    for lo in range(0, count, _GAUSSIAN_BLOCK_STREAMS):
+        keys = derive_seeds(master_seed, start + lo, min(_GAUSSIAN_BLOCK_STREAMS, count - lo))
+        yield lo, Xoshiro256pp(keys).gaussians(block_dim)
 
 
 def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
@@ -243,39 +290,50 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
     Sample row ``j`` comes from its own derived stream (``train_seed`` index
     ``j``) and the initialization stream from index ``n_samples``, so the
     result depends only on the arguments.  Init is distance-squared weighted
-    seeding (:func:`_seed_centroids`), followed by :func:`_lloyd`.
+    seeding (:func:`_seed_centroids`), followed by :func:`_lloyd`.  The
+    samples are drawn block by block (:func:`_gaussian_blocks`) straight
+    into one ``(block_dim, n_samples)`` buffer, one coordinate per row, and
+    each block's ``einsum`` norms are taken while it is still row-major.
     """
     if block_dim < 1 or n_centroids < 1:
         raise ValueError("block_dim and n_centroids must be positive")
     if n_samples < 10 * n_centroids:
         raise ValueError("need at least 10 samples per centroid")
-    keys = derive_seeds(train_seed, 0, n_samples)
-    samples = Xoshiro256pp(keys).gaussians(block_dim)
+    cols = np.empty((block_dim, n_samples))
+    p_sq = np.empty(n_samples)
+    for lo, rows in _gaussian_blocks(train_seed, 0, n_samples, block_dim):
+        cols[:, lo:lo + len(rows)] = rows.T
+        p_sq[lo:lo + len(rows)] = np.einsum("ij,ij->i", rows, rows)
     picks = Xoshiro256pp([derive_seed(train_seed, n_samples)]).uniforms(n_centroids)[0]
-    return Codebook(_lloyd(samples, _seed_centroids(samples, picks)), train_seed)
+    return Codebook(_lloyd(cols, p_sq, _seed_centroids(cols, picks)), train_seed)
 
 
-def _seed_centroids(samples: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """One centroid per uniform in ``picks``: the first at sample
+def _seed_centroids(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """One centroid per uniform in ``picks`` for the points whose
+    coordinates are the rows of ``cols``: the first at point
     ``picks[0] * n``, each next one drawn with weight the squared distance
-    to the nearest centroid so far (sample ``m mod n`` when every weight
-    is zero)."""
-    n_samples = samples.shape[0]
-    centroids = np.empty((picks.size, samples.shape[1]))
-    centroids[0] = samples[min(int(picks[0] * n_samples), n_samples - 1)]
-    diff = samples - centroids[0]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    for m in range(1, picks.size):
-        total = float(d2.sum())
-        if total <= 0.0:
-            j = m % n_samples
-        else:
-            cum = np.cumsum(d2)
-            j = min(int(np.searchsorted(cum, picks[m] * total, side="right")),
-                    n_samples - 1)
-        centroids[m] = samples[j]
-        diff = samples - centroids[m]
-        np.minimum(d2, np.einsum("ij,ij->i", diff, diff), out=d2)
+    to the nearest centroid so far (point ``m mod n`` when every weight is
+    zero).  The distances are ``einsum`` norms of row-major copies of
+    ``_TRAIN_BLOCK_ROWS`` points at a time."""
+    k, n = cols.shape
+    centroids = np.empty((picks.size, k))
+    d2 = np.full(n, np.inf)  # the first centroid's pass writes its distances
+    diff = np.empty((min(n, _TRAIN_BLOCK_ROWS), k))
+    j = min(int(picks[0] * n), n - 1)
+    for m in range(picks.size):
+        if m:
+            total = float(d2.sum())
+            if total <= 0.0:
+                j = m % n
+            else:
+                j = min(int(np.searchsorted(np.cumsum(d2), picks[m] * total, side="right")),
+                        n - 1)
+        centroids[m] = cols[:, j]
+        for lo in range(0, n, _TRAIN_BLOCK_ROWS):
+            block = cols[:, lo:lo + _TRAIN_BLOCK_ROWS].T
+            rows = np.subtract(block, centroids[m], out=diff[:len(block)])
+            near = d2[lo:lo + len(block)]
+            np.minimum(near, np.einsum("ij,ij->i", rows, rows), out=near)
     return centroids
 
 
@@ -402,7 +460,10 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
 def gaussian_distortions(codebook: Codebook, trials: int, master_seed: int = 0):
     """The codebook's distortions on ``GAUSS_TRIALS`` fresh standard-normal
     blocks, the reference side of :func:`verify_codebook_universality`'s gap;
-    the seeds start at index ``trials``, after that run's rotation seeds."""
-    gkeys = derive_seeds(master_seed, trials, GAUSS_TRIALS)
-    gauss_blocks = Xoshiro256pp(gkeys).gaussians(codebook.block_dim)
-    return _nearest_sq_dist(gauss_blocks, codebook.centroids)[0]
+    the seeds start at index ``trials``, after that run's rotation seeds.
+    The blocks are drawn and searched one :func:`_gaussian_blocks` block at
+    a time; each row's distance depends on that row alone."""
+    dist = np.empty(GAUSS_TRIALS)
+    for lo, rows in _gaussian_blocks(master_seed, trials, GAUSS_TRIALS, codebook.block_dim):
+        dist[lo:lo + len(rows)] = _nearest_sq_dist(rows, codebook.centroids)[0]
+    return dist

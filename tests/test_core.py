@@ -373,6 +373,16 @@ def test_rotate_many_rejects_non_integer_seeds_and_layers():
     assert np.array_equal(rotate_many(x, 2, big), rotate_many(x, 2, np.array(big, np.uint64)))
 
 
+@pytest.mark.parametrize("layers", [0, 2])
+def test_rotate_many_rejects_an_empty_seed_list(layers):
+    # it used to return a (0, d) array at 0 layers and, at 1 or more, fail
+    # in the generator with a message about "keys"
+    x = RNG.standard_normal(16)
+    for seeds in ([], np.array([], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="seeds must name at least one rotation"):
+            rotate_many(x, layers, seeds)
+
+
 def test_rotate_many_matches_single():
     x = RNG.standard_normal(128)
     seeds = derive_seeds(3, 0, 4)

@@ -210,6 +210,21 @@ def test_w1_and_ks_on_true_normal_draws():
     assert empirical_w1(sample) <= 5.0 / math.sqrt(n)
 
 
+@pytest.mark.parametrize("n", [1, 7, (1 << 20) + 3])
+def test_empirical_metrics_match_their_whole_vector_expressions(n):
+    # the blocked K-S maximum and the one-buffer W1 give the bits of the
+    # plain formulas
+    from scipy.special import ndtr, ndtri
+
+    sample = EmpiricalSample.from_values(np.random.default_rng(n).standard_normal(n))
+    v = sample.values
+    f = ndtr(v)
+    ks = float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(0, n) / n).max()))
+    w1 = float(np.mean(np.abs(v - ndtri((np.arange(1, n + 1) - 0.5) / n))))
+    assert empirical_kolmogorov(sample).hex() == ks.hex()
+    assert empirical_w1(sample).hex() == w1.hex()
+
+
 # --- conditional covariance --------------------------------------------------
 
 def test_conditional_cov_one_hot_is_zero():

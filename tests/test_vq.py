@@ -19,7 +19,7 @@ from rotquant.vq import (
     vq_encode,
 )
 from rotquant import vq
-from rotquant.vq import _lloyd, _nearest_sq_dist
+from rotquant.vq import _TRAIN_BLOCK_ROWS, _lloyd, _nearest_sq_dist
 from _oracles import (STEIN_A4, reference_expanded_sq_dist, reference_lloyd,
                       reference_nearest_sq_dist, reference_train_gaussian_codebook)
 
@@ -204,12 +204,19 @@ def _lloyd_cases():
     for scale in (1e-3, 1e3):
         samples = rng.standard_normal((3000, 4)) * scale
         cases.append(pytest.param(samples, samples[:8], id=f"scale {scale:g}"))
+    # blocks of the Lloyd pass: one short block, and a short last block
+    for n, name in ((_TRAIN_BLOCK_ROWS - 1, "below a block"),
+                    (2 * _TRAIN_BLOCK_ROWS + 77, "blocks and a remainder")):
+        samples = rng.standard_normal((n, 3))
+        cases.append(pytest.param(samples, samples[-6:], id=name))
     return cases
 
 
 @pytest.mark.parametrize("samples,centroids", _lloyd_cases())
 def test_bounded_lloyd_matches_plain_lloyd_bit_for_bit(samples, centroids):
-    assert _lloyd(samples, centroids).tobytes() == reference_lloyd(samples, centroids).tobytes()
+    cols = np.ascontiguousarray(samples.T)
+    p_sq = np.einsum("ij,ij->i", samples, samples)
+    assert _lloyd(cols, p_sq, centroids).tobytes() == reference_lloyd(samples, centroids).tobytes()
 
 
 def test_bounded_lloyd_searches_few_rows(monkeypatch):
@@ -368,6 +375,15 @@ def test_universality_reports_shape_and_fields():
     for errs in (*rht, gauss):
         assert errs.dtype == np.float64 and np.all(errs >= 0.0)
     assert all(0.0 < errs.mean() < 4.0 for errs in rht)
+
+
+@pytest.mark.parametrize("block_dim", [4, 3])
+def test_gaussian_distortions_match_one_shot_search(block_dim):
+    # drawn and searched block by block, against one draw of every row
+    cb = train_gaussian_codebook(block_dim, 8, train_seed=1, n_samples=2000)
+    blocks = Xoshiro256pp(derive_seeds(9, 400, vq.GAUSS_TRIALS)).gaussians(block_dim)
+    want = _nearest_sq_dist(blocks, cb.centroids)[0]
+    assert vq.gaussian_distortions(cb, 400, 9).tobytes() == want.tobytes()
 
 
 def test_universality_validation(monkeypatch):
