@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import _input_array
 from .metrics import BERRY_ESSEEN_C, CUBE_RATIO_C, W1_TRANSPORT_C, moment_scan
+from .rng import _input_int
 
 __all__ = [
     "AdaptiveDecision",
@@ -32,12 +33,13 @@ __all__ = [
 def default_eta3(d: int) -> float:
     """Flatness target for the third moment: what one rotation layer
     achieves on average in the worst case."""
-    return CUBE_RATIO_C / math.sqrt(d)
+    return CUBE_RATIO_C / math.sqrt(_input_int(d, "d", 1))
 
 
 def default_eta_inf(d: int) -> float:
     """Mass-concentration target for ``|xu|_inf^2``, at the scale a rotated
     vector meets with high probability."""
+    d = _input_int(d, "d", 1)
     return 2.0 * math.log(2.0 * d) / d
 
 
@@ -123,10 +125,8 @@ def decide_layers(x, eta3: float | None = None,
         raise ValueError("input must be finite and non-zero")
     rho3, linf_sq = ratios
     d = stats.count
-    if eta3 is None:
-        eta3 = default_eta3(d)
-    if eta_inf is None:
-        eta_inf = default_eta_inf(d)
+    eta3 = default_eta3(d) if eta3 is None else float(_input_array(eta3, "eta3", 0))
+    eta_inf = default_eta_inf(d) if eta_inf is None else float(_input_array(eta_inf, "eta_inf", 0))
     for name, eta in (("eta3", eta3), ("eta_inf", eta_inf)):
         if not (math.isfinite(eta) and eta > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {eta}")

@@ -26,9 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import TRIAL_CHUNK_ELEMS, RotationSpec, _input_array, inverse_rotation, map_rotated, rotate_normalized, unit_vector
+from .core import TRIAL_CHUNK_ELEMS, RotationSpec, _input_array, check_scale, inverse_rotation, map_rotated, rotate_normalized, unit_vector
 from .metrics import normal_quantile
-from .rng import Xoshiro256pp
+from .rng import MASK64, Xoshiro256pp, _input_int
 
 __all__ = [
     "threshold_for_p",
@@ -45,10 +45,12 @@ MAX_BITS = 20
 
 
 def threshold_for_p(p: float) -> float:
-    """Two-sided tail threshold: ``t_p`` with ``P(|G| > t_p) = p``.  Finite
-    for every ``p`` above ``2**-53``; below that ``1 - p/2`` rounds to 1."""
+    """Two-sided tail threshold: ``t_p`` with ``P(|G| > t_p) = p``, the tail
+    mass (``tail_mass`` in errors).  Finite for every real ``p`` above
+    ``2**-53``; below that ``1 - p/2`` rounds to 1."""
+    p = float(_input_array(p, "tail_mass", 0))
     if not 0.0 < p < 1.0:
-        raise ValueError("tail mass must lie strictly inside (0, 1)")
+        raise ValueError(f"tail_mass must lie strictly inside (0, 1), got {p!r}")
     q = 1.0 - p / 2.0
     if q == 1.0:
         raise ValueError(f"tail_mass {p!r} is too small: 1 - tail_mass/2 rounds to 1, "
@@ -60,16 +62,17 @@ def threshold_for_p(p: float) -> float:
 class BsqConfig:
     """Grid description: ``2**bits`` uniform levels with endpoints at
     ``+-t_p``; the threshold ``t_p`` is computed, and checked finite, on
-    construction."""
+    construction.  A ``bits`` other than an integer in ``1 .. MAX_BITS`` (``3.0``
+    included), or a ``tail_mass`` that :func:`threshold_for_p` refuses, raises."""
 
     bits: int
     tail_mass: float
     threshold: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 1 <= self.bits <= MAX_BITS:
-            raise ValueError(f"bits must be in 1..{MAX_BITS}, got {self.bits}")
+        object.__setattr__(self, "bits", _input_int(self.bits, "bits", 1, MAX_BITS))
         object.__setattr__(self, "threshold", threshold_for_p(self.tail_mass))
+        object.__setattr__(self, "tail_mass", float(self.tail_mass))
 
     @cached_property
     def n_levels(self) -> int:
@@ -134,8 +137,7 @@ class BsqPayload:
         idx = _input_array(self.outlier_idx, "outlier_idx", 1, integer=True)
         val = _input_array(self.outlier_val, "outlier_val", 1, finite=True)
         d = self.spec.dim
-        if not math.isfinite(self.scale) or self.scale < 0.0:
-            raise ValueError("scale must be finite and non-negative")
+        object.__setattr__(self, "scale", check_scale(self.scale))
         if idx.size != val.size:
             raise ValueError("outlier index/value lengths differ")
         if codes.size + idx.size != d:
@@ -191,10 +193,10 @@ def bsq_encode(x, spec: RotationSpec, cfg: BsqConfig, noise_seed: int) -> BsqPay
     one stream ``noise_seed``; it and the codes are made ``_ENCODE_BLOCK``
     coordinates at a time, and a stream's words do not depend on how its
     draw is split."""
+    noise = Xoshiro256pp([_input_int(noise_seed, "noise_seed", 0, MASK64)])
     u_coords, scale = rotate_normalized(x, spec)
     out_mask = np.abs(u_coords) > cfg.threshold
     codes = np.empty(out_mask.size - np.count_nonzero(out_mask), dtype=np.uint32)
-    noise = Xoshiro256pp([noise_seed])
     done = 0
     for lo in range(0, spec.dim, _ENCODE_BLOCK):
         inside = ~out_mask[lo:lo + _ENCODE_BLOCK]

@@ -14,7 +14,6 @@ derivation is integer-exact, hence identical on every platform.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from dataclasses import dataclass
 from functools import cache
@@ -22,11 +21,12 @@ from itertools import islice
 
 import numpy as np
 
-from .rng import MASK64, Xoshiro256pp, as_keys, derive_seeds
+from .rng import MASK64, Xoshiro256pp, _input_int, as_keys, derive_seeds
 
 __all__ = [
     "MAX_LAYERS",
     "check_dim",
+    "check_scale",
     "RotationSpec",
     "fwht",
     "layer_signs",
@@ -70,28 +70,13 @@ FWHT_BLOCK_ELEMS = 1 << 15
 _SIGN_RUN_ELEMS = 1 << 10
 
 
-def _as_int(value, name: str) -> int:
-    """``value`` as a plain ``int``; non-integers (such as ``1.5``) are rejected."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_dim(d) -> int:
-    """Validate a transform dimension: a positive power of two."""
-    d = _as_int(d, "dimension")
-    if d < 1 or (d & (d - 1)) != 0:
+    """A transform dimension as an ``int``: a positive power of two.  Any
+    other value, a float such as ``8.0`` included, raises ``ValueError``."""
+    d = _input_int(d, "dimension", 1)
+    if d & (d - 1):
         raise ValueError(f"dimension must be a positive power of two, got {d}")
     return d
-
-
-def _check_layers(layers) -> int:
-    """``layers`` as an ``int`` once it is in ``0..MAX_LAYERS``."""
-    layers = _as_int(layers, "layers")
-    if not 0 <= layers <= MAX_LAYERS:
-        raise ValueError(f"layers must be in 0..{MAX_LAYERS}, got {layers}")
-    return layers
 
 
 def _input_array(x, name: str, ndim=None, *, dim=None, nonempty=False,
@@ -132,9 +117,21 @@ def _input_array(x, name: str, ndim=None, *, dim=None, nonempty=False,
     return a
 
 
+def check_scale(scale) -> float:
+    """The one scale rule (``DrivePayload``, ``BsqPayload``, ``vq_decode``):
+    a real scalar, finite and non-negative, as a float."""
+    s = float(_input_array(scale, "scale", 0))
+    if not (math.isfinite(s) and s >= 0.0):
+        raise ValueError(f"scale must be finite and non-negative, got {s!r}")
+    return s
+
+
 @dataclass(frozen=True)
 class RotationSpec:
-    """Rotation pipeline description: dimension, layer count, seed."""
+    """Rotation pipeline description: dimension, layer count, seed, stored
+    as ints.  A ``dim`` that :func:`check_dim` refuses, and any ``layers``
+    outside ``0 .. MAX_LAYERS`` or ``seed`` outside ``0 .. 2**64 - 1`` (a
+    float, which would be truncated, included) raise ``ValueError``."""
 
     dim: int
     layers: int
@@ -142,10 +139,8 @@ class RotationSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "dim", check_dim(self.dim))
-        object.__setattr__(self, "layers", _check_layers(self.layers))
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        object.__setattr__(self, "layers", _input_int(self.layers, "layers", 0, MAX_LAYERS))
+        object.__setattr__(self, "seed", _input_int(self.seed, "seed", 0, MASK64))
 
 
 def _stage(src, dst) -> None:
@@ -262,9 +257,7 @@ def layer_signs(seeds, layer: int, dim: int) -> np.ndarray:
     seeded by ``seeds[i]``.
     """
     dim = check_dim(dim)
-    layer = _as_int(layer, "layer")
-    if not 1 <= layer <= MAX_LAYERS:
-        raise ValueError(f"layer must be in 1..{MAX_LAYERS}, got {layer}")
+    layer = _input_int(layer, "layer", 1, MAX_LAYERS)
     keys = as_keys(seeds, "seeds") ^ np.uint64(layer)
     return Xoshiro256pp(keys).sign_values(dim)
 
@@ -293,6 +286,7 @@ def _sign_rows(packed, d: int) -> np.ndarray:
 def unpack_sign_bits(packed, d: int) -> np.ndarray:
     """Inverse of :func:`sign_vector`: packed bits to float64 +/-1, one
     vector per ``bytes`` or per uint8 row ``(..., ceil(d/8))``."""
+    d = _input_int(d, "d")
     bits = np.unpackbits(_sign_rows(packed, d), axis=-1, count=d, bitorder="little")
     return 1.0 - 2.0 * bits
 
@@ -300,7 +294,7 @@ def unpack_sign_bits(packed, d: int) -> np.ndarray:
 def padding_is_zero(packed: bytes, n_bits: int) -> bool:
     """Whether every bit after the first ``n_bits`` of a field packed as
     :func:`sign_vector` packs is clear; a field with one encoding needs it."""
-    used = n_bits % 8
+    used = _input_int(n_bits, "n_bits") % 8
     return used == 0 or packed[-1] >> used == 0
 
 
@@ -397,7 +391,7 @@ def rotate_many(x, layers: int, seeds, inverse: bool = False) -> np.ndarray:
         raise ValueError("seeds must name at least one rotation")
     if x.ndim == 2 and x.shape[0] != seeds.size:
         raise ValueError("row count must match the number of seeds")
-    layers = _check_layers(layers)
+    layers = _input_int(layers, "layers", 0, MAX_LAYERS)
     out = np.broadcast_to(x, (seeds.size, d)).copy()
     _rotate_rows(out, layers, seeds, inverse)
     return out
@@ -498,8 +492,10 @@ def run_ordered(jobs, fn, threads: int = 1):
     With ``threads > 1`` the jobs run on a thread pool that holds at most
     ``2 * threads`` jobs submitted and not yet yielded, so a slow consumer
     keeps at most that many results (and ``threads`` running jobs) alive.
+    A ``threads`` below 1 or not an integer raises ``ValueError`` first.
     """
-    if threads <= 1:
+    threads = _input_int(threads, "threads", 1)
+    if threads == 1:
         yield from map(fn, jobs)
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -537,11 +533,10 @@ def map_trials(xs, layers: int, trials: int, master_seed: int, fn, *,
     xs = _input_array(xs, "xs", 2, nonempty=True, finite=True)
     n, d = xs.shape
     check_dim(d)
-    layers = _check_layers(layers)
+    layers = _input_int(layers, "layers", 0, MAX_LAYERS)
     if head is not None and not check_dim(head) <= d:
         raise ValueError(f"head must not exceed the dimension {d}, got {head}")
-    if trials < 2:
-        raise ValueError("need at least two trials")
+    trials = _input_int(trials, "trials", 2, need="need at least two trials")
     gather = _first_layer_table(xs) if layers else None
     in_full = layers if head is None else layers - 1  # layers computed in full
     step = max(1, TRIAL_CHUNK_ELEMS // (n * d) // TRIAL_BLOCK) * TRIAL_BLOCK

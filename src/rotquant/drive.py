@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_BLOCK, RotationSpec, _input_array, _rotate_rows, apply_rotation, fwht_sign_bits, layer_signs, map_trials, mean_se, padding_is_zero, sign_vector, sum_sq, unpack_sign_bits
+from .core import TRIAL_BLOCK, RotationSpec, _input_array, _rotate_rows, apply_rotation, check_scale, fwht_sign_bits, layer_signs, map_trials, mean_se, padding_is_zero, sign_vector, sum_sq, unpack_sign_bits
 from .core import rotate_many  # noqa: F401  (the bench tracer patches drive.rotate_many)
+from .rng import _input_int
 
 __all__ = [
     "MODES",
@@ -72,11 +73,9 @@ def scaling_constant_cd(d: int) -> float:
     log-Gamma; large ones through the series, keeping relative error at the
     few-ulp level across the whole range.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError("dimension must be positive")
+    d = _input_int(d, "d", 1)
     if d > _CD_SERIES_CUTOFF:
-        return _ROOT_2_OVER_PI * math.exp(_cd_series_exponent(float(d)))
+        return _ROOT_2_OVER_PI * math.exp(_cd_series_exponent(d))
     return math.exp(0.5 * math.log(d / math.pi) + math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0))
 
 
@@ -114,8 +113,7 @@ class DrivePayload:
 
     def __post_init__(self):
         _check_mode(self.mode)
-        if not math.isfinite(self.scale) or self.scale < 0.0:
-            raise ValueError("scale must be finite and non-negative")
+        object.__setattr__(self, "scale", check_scale(self.scale))
         if len(self.sign_bits) != (self.spec.dim + 7) // 8:
             raise ValueError("sign payload length does not match dimension")
         if not padding_is_zero(self.sign_bits, self.spec.dim):

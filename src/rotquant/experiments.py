@@ -68,7 +68,7 @@ from .metrics import (
     empirical_w1,
 )
 from .reporting import VerifyReport
-from .rng import derive_seed, derive_seeds
+from .rng import _input_int, derive_seed, derive_seeds
 from .vq import (
     conditional_cov_trials,
     gaussian_distortions,
@@ -101,14 +101,13 @@ DEFAULT_MASTER_SEED = 12345
 
 def dkw_slack(n: int) -> float:
     """Two-sided DKW band half-width at 95% confidence (``alpha = 0.05``)."""
-    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * n))
+    return math.sqrt(math.log(2.0 / 0.05) / (2.0 * _input_int(n, "n", 1)))
 
 
 def _trials_for(draws: int, d: int) -> int:
     """Whole rotations of dimension ``d`` that reach ``draws`` pooled
-    coordinates, and at least two; ``draws`` must be at least 1."""
-    if draws < 1:
-        raise ValueError("need at least one draw")
+    coordinates, and at least two; ``draws`` must be an integer of at least 1."""
+    draws = _input_int(draws, "draws", 1, need="need at least one draw")
     return max(2, -(-draws // d))
 
 
@@ -268,6 +267,7 @@ def run_dme(d: int = 4096, n_clients=(1, 4, 16), trials: int = 1000,
     """Distributed mean estimation with identical one-hot clients: per-round
     NMSE under ``(pi/2 - 1)/N + 0.05`` and the 1-vs-16 client ratio near the
     ideal factor 16."""
+    n_clients = [_input_int(n, "n_clients", 1) for n in n_clients]
     x = gen_adversarial("one_hot", d)
     rows = []
     nmse_by_n = {}
@@ -523,6 +523,7 @@ def run_adaptive_soundness(n_inputs: int = 100, d: int = 256,
     """Soundness of the 1-layer recommendation: every random input passing
     the third-moment check also passes the single-layer Kolmogorov bound
     ``0.5606 eta3`` (+ DKW) on a million pooled coordinate draws."""
+    n_inputs = _input_int(n_inputs, "n_inputs", 1)
     eta3 = default_eta3(d)
     chosen = []
     attempts = 0

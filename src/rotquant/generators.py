@@ -14,7 +14,7 @@ import numpy as np
 
 from .bsq import BsqConfig
 from .core import check_dim, unit_vector
-from .rng import Xoshiro256pp
+from .rng import MASK64, Xoshiro256pp, _input_int
 
 __all__ = ["KINDS", "gen_adversarial"]
 
@@ -61,7 +61,7 @@ def gen_adversarial(kind: str, d: int, seed: int = 0, tail_mass: float = 0.01,
         x = _grid_midpoints(d, tail_mass, bits)
         return unit_vector(x)[0]
     if kind == "dirichlet_random":
-        gen = Xoshiro256pp([seed])
+        gen = Xoshiro256pp([_input_int(seed, "seed", 0, MASK64)])
         u = gen.uniforms(d)[0]
         weights = -np.log1p(-u)  # exponentials -> symmetric Dirichlet mass
         x = gen.sign_values(d)[0] * np.sqrt(weights / weights.sum())

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim
+from .rng import _input_int
 
 __all__ = [
     "CUBE_RATIO_C",
@@ -125,45 +126,50 @@ def _ratio(x: float, p: tuple, q: tuple) -> float:
 
 
 def normal_quantile(q):
-    """Standard normal quantile ``Phi^-1(q)`` for ``q`` strictly inside (0, 1):
-    a float for a scalar, elementwise for an array.
+    """Standard normal quantile ``Phi^-1(q)`` for real ``q`` strictly inside
+    (0, 1): a float for a scalar, elementwise for an array.
 
-    The scalar kernel is a port of Cephes ``ndtri``, the algorithm and
-    coefficients of ``scipy.special.ndtri``, in the same operation order on
+    The kernel is a port of Cephes ``ndtri``, the algorithm and coefficients
+    of ``scipy.special.ndtri``, in the same operation order on
     ``math.log``/``math.sqrt``, so the two agree bit for bit; it satisfies
     ``|cdf(result) - q| <= 1e-13``.
     """
-    if not isinstance(q, float) and np.ndim(q):
-        q = _input_array(q, "q")
-        return np.array([normal_quantile(v) for v in q.ravel().tolist()]).reshape(q.shape)
-    y = float(q)
-    if not 0.0 < y < 1.0:
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
-    upper = y > 1.0 - _EXP_M2
-    if upper:
-        y = 1.0 - y
-    if y > _EXP_M2:
-        y -= 0.5
-        return (y + y * _ratio(y * y, _P0, _Q0)) * _SQRT_2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    z = 1.0 / x
-    tail = _ratio(z, _P1, _Q1) if x < 8.0 else _ratio(z, _P2, _Q2)
-    x = x - math.log(x) / x - tail
-    return x if upper else -x
+    a = _input_array(q, "q")
+    out = []
+    for y in a.ravel().tolist():
+        if not 0.0 < y < 1.0:
+            raise ValueError(f"quantile argument q must lie strictly inside (0, 1), got {y!r}")
+        upper = y > 1.0 - _EXP_M2
+        if upper:
+            y = 1.0 - y
+        if y > _EXP_M2:  # the central range, which a flipped y never reaches
+            y -= 0.5
+            out.append((y + y * _ratio(y * y, _P0, _Q0)) * _SQRT_2PI)
+            continue
+        x = math.sqrt(-2.0 * math.log(y))
+        z = 1.0 / x
+        tail = _ratio(z, _P1, _Q1) if x < 8.0 else _ratio(z, _P2, _Q2)
+        x = x - math.log(x) / x - tail
+        out.append(x if upper else -x)
+    return np.array(out).reshape(a.shape) if a.ndim else out[0]
 
 
 @dataclass(frozen=True)
 class EmpiricalSample:
-    """A sorted sample of finite draws; the input to the empirical metrics."""
+    """A sorted sample of finite draws (made by :meth:`from_values`); the
+    input to the empirical metrics."""
 
     values: np.ndarray
-    n: int
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalSample":
         v = np.sort(_input_array(values, "values", nonempty=True, finite=True).ravel())
         v.flags.writeable = False
-        return cls(values=v, n=int(v.size))
+        return cls(values=v)
+
+    @property
+    def n(self) -> int:
+        return self.values.size
 
 
 # Values per block of :func:`empirical_kolmogorov`: its three block-sized
@@ -224,10 +230,7 @@ def conditional_cov_exact(y, signs, i: int, j: int) -> float:
     y = _input_array(y, "y", 1)
     d = check_dim(y.size)
     s = _input_array(signs, "signs", 1, dim=d)
-    if not (0 <= i < d and 0 <= j < d):
-        raise ValueError("coordinate indices out of range")
-    alpha = i ^ j
-    perm = np.arange(d) ^ alpha
+    perm = np.arange(d) ^ (_input_int(i, "i", 0, d - 1) ^ _input_int(j, "j", 0, d - 1))
     w = s * y
     return float(np.add.reduce(w * w[perm]))
 

@@ -40,8 +40,8 @@ share its batch, or on how they are split across calls.
 from __future__ import annotations
 
 import operator
-import threading
 from array import array
+from functools import cache
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 MASK64 = (1 << 64) - 1
-_MASTER_ERROR = "master seed must be an integer in 0 .. 2**64 - 1"
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -78,34 +77,37 @@ def mix64(x: int) -> int:
     return splitmix64(x & MASK64)[1]
 
 
-def _non_negative_int(value, error: str, limit: int | None = None) -> int:
-    """``value`` as an int in ``0 .. limit``; anything else raises
-    ``ValueError(error)``.  A negative master would wrap onto another seed
-    and a float would be truncated, so neither is converted."""
+def _input_int(value, name: str, lo: int = 0, hi: int | None = None, *, need: str = "") -> int:
+    """The one gate for an integer argument ``name``: ``value`` through
+    ``operator.index`` (bool and numpy integers pass) as an ``int`` in
+    ``lo .. hi`` (``hi=None``: no upper end).  Anything else, such as a float
+    that a cast would truncate, raises ``ValueError`` naming ``name`` and the
+    range, built only on failure; an integer out of range raises the
+    caller's documented message ``need`` instead, where there is one."""
     try:
         v = operator.index(value)
     except TypeError:
-        v = -1
-    if v < 0 or (limit is not None and v > limit):
-        raise ValueError(error)
-    return v
+        v, need = lo - 1, ""  # not an integer: outside every range, so the named message
+    if lo <= v and (hi is None or v <= hi):
+        return v
+    span = f">= {lo}" if hi is None else f"in {lo} .. {'2**64 - 1' if hi == MASK64 else hi}"
+    raise ValueError(need or f"{name} must be an integer {span}, got {value!r}")
 
 
 def derive_seed(master: int, index: int) -> int:
     """Per-trial seed: ``mix64(master + index)`` with wrapping 64-bit add."""
-    master = _non_negative_int(master, _MASTER_ERROR, MASK64)
-    index = _non_negative_int(index, "index must be a non-negative integer")
+    master = _input_int(master, "master seed", 0, MASK64)
+    index = _input_int(index, "index")
     return mix64((master + index) & MASK64)
 
 
 def derive_seeds(master: int, start: int, count: int) -> np.ndarray:
     """Vector of per-trial seeds for indices ``start .. start+count-1``."""
-    master = _non_negative_int(master, _MASTER_ERROR, MASK64)
-    start = _non_negative_int(start, "start must be a non-negative integer")
-    count = _non_negative_int(count, "count must be a non-negative integer")
-    base = np.uint64(master)
+    master = _input_int(master, "master seed", 0, MASK64)
+    start = _input_int(start, "start")
+    count = _input_int(count, "count")
     with np.errstate(over="ignore"):
-        states = base + np.arange(start, start + count, dtype=np.uint64)
+        states = np.uint64(master) + np.arange(start, start + count, dtype=np.uint64)
         return _splitmix_step_vec(states)[1]
 
 
@@ -141,15 +143,11 @@ def as_keys(keys, name: str = "keys") -> np.ndarray:
 # about 320-380 words on a 2-vCPU Xeon; at 512 the lanes are ~1.6x faster.
 _LANES_MIN_WORDS = 512
 
-# _JUMPS[k] is T^(2^k), T the linear xoshiro256 state update, as 64 nibble
-# tables of 16 states (the method of four Russians), flattened to shape
+# A jump table holds a power of T, the linear xoshiro256 state update, as 64
+# nibble tables of 16 states (the method of four Russians), flattened to shape
 # (64 * 16, 4): row 16 * c + v is the image of the state whose nibble c is v
 # and whose other bits are 0.  Nibble c holds bits 4c .. 4c + 3 of the state
-# read as one 256-bit little-endian integer (s0 lowest).  Built on first use
-# by squaring; appended under the lock, since a racing double append would
-# shift every later power.
-_JUMPS: list[np.ndarray] = []
-_JUMPS_LOCK = threading.Lock()
+# read as one 256-bit little-endian integer (s0 lowest).
 _NIBBLE_ROWS = np.arange(0, 64 * 16, 16)
 _BIT_ROWS = (_NIBBLE_ROWS[:, None] + (1 << np.arange(4))).ravel()
 
@@ -183,21 +181,24 @@ def _nibble_tables(bit_images: np.ndarray) -> np.ndarray:
     return table.reshape(-1, 4)
 
 
-def _jump_tables(top: int) -> list[np.ndarray]:
-    """``[T^(2^0), ..., T^(2^top)]`` as jump tables."""
-    with _JUMPS_LOCK:
-        if not _JUMPS:
-            # T itself: one batch-kernel step of each one-bit state.
-            bit = np.arange(256)
-            states = np.zeros((4, 256), dtype=np.uint64)
-            states[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
-            gen = Xoshiro256pp._from_state(states)
-            gen._batch(1)
-            _JUMPS.append(_nibble_tables(gen._state.T))
-        while len(_JUMPS) <= top:
-            half = _JUMPS[-1]
-            _JUMPS.append(_nibble_tables(_jump(half, half[_BIT_ROWS])))
-        return _JUMPS[:top + 1]
+@cache
+def _jump_table(k: int) -> np.ndarray:
+    """``T^(2^k)`` as a read-only jump table: ``T`` itself (one batch-kernel
+    step of each one-bit state) for ``k = 0``, else the square of
+    ``_jump_table(k - 1)``.  Keyed by the power, so racing threads that
+    build one table twice get equal tables."""
+    if k:
+        half = _jump_table(k - 1)
+        images = _jump(half, half[_BIT_ROWS])
+    else:
+        bit = np.arange(256)
+        gen = Xoshiro256pp._from_state(np.zeros((4, 256)))
+        gen._state[bit // 64, bit] = np.uint64(1) << (bit % 64).astype(np.uint64)
+        gen._batch(1)
+        images = gen._state.T
+    table = _nibble_tables(images)
+    table.flags.writeable = False  # every caller shares it
+    return table
 
 
 # Streams per Box-Muller block in ``Xoshiro256pp.gaussians``.  A fixed
@@ -255,7 +256,7 @@ class Xoshiro256pp:
 
     def words(self, count: int) -> np.ndarray:
         """``count`` successive words per stream, shape ``(n_streams, count)``."""
-        count = _non_negative_int(count, "count must be a non-negative integer")
+        count = _input_int(count, "count")
         if self.n_streams > 1:
             return self._batch(count)
         if count >= _LANES_MIN_WORDS:
@@ -311,10 +312,9 @@ class Xoshiro256pp:
         span = _lane_span(count)
         n_lanes = -(-count // span)
         first = span.bit_length() - 1
-        tables = _jump_tables(first + (n_lanes - 1).bit_length() - 1)
         starts = self._state.T.copy()
-        for table in tables[first:]:
-            starts = np.concatenate([starts, _jump(table, starts[:n_lanes - len(starts)])])
+        for k in range(first, first + (n_lanes - 1).bit_length()):
+            starts = np.concatenate([starts, _jump(_jump_table(k), starts[:n_lanes - len(starts)])])
         lanes = Xoshiro256pp._from_state(starts.T)
         last = count - (n_lanes - 1) * span  # words from the last lane, 1 .. span
         out = np.empty((n_lanes, span), dtype=np.uint64)
@@ -326,6 +326,7 @@ class Xoshiro256pp:
 
     def sign_values(self, count: int) -> np.ndarray:
         """``count`` signs per stream as float64 +/-1, MSB-first per word."""
+        count = _input_int(count, "count")
         w = self.words((count + 63) // 64)
         bits = np.unpackbits(w.astype(">u8").view(np.uint8), axis=1, count=count)
         signs = bits.astype(np.float64)
@@ -342,6 +343,7 @@ class Xoshiro256pp:
         """``count`` standard normals per stream (Box-Muller), drawn
         ``_GAUSSIAN_BLOCK_STREAMS`` streams at a time so the temporaries stay
         a small multiple of one block, whatever the number of streams."""
+        count = _input_int(count, "count")
         pairs = (count + 1) // 2
         z = np.empty((self.n_streams, 2 * pairs), dtype=np.float64)
         for lo in range(0, self.n_streams, _GAUSSIAN_BLOCK_STREAMS):

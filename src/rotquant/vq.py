@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim, check_scale, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
-from .rng import _GAUSSIAN_BLOCK_STREAMS, Xoshiro256pp, derive_seed, derive_seeds
+from .rng import _GAUSSIAN_BLOCK_STREAMS, MASK64, Xoshiro256pp, _input_int, derive_seed, derive_seeds
 
 __all__ = [
     "Codebook",
@@ -45,12 +45,15 @@ __all__ = [
 class Codebook:
     """Trained centroids for one block size, plus the training seed that
     reproduces them bit for bit; the block size, centroid count and radius
-    are read off the centroids, so they cannot disagree with them."""
+    are read off the centroids, so they cannot disagree with them.  Refused
+    at construction: centroids other than a non-empty, finite 2-d real array
+    with finite norms, and a ``train_seed`` outside the integers ``0 .. 2**64 - 1``."""
 
     centroids: np.ndarray  # (n_centroids, block_dim) float64, read-only
     train_seed: int
 
     def __post_init__(self):
+        object.__setattr__(self, "train_seed", _input_int(self.train_seed, "train_seed", 0, MASK64))
         # a copy, so freezing it leaves the caller's array writeable
         c = _input_array(self.centroids, "centroids", 2, nonempty=True, finite=True).copy()
         c.flags.writeable = False
@@ -295,10 +298,9 @@ def train_gaussian_codebook(block_dim: int, n_centroids: int, train_seed: int,
     into one ``(block_dim, n_samples)`` buffer, one coordinate per row, and
     each block's ``einsum`` norms are taken while it is still row-major.
     """
-    if block_dim < 1 or n_centroids < 1:
-        raise ValueError("block_dim and n_centroids must be positive")
-    if n_samples < 10 * n_centroids:
-        raise ValueError("need at least 10 samples per centroid")
+    block_dim = _input_int(block_dim, "block_dim", 1)
+    n_centroids = _input_int(n_centroids, "n_centroids", 1)
+    n_samples = _input_int(n_samples, "n_samples", 10 * n_centroids)
     cols = np.empty((block_dim, n_samples))
     p_sq = np.empty(n_samples)
     for lo, rows in _gaussian_blocks(train_seed, 0, n_samples, block_dim):
@@ -355,8 +357,7 @@ def vq_decode(indices, scale: float, spec, codebook: Codebook) -> np.ndarray:
     Raises ``ValueError`` unless ``scale`` is finite and non-negative, the
     indices are a 1-d integer array and each names a centroid of ``codebook``.
     """
-    if not math.isfinite(scale) or scale < 0.0:
-        raise ValueError("scale must be finite and non-negative")
+    scale = check_scale(scale)
     idx = _input_array(indices, "indices", 1, integer=True)
     d = spec.dim
     if idx.size * codebook.block_dim != d:
@@ -371,8 +372,7 @@ def stein_diagnostic_constant(k: int) -> float:
     """Smoothness budget for k-dim test functions in the block-law
     comparison: ``4 (11.1 + 0.83 ln k) + 4 sqrt(k) + 1``.  Reported as a
     looseness diagnostic, never as a pass/fail target."""
-    if k < 1:
-        raise ValueError("block dimension must be positive")
+    k = _input_int(k, "k", 1)
     return 4.0 * (11.1 + 0.83 * math.log(k)) + 4.0 * math.sqrt(k) + 1.0
 
 
@@ -390,14 +390,12 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
     Returns ``(covs, linf_sq)`` arrays of length ``trials``; raises
     ``ValueError`` for a zero or non-finite ``x`` or fewer than two trials.
     """
-    if layers not in (2, 3):
-        raise ValueError("covariance diagnostics apply to 2 or 3 layers")
-    if i == j:
-        raise ValueError("need two distinct coordinates")
+    layers = _input_int(layers, "layers", 2, 3)
     xu, _ = unit_vector(x)
     d = check_dim(xu.size)
-    if not (0 <= i < d and 0 <= j < d):
-        raise ValueError("coordinate index out of range")
+    i, j = _input_int(i, "i", 0, d - 1), _input_int(j, "j", 0, d - 1)
+    if i == j:
+        raise ValueError("need two distinct coordinates")
     perm = np.arange(d) ^ (i ^ j)
 
     def chunk(a, seeds):  # a: the pre-final rows, rotated by layers - 2 layers

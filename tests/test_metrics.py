@@ -157,6 +157,15 @@ def test_normal_quantile_rejects_arguments_outside_the_open_unit_interval(q):
 
 # --- empirical distances ----------------------------------------------------
 
+def test_sample_size_is_read_off_its_values():
+    # a separate size field once let EmpiricalSample(values=[3, -1], n=5)
+    # give a Kolmogorov distance of 0.9987 without complaint
+    sample = EmpiricalSample.from_values([3.0, -1.0])
+    assert sample.n == 2 and type(sample.n) is int
+    with pytest.raises(TypeError):
+        EmpiricalSample(values=sample.values, n=5)
+
+
 def test_kolmogorov_single_zero():
     assert empirical_kolmogorov(EmpiricalSample.from_values([0.0])) == 0.5
 

@@ -220,32 +220,40 @@ _CONVERTERS = {"asarray", "array", "ascontiguousarray", "fromiter"}
 _FLOAT64 = {"float64", "double", "float", "f8", "<f8", "d"}
 
 
-def _hand_rolled_conversions(source: str) -> list:
-    """``np.asarray``/``np.array`` (or ``ascontiguousarray``/``fromiter``)
-    calls with a float64 dtype on a parameter of a public function or
-    method of the module ``source``, unless the line says ``# gate:`` and
-    why.  Such input goes through ``core._input_array``, the one gate that
-    refuses complex and other non-real dtypes."""
-    tree = ast.parse(source)
+def _calls_on_parameters(source: str):
+    """``(function name, call)`` for each call in a public function or method
+    of the module ``source`` whose first argument is one of that function's
+    own parameters, unless the call's line says ``# gate:`` and why."""
     lines = source.splitlines()
-    found = []
-    for fn in ast.walk(tree):
+    for fn in ast.walk(ast.parse(source)):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or fn.name.startswith("_"):
             continue
         params = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
         for call in ast.walk(fn):
-            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                    and call.func.attr in _CONVERTERS and isinstance(call.func.value, ast.Name)
-                    and call.func.value.id in ("np", "numpy") and call.args
-                    and isinstance(call.args[0], ast.Name) and call.args[0].id in params):
-                continue
-            dtype = next((k.value for k in call.keywords if k.arg == "dtype"),
-                         call.args[1] if len(call.args) > 1 else None)
-            name = (dtype.attr if isinstance(dtype, ast.Attribute)
-                    else dtype.id if isinstance(dtype, ast.Name)
-                    else dtype.value if isinstance(dtype, ast.Constant) else None)
-            if name in _FLOAT64 and not re.search(r"# gate:\s*\S", lines[call.lineno - 1]):
-                found.append(f"{call.lineno}: {fn.name}({call.args[0].id})")
+            if (isinstance(call, ast.Call) and call.args and isinstance(call.args[0], ast.Name)
+                    and call.args[0].id in params
+                    and not re.search(r"# gate:\s*\S", lines[call.lineno - 1])):
+                yield fn.name, call
+
+
+def _hand_rolled_conversions(source: str) -> list:
+    """``np.asarray``/``np.array`` (or ``ascontiguousarray``/``fromiter``)
+    calls with a float64 dtype on a parameter of a public function or
+    method of the module ``source`` (:func:`_calls_on_parameters`).  Such
+    input goes through ``core._input_array``, the one gate that refuses
+    complex and other non-real dtypes."""
+    found = []
+    for fn, call in _calls_on_parameters(source):
+        if not (isinstance(call.func, ast.Attribute) and call.func.attr in _CONVERTERS
+                and isinstance(call.func.value, ast.Name) and call.func.value.id in ("np", "numpy")):
+            continue
+        dtype = next((k.value for k in call.keywords if k.arg == "dtype"),
+                     call.args[1] if len(call.args) > 1 else None)
+        name = (dtype.attr if isinstance(dtype, ast.Attribute)
+                else dtype.id if isinstance(dtype, ast.Name)
+                else dtype.value if isinstance(dtype, ast.Constant) else None)
+        if name in _FLOAT64:
+            found.append(f"{call.lineno}: {fn}({call.args[0].id})")
     return found
 
 
@@ -274,3 +282,37 @@ def test_public_input_goes_through_the_gate(path):
     """No public function converts a parameter to float64 by hand: the
     gate's dtype, shape and finiteness rules would not run on it."""
     assert _hand_rolled_conversions(path.read_text()) == []
+
+
+def _hand_rolled_scalars(source: str) -> list:
+    """``int(p)``/``float(p)`` calls on a parameter ``p`` of a public
+    function or method of the module ``source`` (:func:`_calls_on_parameters`).
+    ``int`` truncates a float and ``float`` parses a str, so such a scalar
+    goes through ``rng._input_int`` or ``core._input_array`` at zero axes."""
+    return [f"{call.lineno}: {fn}({call.func.id}({call.args[0].id}))"
+            for fn, call in _calls_on_parameters(source)
+            if isinstance(call.func, ast.Name) and call.func.id in ("int", "float")]
+
+
+def test_the_scalar_guard_catches_a_hand_rolled_parse():
+    source = ("def scale_for(d, p, *, bits=2):\n"
+              "    n = int(d)\n"
+              "    t = float(p)  # gate: the caller checked it\n"
+              "    b = int(bits)\n"
+              "    m = float(n) + int(d + 1) + round(p)\n"
+              "    return n, t, b, m\n"
+              "def _helper(d):\n"
+              "    return int(d)\n"
+              "class Config:\n"
+              "    def tail(self, p):\n"
+              "        return float(p)\n")
+    assert _hand_rolled_scalars(source) == [
+        "2: scale_for(int(d))", "4: scale_for(int(bits))", "11: tail(float(p))"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rotquant.__file__).parent.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_public_scalars_go_through_the_gate(path):
+    """No public function parses a parameter with ``int`` or ``float``:
+    the integer rule's range and the real gate's dtype rules would not run."""
+    assert _hand_rolled_scalars(path.read_text()) == []

@@ -305,10 +305,10 @@ def test_lanes_match_the_loop_on_a_long_stream():
     assert np.array_equal(lanes.words(3), loop.words(3))
 
 
-def test_threads_building_the_jump_tables_get_the_loop_words(monkeypatch):
-    """Threads that race to build the jump tables from an empty cache (a lost
-    or doubled power would change their words) still draw the loop's words."""
-    monkeypatch.setattr(rng, "_JUMPS", [])
+def test_threads_building_the_jump_tables_get_the_loop_words():
+    """Threads that race to build the jump tables from an empty cache (a
+    wrong power would change their words) still draw the loop's words."""
+    rng._jump_table.cache_clear()
     keys = [11, 12, 13, 14]
     want = [np.frombuffer(Xoshiro256pp([k])._one_stream(4096), dtype=np.uint64) for k in keys]
     got = [None] * len(keys)
@@ -334,8 +334,9 @@ def test_threads_building_the_jump_tables_get_the_loop_words(monkeypatch):
     # Each cached power is the square of the one before it.
     states = np.array([[int(k) for k in derive_seeds(4, 4 * i, 4)] for i in range(8)],
                       dtype=np.uint64)
-    tables = rng._JUMPS
-    assert len(tables) >= 8
+    assert rng._jump_table.cache_info().currsize >= 8
+    tables = [rng._jump_table(k) for k in range(8)]
+    assert not any(t.flags.writeable for t in tables)
     for lower, upper in zip(tables, tables[1:]):
         assert np.array_equal(rng._jump(upper, states),
                               rng._jump(lower, rng._jump(lower, states)))
