@@ -94,14 +94,18 @@ def _load_input(args) -> np.ndarray:
 
 def _emit(rows, args, timings: dict) -> int:
     """Print or write the rows, echoing the parsed arguments as the config
-    and, in the JSON form, the wall seconds per runner."""
+    and, in the JSON form, the wall seconds per runner.  With ``--out`` the
+    printed summary also counts the rows whose verdict sampling noise could
+    decide: ``|headroom_se| < 2``."""
     config = {k: v for k, v in vars(args).items()
               if k not in ("fn", "format", "out")}
     text = render_rows(rows, config, fmt=args.format, timings=timings)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         summary = "all checks healthy" if all_ok(rows) else "CHECK FAILED"
-        print(f"{len(rows)} rows -> {args.out}: {summary}")
+        close = sum(r.headroom_se is not None and abs(r.headroom_se) < 2 for r in rows)
+        print(f"{len(rows)} rows -> {args.out}: {summary}; "
+              f"{close} within 2 standard errors of the bound")
     else:
         print(text, end="")
     return 0 if all_ok(rows) else 1
@@ -303,7 +307,6 @@ def main(argv=None) -> int:
     p.add_argument("--trials", type=int, default=10_000,
                    help="universality rotations per dimension")
     p.add_argument("--cov-trials", type=int, default=1000)
-    p.add_argument("--train-seed", type=int, default=2024)
     p.add_argument("--skip-negative", action="store_true",
                    help="skip the 2-layer negative control")
 

@@ -82,8 +82,9 @@ def scaling_constant_cd(d: int) -> float:
 # Not folded into scaling_constant_cd: the two differ in the last bits at some
 # dimensions, and one sets unbiased wire scales while this one feeds run_cd_expansion.
 def cd_values(dims: np.ndarray) -> np.ndarray:
-    """Vectorized ``scaling_constant_cd`` over an integer array."""
-    d = _input_array(dims, "dims")
+    """Vectorized ``scaling_constant_cd`` over an array of integer dtype;
+    any other dtype raises ``ValueError`` naming ``dims``."""
+    d = _input_array(dims, "dims", integer=True)
     if d.size and d.min() < 1:
         raise ValueError("dimensions must be positive")
     small = d <= _CD_SERIES_CUTOFF

@@ -15,7 +15,7 @@ A runner takes only what its callers vary: mostly dimensions, trial and
 draw counts, the master seed and ``threads``.  Runners that pool coordinate
 draws are sized by ``draws`` (at least 1), rounded up to whole rotations
 and to at least two.  Settings that no caller varies (outlier tail masses,
-covariance pairs, the codebook shape, the calibrated bounds) are fixed in
+covariance pairs, the report's codebook, the calibrated bounds) are fixed in
 the runner, and each runner's defaults are its full-scale settings.
 :data:`RUNNERS` lists every runner in report row order under the
 subcommand that runs it: ``rotquant report`` runs the whole table and each
@@ -70,11 +70,10 @@ from .metrics import (
 from .reporting import VerifyReport
 from .rng import _input_int, derive_seed, derive_seeds
 from .vq import (
+    REPORT_CODEBOOK,
     conditional_cov_trials,
     gaussian_distortions,
     stein_diagnostic_constant,
-    train_gaussian_codebook,
-    universality_dims,
     verify_codebook_universality,
 )
 
@@ -464,26 +463,27 @@ def _universality_rows(dims, rht, gauss, label: str,
 
 
 def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
-                        train_seed: int = 2024,
                         master_seed: int = DEFAULT_MASTER_SEED,
                         include_negative: bool = True,
                         threads: int = 1) -> list[VerifyReport]:
-    """One 16-centroid codebook of 4-dim blocks across dimensions: the
-    distortion gap against fresh Gaussian blocks decays like
-    ``sqrt(log d / d)`` under 3 rotation layers (trend of the scaled gap,
-    plus a pilot-calibrated final absolute gap under 0.05); with
-    2 layers the two-spike input must keep a non-decaying gap."""
+    """The report's codebook (:data:`rotquant.vq.REPORT_CODEBOOK`, 16
+    centroids of 4-dim blocks) across dimensions: the distortion gap against
+    fresh Gaussian blocks decays like ``sqrt(log d / d)`` under 3 rotation
+    layers (trend of the scaled gap, plus a pilot-calibrated final absolute
+    gap under 0.05); with 2 layers the two-spike input must keep a
+    non-decaying gap.  The Gaussian reference, shared by both runs, is drawn
+    after the 3-layer run has checked ``dims``; its seeds are counter-based,
+    so the order moves no bit."""
     pattern = gen_adversarial("two_spike", 4)
-    dims = universality_dims(dims, 4, pattern.size)  # before the codebook training
-    codebook = train_gaussian_codebook(4, 16, train_seed)
-    gauss = gaussian_distortions(codebook, trials, master_seed)  # shared by both runs
+    dims = tuple(dims)
     positive = verify_codebook_universality(
-        pattern, codebook, dims, trials, master_seed=master_seed, layers=3,
+        pattern, REPORT_CODEBOOK, dims, trials, master_seed=master_seed, layers=3,
         threads=threads)
+    gauss = gaussian_distortions(REPORT_CODEBOOK, trials, master_seed)
     rows = _universality_rows(dims, positive, gauss, "universality", negative=False)
     if include_negative:
         negative = verify_codebook_universality(
-            pattern, codebook, dims, trials, master_seed=master_seed,
+            pattern, REPORT_CODEBOOK, dims, trials, master_seed=master_seed,
             layers=2, threads=threads)
         rows.extend(_universality_rows(dims, negative, gauss, "two-layer-control",
                                        negative=True))
@@ -565,7 +565,7 @@ def run_cd_expansion() -> list[VerifyReport]:
     ``c_d ~ sqrt(2/pi) (1 + 1/(4d))`` over every dimension from 16 to 2^20:
     the worst ``d^2``-scaled deviation stays under 10."""
     d_min, d_max = 16, 1 << 20
-    d = np.arange(d_min, d_max + 1, dtype=np.float64)
+    d = np.arange(d_min, d_max + 1, dtype=np.int64)
     cd = cd_values(d)
     approx = math.sqrt(2.0 / math.pi) * (1.0 + 1.0 / (4.0 * d))
     scaled = d * d * np.abs(cd - approx)

@@ -1,11 +1,12 @@
 """Gaussian-codebook block vector quantization and its validity checks.
 
-A single codebook is trained once on i.i.d. standard-normal blocks.  Because
-a 3-layer rotation makes *any* unit input's normalized coordinates
-block-wise near-Gaussian (pairwise correlations conditionally vanish at the
-final layer), that one codebook serves every input and every dimension: the
-measured distortion gap between rotated data and fresh Gaussian data decays
-like sqrt(log d / d).  With only 2 layers an adversarial input keeps a
+A single codebook trained on i.i.d. standard-normal blocks serves the
+report; it ships as exact constants (:data:`REPORT_CODEBOOK`), so no run
+trains it.  Because a 3-layer rotation makes *any* unit input's normalized
+coordinates block-wise near-Gaussian (pairwise correlations conditionally
+vanish at the final layer), that one codebook serves every input and every
+dimension: the measured distortion gap between rotated data and fresh
+Gaussian data decays like sqrt(log d / d).  With only 2 layers an adversarial input keeps a
 non-Gaussian block law and the gap stays put.
 
 Two estimators back this, each returning per-trial samples in trial order
@@ -31,12 +32,12 @@ from .rng import _GAUSSIAN_BLOCK_STREAMS, MASK64, Xoshiro256pp, _input_int, deri
 
 __all__ = [
     "Codebook",
+    "REPORT_CODEBOOK",
     "train_gaussian_codebook",
     "vq_encode",
     "vq_decode",
     "stein_diagnostic_constant",
     "conditional_cov_trials",
-    "universality_dims",
     "verify_codebook_universality",
 ]
 
@@ -339,6 +340,31 @@ def _seed_centroids(cols: np.ndarray, picks: np.ndarray) -> np.ndarray:
     return centroids
 
 
+# The report's codebook: ``train_gaussian_codebook(4, 16, 2024)`` on its
+# default 2^17 samples, one centroid a line, as exact ``float.hex`` values.
+# No runner trains; tests/test_vq.py retrains it and compares bit for bit.
+_REPORT_CENTROIDS = (
+    ('0x1.8154b313663b0p-1', '0x1.4d836438b1adep-4', '0x1.9f1a4539599f0p-2', '0x1.5f30f836cb20bp+0'),
+    ('-0x1.155ffbe4681b8p-1', '-0x1.a638d4a75cf1dp-5', '0x1.e9d4f1b56074dp-1', '-0x1.32f0bd975c8adp+0'),
+    ('0x1.7aee8cd0a6d78p-1', '0x1.d62b42fc61d8ap-2', '0x1.4780f0babbed9p+0', '-0x1.d89a60e8c0f99p-3'),
+    ('-0x1.63ed22e912481p-1', '0x1.d53eb8c946950p-2', '-0x1.1ac3e7f20e58dp-1', '0x1.38f532e6e3c6bp+0'),
+    ('-0x1.6e1741e9c1a55p-1', '0x1.0770759bee7f8p+0', '-0x1.24fab4a574893p-2', '-0x1.a4d42ea7292b9p-1'),
+    ('0x1.60517a7c16a1ep+0', '-0x1.a31e55e63740ap-1', '0x1.294a1b9b2b1aep-2', '-0x1.e0497f1c90d1ap-5'),
+    ('-0x1.abc3dfa5dd85ap-2', '0x1.82f93f0c549e7p-2', '-0x1.94b49269aef98p+0', '-0x1.b0f90d2cba009p-4'),
+    ('-0x1.3f468f823b864p-1', '-0x1.0df363f623df5p-1', '0x1.0f3ebc34fd025p+0', '0x1.9b6eb5cae9bebp-1'),
+    ('-0x1.5057d96afe075p-4', '-0x1.bd9a12b19e19ep-1', '-0x1.959e51d5f835dp-1', '-0x1.09957fdb7c3e4p+0'),
+    ('-0x1.3d0fb53d3652ap-8', '-0x1.707c9d8a0da5dp+0', '0x1.908d98b26bd02p-1', '-0x1.a3af5d2e72aa3p-2'),
+    ('-0x1.0d125b30827b2p-3', '-0x1.3af27bccc0a80p+0', '-0x1.4e2b274f650b8p-1', '0x1.a0d2ab828c42dp-1'),
+    ('-0x1.8ec9e15e707afp-1', '0x1.231b687f8bc58p+0', '0x1.d34c61a52e174p-1', '0x1.aea888cb1cdfcp-2'),
+    ('0x1.cb5dc7a85c988p-1', '0x1.ab60d6a34e7aep-2', '-0x1.dda489532d268p-3', '-0x1.4afaf9e5b49fcp+0'),
+    ('0x1.711dd449cf9aap-1', '0x1.6ea31fb772088p+0', '-0x1.e435af0ab9db3p-3', '0x1.1cb683e119396p-2'),
+    ('-0x1.93504818cb3bdp+0', '-0x1.ea87b05e31cbap-2', '-0x1.6ffcbd1dbeb7dp-3', '-0x1.189151e5de71fp-3'),
+    ('0x1.166ae040d3db5p+0', '-0x1.4a4c27016ecc2p-4', '-0x1.26c43718754aap+0', '0x1.5671f71f9d686p-2'),
+)
+REPORT_CODEBOOK = Codebook(np.array([[float.fromhex(v) for v in row] for row in _REPORT_CENTROIDS]),
+                           train_seed=2024)
+
+
 def vq_encode(x, spec, codebook: Codebook):
     """Rotate, split ``U = sqrt(d) R xu`` into contiguous blocks, send
     nearest-centroid indices plus the scalar scale.  Returns
@@ -411,22 +437,6 @@ def conditional_cov_trials(x, i: int, j: int, layers: int, trials: int,
 GAUSS_TRIALS = 100_000
 
 
-def universality_dims(dims, block_dim: int, pattern_size: int) -> tuple:
-    """``dims`` as a tuple, once each is checked: a power of two, a multiple
-    of ``block_dim``, and no shorter than the input pattern.  A runner calls
-    it before its codebook is trained."""
-    dims = tuple(dims)
-    if not dims:
-        raise ValueError("need at least one dimension")
-    for d in dims:
-        check_dim(d)
-        if d % block_dim != 0:
-            raise ValueError("dimension must be a multiple of the block size")
-        if pattern_size > d:
-            raise ValueError("input pattern longer than the target dimension")
-    return dims
-
-
 def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
                                  master_seed: int = 0, layers: int = 3,
                                  threads: int = 1) -> list:
@@ -437,11 +447,20 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     ``min_c |U_block - c|^2`` of the FIRST block of the rotated output, the
     only block the last layer computes (``map_rotated``'s ``head``); the
     reference side of the gap is :func:`gaussian_distortions`.  Every dim
-    is checked before any trial.
+    is checked before any trial: a power of two, a multiple of the block
+    size, and no shorter than the input pattern.
     """
     pattern, _ = unit_vector(x)
     k = codebook.block_dim
-    dims = universality_dims(dims, k, pattern.size)
+    dims = tuple(dims)
+    if not dims:
+        raise ValueError("need at least one dimension")
+    for d in dims:
+        check_dim(d)
+        if d % k != 0:
+            raise ValueError("dimension must be a multiple of the block size")
+        if pattern.size > d:
+            raise ValueError("input pattern longer than the target dimension")
 
     def first_block(u):  # (trials, k) rows: each row's distance depends on that row alone
         return _nearest_sq_dist(u, codebook.centroids)[0]

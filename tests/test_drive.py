@@ -62,6 +62,17 @@ def test_cd_rejects_nonpositive():
         cd_values(np.array([4, -1]))
 
 
+def test_cd_values_takes_integer_dimensions_only():
+    for dims in (np.array([2.5, 3.0]), [2.5], np.array([4.0])):
+        with pytest.raises(ValueError, match=r"\bdims\b"):
+            cd_values(dims)
+    dims = [1, 2, 300, 1 << 20]
+    got = cd_values(dims)
+    assert got.tolist() == cd_values(np.array(dims, dtype=np.uint32)).tolist()
+    want = np.array([scaling_constant_cd(d) for d in dims])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-14
+
+
 # --- encode / decode ----------------------------------------------------------
 
 def test_biased_scale_is_l1_mean():

@@ -536,7 +536,7 @@ def test_cli_json_config_echoes_the_parsed_flags(capsys):
     assert doc["experiment"] == "verify-vq"
     assert doc["config"] == {"command": "verify-vq", "dims": [16, 32],
                              "trials": 200, "cov_trials": 100,
-                             "train_seed": 2024, "skip_negative": True,
+                             "skip_negative": True,
                              "master_seed": DEFAULT_MASTER_SEED, "threads": 1}
     assert not any(r["negative_control"] for r in doc["rows"])
 
@@ -599,13 +599,44 @@ def test_verify_vq_measures_the_covariance_once_per_dimension(monkeypatch,
     ((256, 1000), "power of two"),
     ((2,), "multiple of the block size"),
 ])
-def test_vq_universality_checks_dims_before_training(dims, message, monkeypatch):
-    def no_training(*args, **kwargs):
-        raise AssertionError("the codebook was trained before dims were checked")
+def test_vq_universality_checks_dims_before_any_trial(dims, message, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran before dims were checked")
 
-    monkeypatch.setattr(experiments, "train_gaussian_codebook", no_training)
+    monkeypatch.setattr(vq, "map_rotated", no_trial)
+    monkeypatch.setattr(experiments, "gaussian_distortions", no_trial)
     with pytest.raises(ValueError, match=message):
         experiments.run_vq_universality(dims=dims, trials=10)
+
+
+def test_no_runner_trains_a_codebook(monkeypatch, tmp_path, capsys):
+    """The universality runner and ``verify-vq`` use the shipped constants,
+    and ``--train-seed`` is gone, so argparse refuses it.  The ``--out``
+    summary counts the rows within 2 standard errors of their bound."""
+    trainings = []
+    train = vq.train_gaussian_codebook
+
+    def spy(*args, **kwargs):
+        trainings.append(args)
+        return train(*args, **kwargs)
+
+    for module in (vq, experiments):
+        monkeypatch.setattr(module, "train_gaussian_codebook", spy, raising=False)
+    experiments.run_vq_universality(dims=(16, 32), trials=30)
+    out = tmp_path / "vq.json"
+    code = cli.main(["verify-vq", "--dims", "16,32", "--trials", "30",
+                     "--cov-trials", "20", "--skip-negative", "--out", str(out)])
+    assert trainings == []
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert code == (0 if doc["all_ok"] else 1)
+    close = sum(r["headroom_se"] is not None and abs(r["headroom_se"]) < 2
+                for r in doc["rows"])
+    assert close >= 1  # the final gap at d = 32 is decided by sampling noise
+    assert capsys.readouterr().out.endswith(
+        f"; {close} within 2 standard errors of the bound\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-vq", "--train-seed", "1"])
+    assert exc.value.code == 2
 
 
 def _stand_in_runners(monkeypatch):
@@ -698,11 +729,11 @@ ROUTES = {
                                "trials": 30})]),
     "verify-vq": (
         ["--dims", "16,32", "--trials", "30", "--cov-trials", "40",
-         "--train-seed", "7", "--skip-negative"],
+         "--skip-negative"],
         [("run_lemma_bottleneck", {}),
          ("run_vq_decorrelation", {"dims": (16, 32), "trials": 40}),
          ("run_vq_universality", {"dims": (16, 32), "trials": 30,
-                                  "train_seed": 7, "include_negative": False})]),
+                                  "include_negative": False})]),
 }
 
 

@@ -23,7 +23,7 @@ from rotquant.drive import DrivePayload, dme_simulate, drive_decode, drive_encod
 from rotquant.generators import gen_adversarial
 from rotquant.rng import Xoshiro256pp, derive_seeds
 from rotquant.metrics import EmpiricalSample, empirical_kolmogorov, empirical_w1
-from rotquant.vq import Codebook, gaussian_distortions, train_gaussian_codebook, vq_encode
+from rotquant.vq import REPORT_CODEBOOK, Codebook, gaussian_distortions, train_gaussian_codebook, vq_encode
 
 C = 3
 K = 1
@@ -98,7 +98,7 @@ def _bsq_decode():
 def _vq_encode():
     d = 1 << 20
     x = np.random.default_rng(0).standard_normal(d)
-    return vq_encode, (x, RotationSpec(d, 3, 1), train_gaussian_codebook(4, 16, 2024))
+    return vq_encode, (x, RotationSpec(d, 3, 1), REPORT_CODEBOOK)
 
 
 def _train_codebook():
@@ -107,7 +107,7 @@ def _train_codebook():
 
 
 def _gaussian_distortions():
-    return gaussian_distortions, (train_gaussian_codebook(4, 16, 2024), 8000)
+    return gaussian_distortions, (REPORT_CODEBOOK, 8000)
 
 
 def _empirical(metric):

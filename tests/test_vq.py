@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import math
 
@@ -10,6 +9,7 @@ from rotquant.metrics import conditional_cov_exact
 from rotquant.rng import Xoshiro256pp, derive_seeds
 from rotquant.vq import (
     NEAREST_BLOCK_ROWS,
+    REPORT_CODEBOOK,
     Codebook,
     conditional_cov_trials,
     stein_diagnostic_constant,
@@ -178,9 +178,12 @@ def test_training_matches_reference_bit_for_bit():
 
 
 def test_report_codebook_bytes_are_pinned():
-    cb = train_gaussian_codebook(4, 16, train_seed=2024)
-    assert hashlib.sha256(cb.centroids.tobytes()).hexdigest() == (
-        "be07d9946b83d53681f6c30939fd76e0c0ddf275739c7daae6939d9df39ada30")
+    """The report's constants are the training they stand for, bit for bit:
+    ``Codebook.__eq__`` compares ``train_seed`` and the centroid values, and
+    the bytes also tell 0.0 from -0.0."""
+    trained = train_gaussian_codebook(4, 16, 2024)
+    assert REPORT_CODEBOOK == trained
+    assert REPORT_CODEBOOK.centroids.tobytes() == trained.centroids.tobytes()
 
 
 def _lloyd_cases():
