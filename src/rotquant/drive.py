@@ -185,7 +185,7 @@ class DriveErrorReport:
 
 
 def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
-              threads: int = 1):
+              threads: int, trial_mean: bool):
     """Encode and decode every row (client) of ``xs`` in each of ``trials``
     trials, seeded as in :func:`dme_simulate`; each chunk of clients comes
     rotated from :func:`rotquant.core.map_trials`, and is signed, rotated
@@ -195,9 +195,9 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
     callers' input gate.  Returns per trial the squared error of the
     decoded client mean over the mean client energy; per encoded row the
     scale, and in the biased mode the rotated l1 norm (``None`` in the
-    unbiased mode, which never computes it); the trial mean of the decoded
-    client means, summed per ``TRIAL_BLOCK`` trials in trial order; and the
-    squared client norms.
+    unbiased mode, which never computes it); with ``trial_mean`` the trial
+    mean of the decoded client means, summed per ``TRIAL_BLOCK`` trials in
+    trial order (``None`` without it); and the squared client norms.
     """
     _check_mode(mode)
     with np.errstate(over="ignore"):
@@ -206,7 +206,8 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         raise ValueError("input must be finite and non-zero")
     n, d = xs.shape
     layers = spec_template.layers
-    x_avg, denom, mean_acc = xs.mean(axis=0), float(np.mean(sq)), np.zeros(d)
+    x_avg, denom = xs.mean(axis=0), float(np.mean(sq))
+    mean_acc = np.zeros(d) if trial_mean else None
 
     def chunk(y, seeds):
         n_t = len(seeds) // n
@@ -218,9 +219,11 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         _unrotate_signs(np.packbits(y < 0, axis=1, bitorder="little"), layers, seeds, y)
         y *= scales[:, None]
         avg = y if n == 1 else y.reshape(n_t, n, d).mean(axis=1)
-        blocks = avg[::TRIAL_BLOCK].copy()
-        for j in range(1, TRIAL_BLOCK):
-            blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
+        blocks = ()
+        if trial_mean:
+            blocks = avg[::TRIAL_BLOCK].copy()
+            for j in range(1, TRIAL_BLOCK):
+                blocks[:len(avg[j::TRIAL_BLOCK])] += avg[j::TRIAL_BLOCK]
         avg -= x_avg
         return np.einsum("ij,ij->i", avg, avg) / denom, scales, l1, blocks
 
@@ -232,7 +235,8 @@ def _simulate(xs, spec_template: RotationSpec, mode: str, trials: int,
         parts.append((err, scales, l1))
     err, scales, l1 = zip(*parts)
     l1 = np.concatenate(l1) if mode == "biased" else None
-    return np.concatenate(err), np.concatenate(scales), l1, mean_acc / trials, sq
+    mean_hat = mean_acc / trials if trial_mean else None
+    return np.concatenate(err), np.concatenate(scales), l1, mean_hat, sq
 
 
 def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
@@ -246,7 +250,7 @@ def measure_drive_error(x, spec_template: RotationSpec, mode: str, trials: int,
     """
     x = _input_array(x, "x", 1, dim=spec_template.dim)
     vnmse_samples, scales, l1, mean_hat, sq = _simulate(x[None], spec_template, mode,
-                                                        trials, threads)
+                                                        trials, threads, trial_mean=True)
     d, norm_sq = spec_template.dim, float(sq[0])
     vnmse, std_err = mean_se(vnmse_samples)
     bias_sq_norm = float(sum_sq(mean_hat - x) / norm_sq)
@@ -271,4 +275,4 @@ def dme_simulate(client_vectors, spec_template: RotationSpec, mode: str, trials:
     """
     xs = _input_array(client_vectors, "client_vectors", 2, dim=spec_template.dim,
                       nonempty=True)
-    return _simulate(xs, spec_template, mode, trials, threads)[0]
+    return _simulate(xs, spec_template, mode, trials, threads, trial_mean=False)[0]

@@ -53,7 +53,7 @@ import numpy as np
 
 from .adaptive import decide_layers, default_eta3
 from .bsq import BsqConfig, expected_error_gaussian, threshold_for_p, tv_of_error_function, verify_tv_transfer
-from .core import RotationSpec, _input_array, apply_rotation, fwht, layer_signs, map_rotated, mean_se, run_ordered, sum_sq, unit_vector
+from .core import RotationSpec, _input_array, apply_rotation, check_dim, fwht, layer_signs, map_rotated, mean_se, run_ordered, sum_sq, unit_vector
 from .drive import LIMIT_VNMSE, cd_values, dme_simulate, measure_drive_error
 from .generators import gen_adversarial
 from .metrics import (
@@ -71,10 +71,10 @@ from .reporting import VerifyReport
 from .rng import _input_int, derive_seed, derive_seeds
 from .vq import (
     REPORT_CODEBOOK,
+    _universality_samples,
     conditional_cov_trials,
     gaussian_distortions,
     stein_diagnostic_constant,
-    verify_codebook_universality,
 )
 
 __all__ = [
@@ -215,20 +215,32 @@ def run_drive_biased(d: int = 4096, trials: int = 10_000,
 
 
 def run_drive_unbiased(d: int = 4096, trials: int = 10_000,
-                       bias_dims=(64, 256, 1024, 4096),
+                       bias_dims=None,
                        bias_trials=None,
                        master_seed: int = DEFAULT_MASTER_SEED,
                        threads: int = 1) -> list[VerifyReport]:
     """Unbiased sign-quantizer: variance share in the ``pi/2 - 1`` band and
     squared bias decaying with dimension.
 
-    The plug-in squared-bias estimator carries a sampling floor of
-    ``variance/trials``, so the trial counts grow with dimension to keep the
-    floor from masking the decay being measured: ``bias_trials`` defaults to
-    ``(1, 2, 4, 6) * trials`` (10,000 to 60,000 at the default ``trials``).
+    ``bias_dims`` defaults to ``d/64, d/16, d/4, d`` without those below 16
+    (64 to 4096 at the default ``d``); fewer than two left (``d < 64``)
+    raise ``ValueError``.  The plug-in squared-bias estimator carries a
+    sampling floor of ``variance/trials``, so the trial counts grow with
+    dimension to keep the floor from masking the decay being measured:
+    ``bias_trials`` defaults to ``(1, 2, 4, 6) * trials`` aligned from the
+    largest dimension (10,000 to 60,000 at the default ``trials``), one
+    count per dimension.
     """
+    if bias_dims is None:
+        d = check_dim(d)
+        bias_dims = tuple(d // m for m in (64, 16, 4, 1) if d // m >= 16)
+        if len(bias_dims) < 2:
+            raise ValueError(f"the bias sweep needs d >= 64, got d = {d}")
     if bias_trials is None:
-        bias_trials = tuple(m * trials for m in (1, 2, 4, 6))
+        bias_trials = tuple(m * trials for m in (1, 2, 4, 6)[-len(bias_dims):])
+    if len(bias_trials) != len(bias_dims):
+        raise ValueError("need one bias trial count per bias dimension, got "
+                         f"{len(bias_trials)} for {len(bias_dims)}")
     rep = measure_drive_error(gen_adversarial("one_hot", d),
                               RotationSpec(d, 2, master_seed),
                               "unbiased", trials, threads)
@@ -471,20 +483,18 @@ def run_vq_universality(dims=(256, 1024, 4096), trials: int = 10_000,
     fresh Gaussian blocks decays like ``sqrt(log d / d)`` under 3 rotation
     layers (trend of the scaled gap, plus a pilot-calibrated final absolute
     gap under 0.05); with 2 layers the two-spike input must keep a
-    non-decaying gap.  The Gaussian reference, shared by both runs, is drawn
-    after the 3-layer run has checked ``dims``; its seeds are counter-based,
-    so the order moves no bit."""
-    pattern = gen_adversarial("two_spike", 4)
+    non-decaying gap.  Both runs come from one pass over the same rotations
+    (the 2-layer rows are the 3-layer run's rows before its last layer).
+    The Gaussian reference, shared by both, is drawn after that pass has
+    checked ``dims``; its seeds are counter-based, so the order moves no
+    bit."""
     dims = tuple(dims)
-    positive = verify_codebook_universality(
-        pattern, REPORT_CODEBOOK, dims, trials, master_seed=master_seed, layers=3,
-        threads=threads)
+    positive, negative = _universality_samples(
+        gen_adversarial("two_spike", 4), REPORT_CODEBOOK, dims, trials, master_seed, 3,
+        threads, control=include_negative)
     gauss = gaussian_distortions(REPORT_CODEBOOK, trials, master_seed)
     rows = _universality_rows(dims, positive, gauss, "universality", negative=False)
     if include_negative:
-        negative = verify_codebook_universality(
-            pattern, REPORT_CODEBOOK, dims, trials, master_seed=master_seed,
-            layers=2, threads=threads)
         rows.extend(_universality_rows(dims, negative, gauss, "two-layer-control",
                                        negative=True))
     return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TRIAL_CHUNK_ELEMS, _input_array, check_dim, check_scale, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
+from .core import TRIAL_CHUNK_ELEMS, _fwht_head, _input_array, check_dim, check_scale, inverse_rotation, layer_signs, map_rotated, map_trials, rotate_normalized, sum_sq, unit_vector
 from .core import fwht  # noqa: F401  (the bench tracer patches vq.fwht)
 from .rng import _GAUSSIAN_BLOCK_STREAMS, MASK64, Xoshiro256pp, _input_int, derive_seed, derive_seeds
 
@@ -63,11 +63,13 @@ class Codebook:
             raise ValueError("centroid norms overflow")
 
     def __eq__(self, other):
-        """Field by field, the centroids by ``np.array_equal``."""
+        """Field by field, the centroids by shape and bytes, so equal
+        codebooks serialize to equal bytes (``-0.0`` is not ``0.0``)."""
         if not isinstance(other, Codebook):
             return NotImplemented
         return (self.train_seed == other.train_seed
-                and np.array_equal(self.centroids, other.centroids))
+                and self.centroids.shape == other.centroids.shape
+                and self.centroids.tobytes() == other.centroids.tobytes())
 
     @property
     def block_dim(self) -> int:
@@ -450,6 +452,20 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     is checked before any trial: a power of two, a multiple of the block
     size, and no shorter than the input pattern.
     """
+    return _universality_samples(x, codebook, dims, trials, master_seed, layers, threads,
+                                 control=False)[0]
+
+
+def _universality_samples(x, codebook: Codebook, dims, trials: int, master_seed: int,
+                          layers: int, threads: int, control: bool):
+    """:func:`verify_codebook_universality`'s samples, and with ``control``
+    also those at ``layers - 1`` layers, from the same rotations in one pass:
+    ``(samples, control samples or None)``.
+
+    The control's first block is the first ``k`` columns of the rows after
+    ``layers - 1`` layers in full, which are the bits of that run's
+    ``_fwht_head``; the last layer's head then runs on the same rows.
+    """
     pattern, _ = unit_vector(x)
     k = codebook.block_dim
     dims = tuple(dims)
@@ -465,13 +481,27 @@ def verify_codebook_universality(x, codebook: Codebook, dims, trials: int,
     def first_block(u):  # (trials, k) rows: each row's distance depends on that row alone
         return _nearest_sq_dist(u, codebook.centroids)[0]
 
-    rht = []
+    def both(y, seeds):  # y: a chunk's rows after layers - 1 layers, in full
+        root_d = math.sqrt(y.shape[1])
+        earlier = first_block(y[:, :k] * root_d)
+        y *= layer_signs(seeds, layers, y.shape[1])
+        u = _fwht_head(y, k)
+        u *= root_d
+        return first_block(u), earlier
+
+    samples, controls = [], []
     for d in dims:
         xu = np.zeros(d)
         xu[: pattern.size] = pattern
-        rht.append(map_rotated(xu, layers, trials, master_seed, first_block, threads,
-                               head=k))
-    return rht
+        if not control:
+            samples.append(map_rotated(xu, layers, trials, master_seed, first_block,
+                                       threads, head=k))
+            continue
+        last, earlier = zip(*map_trials(xu[None], layers - 1, trials, master_seed, both,
+                                        threads=threads))
+        samples.append(np.concatenate(last))
+        controls.append(np.concatenate(earlier))
+    return samples, controls if control else None
 
 
 def gaussian_distortions(codebook: Codebook, trials: int, master_seed: int = 0):

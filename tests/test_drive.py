@@ -14,6 +14,7 @@ from rotquant.drive import (
     measure_drive_error,
     scaling_constant_cd,
     DrivePayload,
+    _simulate,
 )
 from rotquant.generators import gen_adversarial
 from _oracles import CD_ORACLE, reference_drive_decode
@@ -220,6 +221,27 @@ def test_dme_single_client_equals_drive_error():
     dme = dme_simulate([x], spec, mode="unbiased", trials=40)
     assert dme.shape == (40,)
     assert mean_se(dme) == (drive.vnmse, drive.std_err)
+
+
+@pytest.mark.parametrize("mode", ["biased", "unbiased"])
+def test_dme_skips_the_trial_mean_it_does_not_return(mode, monkeypatch):
+    """``dme_simulate`` asks ``_simulate`` for no trial mean and gets the
+    per-trial errors of a run that keeps one, bit for bit."""
+    xs = np.random.default_rng(3).standard_normal((3, 256))
+    spec = RotationSpec(256, 2, 9)
+    err, scales, l1, mean_hat, sq = _simulate(xs, spec, mode, 70, 2, trial_mean=True)
+    assert mean_hat.shape == (256,)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["trial_mean"])
+        out = _simulate(*args, **kwargs)
+        assert out[3] is None
+        return out
+
+    monkeypatch.setattr("rotquant.drive._simulate", spy)
+    assert dme_simulate(xs, spec, mode, 70, 2).tobytes() == err.tobytes()
+    assert calls == [False]
 
 
 @pytest.mark.parametrize("estimate", [

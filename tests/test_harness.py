@@ -604,9 +604,32 @@ def test_vq_universality_checks_dims_before_any_trial(dims, message, monkeypatch
         raise AssertionError("a trial ran before dims were checked")
 
     monkeypatch.setattr(vq, "map_rotated", no_trial)
+    monkeypatch.setattr(vq, "map_trials", no_trial)
     monkeypatch.setattr(experiments, "gaussian_distortions", no_trial)
     with pytest.raises(ValueError, match=message):
         experiments.run_vq_universality(dims=dims, trials=10)
+
+
+def test_verify_drive_d_reaches_the_bias_sweep(capsys):
+    """``--d`` sets the bias sweep too: d/64, d/16, d/4 and d without those
+    below 16, the (1, 2, 4, 6) trial multipliers aligned from the largest;
+    fewer than two dimensions left raises naming ``d``."""
+    assert cli.main(["verify-drive", "--d", "64", "--trials", "20"]) in (0, 1)
+    doc = _undated(capsys.readouterr().out)
+    assert doc["rows"] and max(r["d"] for r in doc["rows"]) == 64
+    slope = next(r for r in doc["rows"] if r["claim"] == "unbiased-bias-slope")
+    assert slope["extra"]["dims"] == [16, 64] and slope["trials"] == (4 + 6) * 20
+    rows = experiments.run_drive_unbiased(d=256, trials=20)
+    assert rows[-1].extra["dims"] == [16, 64, 256] and rows[-1].trials == (2 + 4 + 6) * 20
+    assert [r.trials for r in rows if r.claim == "unbiased-bias-nonincreasing"] == [80, 120]
+    for d in (32, 16):
+        with pytest.raises(ValueError, match=f"d = {d}"):
+            experiments.run_drive_unbiased(d=d, trials=20)
+    assert cli.main(["verify-drive", "--d", "32", "--trials", "20"]) == 2
+    assert "d = 32" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="one bias trial count per bias dimension"):
+        experiments.run_drive_unbiased(d=64, trials=20, bias_dims=(16, 32, 64),
+                                       bias_trials=(20, 40))
 
 
 def test_no_runner_trains_a_codebook(monkeypatch, tmp_path, capsys):

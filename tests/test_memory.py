@@ -112,8 +112,6 @@ def _gaussian_distortions():
 
 def _empirical(metric):
     def case():
-        import scipy.special  # noqa: F401  (its import is not the metric's allocation)
-
         n = 1 << 20
         return metric, (EmpiricalSample.from_values(np.random.default_rng(n).standard_normal(n)),)
     return case

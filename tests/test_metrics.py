@@ -149,6 +149,69 @@ def test_normal_quantile_is_scipy_ndtri_bit_for_bit():
     assert type(normal_quantile(0.5)) is float
 
 
+def _ulps_around(points, count=64):
+    """Each of ``points`` with its ``count`` nearest floats on either side."""
+    points = np.asarray(points, dtype=np.float64)
+    up, down, near = points, points, [points]
+    for _ in range(count):
+        up, down = np.nextafter(up, math.inf), np.nextafter(down, -math.inf)
+        near += [up, down]
+    return np.concatenate(near)
+
+
+def _assert_same_bits(arg, got, want):
+    bad = np.flatnonzero(np.asarray(got).view(np.int64) != np.asarray(want).view(np.int64))
+    assert bad.size == 0, list(zip(arg[bad[:5]], got[bad[:5]], want[bad[:5]]))
+
+
+def test_normal_cdf_is_scipy_ndtr_bit_for_bit():
+    """The Cephes ``ndtr`` port against ``scipy.special.ndtr``, the reference
+    kernel: 10^6 seeded points out to +-40, a grid, and 64 ulps either side
+    of each branch edge of ``|a|``: 1 (erf to erfc), sqrt 2 (erfc's
+    ``1 - erf`` to its exp form), 8 sqrt 2 (P/Q to R/S) and
+    sqrt(2 MAXLOG) (erfc underflows to 0), plus +-0, +-inf, NaN and huge
+    values, which must raise no warning."""
+    from scipy.special import ndtr
+
+    rng = np.random.default_rng(20261022)
+    edges = _ulps_around([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                          math.sqrt(2.0 * 7.09782712893383996843e2)])
+    a = np.concatenate([
+        3.0 * rng.standard_normal(500_000), rng.uniform(-40.0, 40.0, 500_000),
+        np.linspace(-38.0, 38.0, 76_001), edges, -edges,
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324],
+    ])
+    _assert_same_bits(a, normal_cdf(a), ndtr(a))
+    grid = a[:1200].reshape(30, 40)
+    assert normal_cdf(grid).shape == (30, 40)
+    assert type(normal_cdf(0.5)) is np.float64 and normal_cdf(0.5) == ndtr(0.5)
+
+
+def test_normal_quantile_arrays_are_scipy_ndtri_bit_for_bit():
+    """The array kernel against ``scipy.special.ndtri`` on 10^6 seeded
+    points over (0, 1) and both tails down to 1e-300, and 64 ulps either
+    side of each branch edge (y = exp(-2), 1 - exp(-2) and exp(-32)); the
+    scalar path gives the same bits on every 50th point and every edge."""
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(20261023)
+    edges = _ulps_around([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                          1.0 - math.exp(-32.0)])
+    q = np.concatenate([
+        rng.random(600_000), 10.0 ** -rng.uniform(0.0, 300.0, 200_000),
+        1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 200_000), edges,
+        [5e-324, 0.5, 1.0 - 2.0 ** -53],
+    ])
+    q = q[(q > 0.0) & (q < 1.0)]
+    assert q.size > 1_000_000
+    got = normal_quantile(q)
+    _assert_same_bits(q, got, ndtri(q))
+    few = np.concatenate([q[::50], edges])
+    scalar = np.array([normal_quantile(v) for v in few.tolist()])
+    _assert_same_bits(few, scalar, normal_quantile(few))
+    assert normal_quantile(q[:600].reshape(20, 30)).tobytes() == got[:600].tobytes()
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.5, 1.5, math.nan, math.inf])
 def test_normal_quantile_rejects_arguments_outside_the_open_unit_interval(q):
     with pytest.raises(ValueError, match="strictly inside"):
@@ -232,6 +295,51 @@ def test_empirical_metrics_match_their_whole_vector_expressions(n):
     w1 = float(np.mean(np.abs(v - ndtri((np.arange(1, n + 1) - 0.5) / n))))
     assert empirical_kolmogorov(sample).hex() == ks.hex()
     assert empirical_w1(sample).hex() == w1.hex()
+
+
+def _plain_kolmogorov(values):
+    from scipy.special import ndtr
+
+    n = values.size
+    f = ndtr(values)
+    return float(max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(0, n) / n).max()))
+
+
+def _samples():
+    rng = np.random.default_rng(77)
+    n = 40_000
+    return {
+        "normal": rng.standard_normal(n),
+        "shifted": rng.standard_normal(n) + 0.02,
+        "heavy-tailed": rng.standard_t(2.0, n),
+        "lattice": rng.integers(-12, 13, n) / 4.0,  # ties, like rotated spikes at small d
+        # every term within a rounding of 1/(2n): the screen keeps whole blocks
+        "quantile-placed": normal_quantile((np.arange(n) + 0.5) / n),
+        "huge": np.array([1e300, -1e300, 0.0, 1e-300, -3.0]),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_samples()))
+def test_kolmogorov_screening_keeps_the_bits_of_the_plain_formula(kind):
+    """Terms screened with numpy's exp and only the near-maximal ones
+    computed exactly give the plain formula's bits, for any tie structure."""
+    sample = EmpiricalSample.from_values(_samples()[kind])
+    assert empirical_kolmogorov(sample).hex() == _plain_kolmogorov(sample.values).hex()
+
+
+def test_kolmogorov_evaluates_its_maximum_with_the_c_library_exp():
+    """Point masses at values whose screened CDF differs from the exact one:
+    the distance is ``F(v)``, with scipy's bits, not the screen's."""
+    from scipy.special import ndtr
+
+    from rotquant import metrics
+
+    a = np.linspace(1.4, 6.0, 400_001)
+    moved = a[metrics._ndtr(a, exact=False) != metrics._ndtr(a)]
+    assert moved.size >= 100
+    for v in moved[:100]:
+        ks = empirical_kolmogorov(EmpiricalSample.from_values(np.full(3, v)))
+        assert ks.hex() == float(ndtr(v)).hex()
 
 
 # --- conditional covariance --------------------------------------------------

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -82,13 +83,46 @@ def test_import_and_codec_paths_load_no_scipy_special_or_thread_pool():
     assert _loaded_after(steps) == {name: [] for name, _ in steps}
 
 
-def test_empirical_metric_loads_scipy_special():
-    """The documented split: an empirical metric is a call that loads
-    ``scipy.special`` (which itself may bring in ``concurrent.futures``)."""
-    step = "m.empirical_kolmogorov(m.EmpiricalSample.from_values([0.5, -1.0]))"
-    loaded = _loaded_after([("import", "import rotquant as rq"),
-                            ("step", "import rotquant as rq\nfrom rotquant import metrics as m\n" + step)])
-    assert loaded["import"] == [] and "scipy.special" in loaded["step"]
+# Reduced calls of every runner; ``threads`` is added where a runner takes it.
+_REDUCED_RUNS = {
+    "run_scalar_convergence": {"dims": (64, 256), "draws": 20_000},
+    "run_drive_biased": {"d": 64, "trials": 20},
+    "run_drive_unbiased": {"d": 64, "trials": 20},
+    "run_dme": {"d": 64, "trials": 20},
+    "run_bsq_outliers": {"dims": (64,), "draws": 2_000},
+    "run_bsq_transfer": {"d": 64, "trials": 20},
+    "run_lemma_bottleneck": {},
+    "run_vq_decorrelation": {"dims": (16, 32), "trials": 20},
+    "run_vq_universality": {"dims": (16, 32), "trials": 30},
+    "run_adaptive_decisions": {},
+    "run_adaptive_soundness": {"n_inputs": 3, "draws": 20_000},
+    "run_cd_expansion": {},
+}
+
+
+def test_only_the_cd_expansion_loads_scipy_special():
+    """Every Monte Carlo runner (the empirical metrics included) and
+    ``verify-scalar`` run in a fresh interpreter without loading
+    ``scipy.special``; ``run_cd_expansion``, last, is the one call that
+    does (``drive.cd_values`` needs its ``gammaln``)."""
+    from rotquant import experiments
+
+    names = [runner.__name__ for _, runner in experiments.RUNNERS]
+    assert sorted(names) == sorted(_REDUCED_RUNS) and names[-1] == "run_cd_expansion"
+    steps = [("import", "import rotquant")]
+    for _, runner in experiments.RUNNERS:
+        kwargs = dict(_REDUCED_RUNS[runner.__name__])
+        if "threads" in inspect.signature(runner).parameters:
+            kwargs["threads"] = 2
+        steps.append((runner.__name__, "from rotquant import experiments\n"
+                                       f"experiments.{runner.__name__}(**{kwargs!r})"))
+        if runner.__name__ == "run_scalar_convergence":
+            steps.append(("verify-scalar", "from rotquant import cli\n"
+                                           "cli.main(['verify-scalar', '--dims', '64', "
+                                           "'--draws', '20000', '--threads', '2'])"))
+    loaded = _loaded_after(steps)
+    assert [name for name, _ in steps if "scipy.special" in loaded[name]] == [
+        "run_cd_expansion"]
 
 
 def _module_level_scipy_imports(source: str) -> list:

@@ -68,6 +68,20 @@ def test_codebook_validation():
             Codebook(centroids, train_seed=3)
 
 
+def test_codebook_equality_compares_bits():
+    """Equal codebooks serialize to equal bytes: -0.0 is not 0.0, and the
+    same bytes in another shape are another codebook."""
+    from rotquant.codec import serialize
+
+    zero = Codebook(np.array([[0.0, 1.0]]), 1)
+    negative_zero = Codebook(np.array([[-0.0, 1.0]]), 1)
+    assert serialize(zero) != serialize(negative_zero)
+    assert zero != negative_zero
+    assert zero == Codebook(np.array([[0.0, 1.0]]), 1)
+    assert zero != Codebook(np.array([[0.0, 1.0]]), 2)
+    assert Codebook(np.ones((2, 4)), 1) != Codebook(np.ones((4, 2)), 1)
+
+
 # --- training -----------------------------------------------------------------
 
 def test_training_is_deterministic():
@@ -179,8 +193,7 @@ def test_training_matches_reference_bit_for_bit():
 
 def test_report_codebook_bytes_are_pinned():
     """The report's constants are the training they stand for, bit for bit:
-    ``Codebook.__eq__`` compares ``train_seed`` and the centroid values, and
-    the bytes also tell 0.0 from -0.0."""
+    ``Codebook.__eq__`` compares ``train_seed`` and the centroid bytes."""
     trained = train_gaussian_codebook(4, 16, 2024)
     assert REPORT_CODEBOOK == trained
     assert REPORT_CODEBOOK.centroids.tobytes() == trained.centroids.tobytes()
@@ -378,6 +391,33 @@ def test_universality_reports_shape_and_fields():
     for errs in (*rht, gauss):
         assert errs.dtype == np.float64 and np.all(errs >= 0.0)
     assert all(0.0 < errs.mean() < 4.0 for errs in rht)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_one_pass_gives_both_universality_runs_bit_for_bit(threads, monkeypatch):
+    """The runner's one pass gives the 3-layer samples and the 2-layer
+    control of two separate runs, bit for bit, on a sparse and a dense
+    pattern; without the control it is the one 3-layer run of before."""
+    dims, trials = (16, 64, 256), 300
+    for x in (two_spike(4), RNG.standard_normal(16)):
+        last, before = vq._universality_samples(x, REPORT_CODEBOOK, dims, trials, 5, 3,
+                                                threads, control=True)
+        for got, layers in ((last, 3), (before, 2)):
+            want = verify_codebook_universality(x, REPORT_CODEBOOK, dims, trials, 5,
+                                                layers=layers, threads=threads)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    passes = []
+    rotated = vq.map_rotated
+
+    def spy(xu, layers, *args, **kwargs):
+        passes.append(layers)
+        return rotated(xu, layers, *args, **kwargs)
+
+    monkeypatch.setattr(vq, "map_rotated", spy)
+    monkeypatch.setattr(vq, "map_trials", None)  # the one-pass route is not taken
+    last, before = vq._universality_samples(two_spike(4), REPORT_CODEBOOK, dims, trials,
+                                            5, 3, threads, control=False)
+    assert before is None and passes == [3, 3, 3]
 
 
 @pytest.mark.parametrize("block_dim", [4, 3])
